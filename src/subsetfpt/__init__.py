@@ -19,7 +19,6 @@ from .core import (
     Goal,
     Infeasible,
     InfeasibleInstance,
-    Restriction,
     SubsetProblem,
     UnsupportedRestriction,
     brute_force_optimum,
@@ -32,14 +31,12 @@ from .core import (
     members_of,
 )
 from .problems import (
-    DominationState,
     Graph,
     ProblemKind,
     RESTRICTABLE,
     SetSystem,
     make_problem,
     minimality_certificate,
-    restrict,
 )
 from .approx import (
     ApproxOracle,

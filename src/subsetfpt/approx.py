@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, iter_bits
-from .problems import DominationState, Graph, ProblemKind, SetSystem
+from .problems import Graph, ProblemKind, SetSystem
 
 
 def harmonic(d: int) -> Fraction:
@@ -35,56 +35,66 @@ class ApproxOracle:
     ratio: Callable[[SubsetProblem], Fraction]
 
 
-def _greedy_cover_indices(n_ground: int, covers: list[int], target: int) -> list[int]:
-    """Greedy max-coverage loop shared by set cover and dominating set."""
+def _greedy_cover(covers: list[tuple[int, int]], target: int) -> frozenset[int]:
+    """Greedy max-coverage loop shared by set cover and dominating set:
+    covers holds (id, mask) pairs in id order; ties go to the lowest id."""
     chosen: list[int] = []
     covered = 0
     while covered & target != target:
-        best, best_gain = -1, 0
-        for i, s in enumerate(covers):
+        best, best_cover, best_gain = -1, 0, 0
+        for i, s in covers:
             gain = (s & target & ~covered).bit_count()
             if gain > best_gain:
-                best, best_gain = i, gain
+                best, best_cover, best_gain = i, s, gain
         if best < 0:
             raise InfeasibleInstance("ground set not coverable")
         chosen.append(best)
-        covered |= covers[best]
-    return chosen
+        covered |= best_cover
+    return frozenset(chosen)
 
 
-def greedy_set_cover(sys: SetSystem) -> frozenset[int]:
-    full = (1 << sys.n_ground) - 1
-    return frozenset(_greedy_cover_indices(sys.n_ground, list(sys.sets), full))
+# The greedy algorithms below also run on a sub-instance and return root ids.
+# The covering ones take `chosen`, the elements picked so far, and cover
+# what those leave uncovered; a chosen element covers nothing new, so it is
+# never picked again.  The others take `alive`, the selectable elements
+# (-1 for all).
 
 
-def greedy_dominating_set(g: Graph) -> frozenset[int]:
-    return greedy_dominating_state(DominationState(graph=g))
+def _uncovered(sets: Iterable[int], full: int) -> int:
+    for s in sets:
+        full &= ~s
+    return full
 
 
-def greedy_dominating_state(state: DominationState) -> frozenset[int]:
-    g = state.graph
-    uni = state.universe()
-    target = ((1 << g.n) - 1) & ~state.dominated
-    if target == 0:
-        return frozenset()
-    covers = [g.closed_nb(v) for v in uni]
-    return frozenset(_greedy_cover_indices(g.n, covers, target))
+def greedy_set_cover(sys: SetSystem, chosen: int = 0) -> frozenset[int]:
+    target = _uncovered((sys.sets[i] for i in iter_bits(chosen)), (1 << sys.n_ground) - 1)
+    return _greedy_cover(list(enumerate(sys.sets)), target)
 
 
-def matching_vertex_cover(g: Graph) -> frozenset[int]:
+def greedy_dominating_set(g: Graph, chosen: int = 0) -> frozenset[int]:
+    target = _uncovered((g.closed_nb(v) for v in iter_bits(chosen)), (1 << g.n) - 1)
+    return _greedy_cover([(v, g.closed_nb(v)) for v in range(g.n)], target)
+
+
+def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
     """Both endpoints of a lexicographically-greedy maximal matching."""
+    alive &= (1 << g.n) - 1
     cover = 0
-    for u, v in sorted(g.edges):
-        if not ((cover >> u) & 1 or (cover >> v) & 1):
-            cover |= (1 << u) | (1 << v)
+    for u in iter_bits(alive):
+        if (cover >> u) & 1:
+            continue
+        # the lowest-index free neighbour above u, as a sorted edge scan finds
+        free = g.adj[u] & alive & ~cover & -(2 << u)
+        if free:
+            cover |= (1 << u) | (free & -free)
     return frozenset(iter_bits(cover))
 
 
-def greedy_maximal_independent_set(g: Graph) -> frozenset[int]:
+def greedy_maximal_independent_set(g: Graph, alive: int = -1) -> frozenset[int]:
     """Repeatedly take the minimum-degree remaining vertex and delete its
     closed neighborhood; the result is maximal independent, hence also an
     independent dominating set."""
-    alive = (1 << g.n) - 1
+    alive &= (1 << g.n) - 1
     picked = []
     while alive:
         best, best_deg = -1, g.n + 1
@@ -97,12 +107,10 @@ def greedy_maximal_independent_set(g: Graph) -> frozenset[int]:
     return frozenset(picked)
 
 
-def greedy_clique(g: Graph) -> frozenset[int]:
+def greedy_clique(g: Graph, alive: int = -1) -> frozenset[int]:
     """Grow a clique, always adding the candidate with the most neighbors
     among the remaining candidates."""
-    if g.n == 0:
-        return frozenset()
-    cand = (1 << g.n) - 1
+    cand = alive & ((1 << g.n) - 1)
     clique = 0
     while cand:
         best, best_deg = -1, -1
@@ -116,12 +124,9 @@ def greedy_clique(g: Graph) -> frozenset[int]:
 
 
 def _graph_of(p: SubsetProblem) -> Graph:
-    data = p.data
-    if isinstance(data, DominationState):
-        return data.graph
-    if isinstance(data, Graph):
-        return data
-    raise TypeError(f"oracle needs a graph instance, got {type(data).__name__}")
+    if not isinstance(p.data, Graph):
+        raise TypeError(f"oracle needs a graph instance, got {type(p.data).__name__}")
+    return p.data
 
 
 def _sys_of(p: SubsetProblem) -> SetSystem:
@@ -130,48 +135,74 @@ def _sys_of(p: SubsetProblem) -> SetSystem:
     return p.data
 
 
+def _max_degree(p: SubsetProblem) -> int:
+    """Maximum degree of the subgraph induced by the selectable vertices."""
+    g = _graph_of(p)
+    return max(((g.adj[v] & p.alive).bit_count() for v in iter_bits(p.alive)), default=0)
+
+
+def _max_residual_size(p: SubsetProblem) -> int:
+    """Largest number of ground elements one set adds to the chosen sets."""
+    sys = _sys_of(p)
+    target = _uncovered((sys.sets[i] for i in iter_bits(p.chosen)), (1 << sys.n_ground) - 1)
+    return max(((s & target).bit_count() for s in sys.sets), default=0)
+
+
 MATCHING_VC = ApproxOracle(
     name="matching-vc",
     goal=Goal.MINIMIZE,
-    run=lambda p: matching_vertex_cover(_graph_of(p)),
+    run=lambda p: matching_vertex_cover(_graph_of(p), p.alive),
     ratio=lambda p: Fraction(2),
 )
 
 GREEDY_SET_COVER = ApproxOracle(
     name="greedy-set-cover",
     goal=Goal.MINIMIZE,
-    run=lambda p: greedy_set_cover(_sys_of(p)),
-    ratio=lambda p: max(harmonic(_sys_of(p).max_set_size()), Fraction(1)),
+    run=lambda p: greedy_set_cover(_sys_of(p), p.chosen),
+    ratio=lambda p: max(harmonic(_max_residual_size(p)), Fraction(1)),
 )
 
 GREEDY_DOMINATING = ApproxOracle(
     name="greedy-dominating",
     goal=Goal.MINIMIZE,
-    run=lambda p: (
-        greedy_dominating_state(p.data)
-        if isinstance(p.data, DominationState)
-        else frozenset(greedy_dominating_set(_graph_of(p)))
-    ),
+    run=lambda p: greedy_dominating_set(_graph_of(p), p.chosen),
     ratio=lambda p: harmonic(_graph_of(p).max_degree() + 1),
 )
 
 GREEDY_MIS = ApproxOracle(
     name="greedy-mis",
     goal=Goal.MAXIMIZE,
-    run=lambda p: greedy_maximal_independent_set(_graph_of(p)),
-    ratio=lambda p: Fraction(1, _graph_of(p).max_degree() + 1),
+    run=lambda p: greedy_maximal_independent_set(_graph_of(p), p.alive),
+    ratio=lambda p: Fraction(1, _max_degree(p) + 1),
+)
+
+# A maximal independent set is also an independent dominating set.  It has
+# at most n vertices, and any independent dominating set has at least
+# n / (max degree + 1), since each vertex dominates at most that many.
+GREEDY_IDS = ApproxOracle(
+    name="greedy-ids",
+    goal=Goal.MINIMIZE,
+    run=GREEDY_MIS.run,
+    ratio=lambda p: Fraction(_max_degree(p) + 1),
 )
 
 GREEDY_CLIQUE = ApproxOracle(
     name="greedy-clique",
     goal=Goal.MAXIMIZE,
-    run=lambda p: greedy_clique(_graph_of(p)),
-    ratio=lambda p: Fraction(1, max(_graph_of(p).n, 1)),
+    run=lambda p: greedy_clique(_graph_of(p), p.alive),
+    ratio=lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
 )
 
 ORACLES = {
     o.name: o
-    for o in (MATCHING_VC, GREEDY_SET_COVER, GREEDY_DOMINATING, GREEDY_MIS, GREEDY_CLIQUE)
+    for o in (
+        MATCHING_VC,
+        GREEDY_SET_COVER,
+        GREEDY_DOMINATING,
+        GREEDY_MIS,
+        GREEDY_IDS,
+        GREEDY_CLIQUE,
+    )
 }
 
 DEFAULT_ORACLE = {
@@ -179,6 +210,6 @@ DEFAULT_ORACLE = {
     ProblemKind.SET_COVER: GREEDY_SET_COVER,
     ProblemKind.DOMINATING_SET: GREEDY_DOMINATING,
     ProblemKind.INDEPENDENT_SET: GREEDY_MIS,
-    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: GREEDY_MIS,
+    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: GREEDY_IDS,
     ProblemKind.CLIQUE: GREEDY_CLIQUE,
 }

@@ -13,8 +13,9 @@ lexicographic on the sorted member tuple) so ties break deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ DEFAULT_BUDGET = 20
 _CHUNK = 1 << 20
 
 
-class UnsupportedRestriction(Exception):
+class UnsupportedRestriction(ValueError):
     """Raised when a problem kind has no sub-instance operator."""
 
 
@@ -65,40 +66,53 @@ class SubsetProblem:
     feasible_mask takes an integer bitmask over [0, universe_size).
     feasible_batch, when present, evaluates a whole numpy array of masks at
     once (used by the exhaustive oracles for speed).
-    restrict_fn(e) builds the sub-instance whose solutions S' are exactly
-    those with S' + {e} feasible here; kinds that have no such operator
-    leave it as None.
+
+    A sub-instance is its root instance plus two masks in root numbering:
+    `alive`, the elements still selectable, and `chosen`, the elements
+    already picked.  Its feasible sets are the S within alive for which
+    S | chosen is feasible at the root.  On the kinds that have a
+    sub-instance operator, restrict_fn(e) is the mask of elements that can
+    still join a solution holding e; other kinds leave it as None.
     """
 
     label: str
     universe_size: int
     goal: Goal
     feasible_mask: Callable[[int], bool]
-    restrict_fn: Optional[Callable[[int], "Restriction"]] = None
+    restrict_fn: Optional[Callable[[int], int]] = None
     feasible_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     kind: object = None
     data: object = None
+    alive: Optional[int] = None  # None: the whole universe
+    chosen: int = 0
+    root: Optional["SubsetProblem"] = None  # None for a root instance
 
-    def restrict(self, e: int) -> "Restriction":
-        if not 0 <= e < self.universe_size:
-            raise ValueError(f"element {e} outside universe of size {self.universe_size}")
+    def __post_init__(self):
+        if self.alive is None:
+            object.__setattr__(self, "alive", (1 << self.universe_size) - 1)
+
+    def restrict(self, e: int) -> "SubsetProblem":
+        """I(e): the sub-instance whose solutions S' are exactly those with
+        S' + {e} feasible here."""
         if self.restrict_fn is None:
             raise UnsupportedRestriction(f"{self.label} has no restriction operator")
-        return self.restrict_fn(e)
+        if not (self.alive >> e) & 1:
+            raise ValueError(f"element {e} is not selectable in {self.label}")
+        root = self.root or self
+        alive = self.alive & self.restrict_fn(e) & ~(1 << e)
+        chosen = self.chosen | (1 << e)
+        return replace(
+            root,
+            feasible_mask=partial(_sub_feasible, root.feasible_mask, alive, chosen),
+            feasible_batch=None,
+            alive=alive,
+            chosen=chosen,
+            root=root,
+        )
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """A sub-instance together with the map back to the parent's element ids.
-
-    lift[i] is the parent index of the sub-instance's element i.
-    """
-
-    problem: SubsetProblem
-    lift: tuple[int, ...]
-
-    def lift_set(self, members: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.lift[i] for i in members)
+def _sub_feasible(root_feasible, alive: int, chosen: int, mask: int) -> bool:
+    return not mask & ~alive and root_feasible(mask | chosen)
 
 
 @dataclass(frozen=True)

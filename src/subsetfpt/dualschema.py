@@ -45,7 +45,8 @@ class SchemaConfig:
     force_brute: bool = False
 
     def __post_init__(self):
-        eps = Fraction(self.epsilon)
+        # A float goes through its shortest repr, so 0.1 means 1/10.
+        eps = Fraction(str(self.epsilon) if isinstance(self.epsilon, float) else self.epsilon)
         object.__setattr__(self, "epsilon", eps)
         if not 0 < eps <= 1:
             raise ValueError("epsilon must be in (0, 1]")
@@ -75,8 +76,8 @@ def threshold_min(rho: Fraction, epsilon: Fraction) -> Fraction:
 
 
 def threshold_max(rho: Fraction, epsilon: Fraction) -> Fraction:
-    """Dual counterpart for maximization: (1 - rho + epsilon)/epsilon, never
-    more than 2/epsilon.
+    """Dual counterpart for maximization: (1 - rho + epsilon)/epsilon, which
+    is below 2/epsilon for every rho > 0 and epsilon <= 1.
 
     Derivation: the dual ratio is (n - k')/(n - k) <= (n - rho*k)/(n - k)
     since k' >= rho*k; requiring that to be <= 1 + epsilon solves to
@@ -87,7 +88,7 @@ def threshold_max(rho: Fraction, epsilon: Fraction) -> Fraction:
         raise ValueError("maximization ratio must be in (0, 1]")
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must be in (0, 1]")
-    return min((1 - rho + epsilon) / epsilon, Fraction(2) / epsilon)
+    return (1 - rho + epsilon) / epsilon
 
 
 def dual_approx(

@@ -10,7 +10,7 @@ a solution within budget and is pruned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -20,6 +20,8 @@ from .core import (
     enumerate_optima,
     Goal,
     DEFAULT_BUDGET,
+    iter_bits,
+    members_of,
 )
 from .approx import ApproxOracle
 
@@ -35,11 +37,6 @@ class BranchConfig:
     budget_k: int
     node_cap: int = 1_000_000
     prune_enabled: bool = True
-    # For every supported kind the sub-instance reached by a branching path
-    # depends only on the set of chosen root elements, not their order, so
-    # visited chosen-sets can safely be skipped.  Off by default; node_cap
-    # defends against blowup when it is off.
-    memoize: bool = False
 
     def __post_init__(self):
         if self.budget_k < 0:
@@ -61,29 +58,6 @@ class BranchReport:
         return None if self.solution is None else len(self.solution)
 
 
-class _Stats:
-    __slots__ = ("nodes", "max_depth", "max_arity", "cap", "cap_hit")
-
-    def __init__(self, cap: int):
-        self.nodes = 0
-        self.max_depth = 0
-        self.max_arity = 0
-        self.cap = cap
-        self.cap_hit = False
-
-    def enter(self, depth: int) -> bool:
-        if self.nodes >= self.cap:
-            self.cap_hit = True
-            return False
-        self.nodes += 1
-        self.max_depth = max(self.max_depth, depth)
-        return True
-
-
-def _path_key(path: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (len(path), tuple(sorted(path)))
-
-
 def branch_solve_min(
     p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig
 ) -> BranchReport:
@@ -91,65 +65,12 @@ def branch_solve_min(
     intersective at every explored sub-instance.
 
     Any FOUND solution is unconditionally feasible; exactness (and the
-    correctness of NO_INSTANCE) is what intersectivity buys.
+    correctness of NO_INSTANCE) is what intersectivity buys.  Among the
+    smallest solutions found, ties break to the lexicographically smallest.
     """
-    if p.goal is not Goal.MINIMIZE or oracle.goal is not Goal.MINIMIZE:
-        raise ValueError("branch_solve_min needs a minimization problem and oracle")
-    stats = _Stats(cfg.node_cap)
-    best: Optional[tuple[int, ...]] = None
-    seen: set[frozenset[int]] = set()
-
-    # The recursion carries the lift-to-root map, so path stores root ids.
-    def visit(
-        inst: SubsetProblem,
-        lift: tuple[int, ...],
-        path: tuple[int, ...],
-        budget: int,
-    ) -> None:
-        nonlocal best
-        if not stats.enter(len(path)):
-            return
-        if inst.feasible_mask(0):
-            if best is None or _path_key(path) < _path_key(best):
-                best = path
-            return
-        if budget == 0:
-            return
-        if best is not None and len(path) + 1 >= len(best):
-            return  # any solution below here is no better than the incumbent
-        sol = sorted(oracle.run(inst))
-        if cfg.prune_enabled and len(sol) > oracle.ratio(inst) * budget:
-            return
-        stats.max_arity = max(stats.max_arity, len(sol))
-        for e in sol:
-            child_path = path + (lift[e],)
-            if cfg.memoize:
-                # Sub-instances depend only on the chosen set, so a visited
-                # chosen-set need not be rebuilt, let alone re-explored.
-                state = frozenset(child_path)
-                if state in seen:
-                    continue
-                seen.add(state)
-            r = inst.restrict(e)
-            child_lift = tuple(lift[i] for i in r.lift)
-            visit(r.problem, child_lift, child_path, budget - 1)
-
-    visit(p, tuple(range(p.universe_size)), (), cfg.budget_k)
-    if best is not None and not stats.cap_hit:
-        return BranchReport(
-            BranchOutcome.FOUND, frozenset(best), stats.nodes, stats.max_depth, stats.max_arity
-        )
-    if stats.cap_hit:
-        return BranchReport(
-            BranchOutcome.NODE_CAP_EXCEEDED,
-            frozenset(best) if best is not None else None,
-            stats.nodes,
-            stats.max_depth,
-            stats.max_arity,
-        )
-    return BranchReport(
-        BranchOutcome.NO_INSTANCE, None, stats.nodes, stats.max_depth, stats.max_arity
-    )
+    if p.goal is not Goal.MINIMIZE:
+        raise ValueError("branch_solve_min needs a minimization problem")
+    return _branch(p, oracle, cfg)
 
 
 def branch_solve_max(
@@ -159,51 +80,72 @@ def branch_solve_max(
     intersectivity of the oracle)."""
     if p.goal is not Goal.MAXIMIZE:
         raise ValueError("branch_solve_max needs a maximization problem")
-    stats = _Stats(cfg.node_cap)
-    found: Optional[tuple[int, ...]] = None
-    seen: set[frozenset[int]] = set()
+    return _branch(p, oracle, cfg)
 
-    def visit(
-        inst: SubsetProblem,
-        lift: tuple[int, ...],
-        path: tuple[int, ...],
-    ) -> None:
-        nonlocal found
-        if found is not None:
+
+def _rank(chosen: int) -> tuple[int, tuple[int, ...]]:
+    return chosen.bit_count(), tuple(iter_bits(chosen))
+
+
+def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> BranchReport:
+    """Depth-first search over sub-instances of p, branching on the oracle's
+    output at each one.
+
+    A node is the sub-instance reached by choosing the elements of its
+    `chosen` mask.  For every restrictable kind that sub-instance depends
+    on the chosen set alone, not on the order of choice, so each chosen set
+    is expanded once.  Minimization keeps the best solution seen and prunes
+    nodes that cannot beat it or whose oracle output exceeds ratio times
+    the remaining budget; maximization stops at the first feasible set of
+    size budget_k.
+    """
+    if oracle.goal is not p.goal:
+        raise ValueError("oracle goal must match the problem's goal")
+    minimize = p.goal is Goal.MINIMIZE
+    k = cfg.budget_k
+    nodes = max_depth = max_arity = 0
+    cap_hit = False
+    best: Optional[int] = None  # chosen mask of the incumbent
+    seen: set[int] = set()
+
+    def visit(inst: SubsetProblem) -> None:
+        nonlocal nodes, max_depth, max_arity, cap_hit, best
+        if nodes >= cfg.node_cap:
+            cap_hit = True
             return
-        if not stats.enter(len(path)):
+        nodes += 1
+        depth = inst.chosen.bit_count()
+        max_depth = max(max_depth, depth)
+        if (minimize or depth == k) and p.feasible_mask(inst.chosen):
+            if best is None or _rank(inst.chosen) < _rank(best):
+                best = inst.chosen
             return
-        if len(path) == cfg.budget_k:
-            if inst.feasible_mask(0):
-                found = path
+        if depth == k:
             return
+        if minimize and best is not None and depth + 1 >= best.bit_count():
+            return  # any solution below here is no better than the incumbent
         sol = sorted(oracle.run(inst))
-        stats.max_arity = max(stats.max_arity, len(sol))
+        if minimize and cfg.prune_enabled and len(sol) > oracle.ratio(inst) * (k - depth):
+            return
+        max_arity = max(max_arity, len(sol))
         for e in sol:
-            if found is not None:
+            if not minimize and best is not None:
                 return
-            child_path = path + (lift[e],)
-            if cfg.memoize:
-                state = frozenset(child_path)
-                if state in seen:
-                    continue
-                seen.add(state)
-            r = inst.restrict(e)
-            child_lift = tuple(lift[i] for i in r.lift)
-            visit(r.problem, child_lift, child_path)
+            chosen = inst.chosen | (1 << e)
+            if chosen not in seen:
+                seen.add(chosen)
+                visit(inst.restrict(e))
 
-    visit(p, tuple(range(p.universe_size)), ())
-    if found is not None:
-        return BranchReport(
-            BranchOutcome.FOUND, frozenset(found), stats.nodes, stats.max_depth, stats.max_arity
-        )
-    if stats.cap_hit:
-        return BranchReport(
-            BranchOutcome.NODE_CAP_EXCEEDED, None, stats.nodes, stats.max_depth, stats.max_arity
-        )
-    return BranchReport(
-        BranchOutcome.NO_INSTANCE, None, stats.nodes, stats.max_depth, stats.max_arity
-    )
+    visit(p)
+    # Maximization stops at its first solution, before any node-cap hit.
+    if cap_hit:
+        outcome = BranchOutcome.NODE_CAP_EXCEEDED
+    elif best is not None:
+        outcome = BranchOutcome.FOUND
+    else:
+        outcome = BranchOutcome.NO_INSTANCE
+    solution = None if best is None else members_of(best)
+    return BranchReport(outcome, solution, nodes, max_depth, max_arity)
 
 
 class Verdict(Enum):

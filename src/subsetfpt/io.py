@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .core import iter_bits
 from .problems import Graph, SetSystem
 
 
@@ -113,17 +114,8 @@ def parse_setsystem(text: str) -> SetSystem:
 def render_setsystem(sys: SetSystem) -> str:
     lines = [f"{sys.n_ground} {sys.m}"]
     for s in sys.sets:
-        lines.append(" ".join(str(e + 1) for e in sorted(_bits(s))))
+        lines.append(" ".join(str(e + 1) for e in iter_bits(s)))
     return "\n".join(lines) + "\n"
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def generate_gnp(n: int, p: float, seed: int) -> Graph:

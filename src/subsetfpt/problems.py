@@ -2,21 +2,23 @@
 
 Universe convention: vertices for graph problems, set indices for set-system
 problems (the ground set is metadata).  Each encoding supplies a bitmask
-feasibility predicate, a vectorized batch predicate where it is cheap, and
-the sub-instance operator I(e) for the kinds the branching engine handles.
+feasibility predicate, a vectorized batch predicate where it is cheap, and,
+for the kinds the branching engine handles, the restrict_fn(e) mask of
+elements compatible with e, from which SubsetProblem.restrict builds the
+sub-instance I(e).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .core import (
     Goal,
-    Restriction,
     SubsetProblem,
     iter_bits,
     mask_of,
@@ -89,22 +91,6 @@ class Graph:
         ]
         return Graph.from_edges(self.n, comp)
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph plus the lift map (new index -> old vertex)."""
-        lift = tuple(sorted(vertices))
-        pos = {v: i for i, v in enumerate(lift)}
-        edges = set()
-        adj = [0] * len(lift)
-        for u, v in self.edges:
-            if u in pos and v in pos:
-                a, b = pos[u], pos[v]
-                edges.add((a, b) if a < b else (b, a))
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        sub = Graph(n=len(lift), edges=frozenset(edges), adj=tuple(adj))
-        return sub, lift
-
-
 @dataclass(frozen=True)
 class SetSystem:
     """m subsets of a ground set {0, ..., n_ground-1}, stored as bitmasks.
@@ -130,25 +116,6 @@ class SetSystem:
     @property
     def m(self) -> int:
         return len(self.sets)
-
-    def max_set_size(self) -> int:
-        return max((s.bit_count() for s in self.sets), default=0)
-
-
-@dataclass(frozen=True)
-class DominationState:
-    """Dominating-set sub-instance: vertices already dominated by earlier
-    picks, and picked (removed) vertices excluded from the universe.
-
-    The universe of the wrapped problem is the non-removed vertices.
-    """
-
-    graph: Graph
-    dominated: int = 0
-    removed: int = 0
-
-    def universe(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.graph.n) if not (self.removed >> v) & 1)
 
 
 def has_cycle(g: Graph, keep: int) -> bool:
@@ -211,26 +178,28 @@ def _batch_independent(g: Graph, masks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _batch_dominating(state: DominationState, masks: np.ndarray) -> np.ndarray:
-    g = state.graph
-    uni = state.universe()
-    full = (1 << g.n) - 1
-    cov = np.full(masks.shape, state.dominated, dtype=np.int64)
-    for i, v in enumerate(uni):
-        cov |= np.where((masks >> i) & 1 == 1, g.closed_nb(v), 0)
-    return cov == full
+def _dominates(g: Graph, mask: int) -> bool:
+    cov = 0
+    for v in iter_bits(mask):
+        cov |= g.closed_nb(v)
+    return cov == (1 << g.n) - 1
+
+
+def _batch_dominating(g: Graph, masks: np.ndarray) -> np.ndarray:
+    cov = np.zeros(masks.shape, dtype=np.int64)
+    for v in range(g.n):
+        cov |= np.where((masks >> v) & 1 == 1, g.closed_nb(v), 0)
+    return cov == (1 << g.n) - 1
+
+
+def _keep_all(e: int) -> int:
+    return -1
 
 
 def make_problem(kind: ProblemKind, data) -> SubsetProblem:
     """Wrap an instance into the uniform subset-problem contract."""
-    if kind is ProblemKind.DOMINATING_SET and isinstance(data, Graph):
-        data = DominationState(graph=data)
     builder = _BUILDERS[kind]
     return builder(data)
-
-
-def restrict(p: SubsetProblem, e: int) -> Restriction:
-    return p.restrict(e)
 
 
 def _expect(data, cls, kind):
@@ -254,34 +223,23 @@ def _graph_problem(kind, g, feas, batch, restrict_fn=None):
 
 def _build_vertex_cover(data) -> SubsetProblem:
     g = _expect(data, Graph, ProblemKind.VERTEX_COVER)
-
-    def restrict_fn(v: int) -> Restriction:
-        sub, lift = g.induced(u for u in range(g.n) if u != v)
-        return Restriction(_build_vertex_cover(sub), lift)
-
     return _graph_problem(
         ProblemKind.VERTEX_COVER,
         g,
         lambda m: _cover_ok(g, m),
         lambda ms: _batch_edges_covered(g, ms),
-        restrict_fn,
+        _keep_all,
     )
 
 
 def _build_independent_set(data) -> SubsetProblem:
     g = _expect(data, Graph, ProblemKind.INDEPENDENT_SET)
-
-    def restrict_fn(v: int) -> Restriction:
-        gone = g.closed_nb(v)
-        sub, lift = g.induced(u for u in range(g.n) if not (gone >> u) & 1)
-        return Restriction(_build_independent_set(sub), lift)
-
     return _graph_problem(
         ProblemKind.INDEPENDENT_SET,
         g,
         lambda m: _independent_ok(g, m),
         lambda ms: _batch_independent(g, ms),
-        restrict_fn,
+        lambda v: ~g.closed_nb(v),
     )
 
 
@@ -302,44 +260,17 @@ def _build_clique(data) -> SubsetProblem:
                     ok &= ~(((masks >> u) & (masks >> v)) & 1).astype(bool)
         return ok
 
-    def restrict_fn(v: int) -> Restriction:
-        sub, lift = g.induced(iter_bits(g.adj[v]))
-        return Restriction(_build_clique(sub), lift)
-
-    return _graph_problem(ProblemKind.CLIQUE, g, feas, batch, restrict_fn)
+    return _graph_problem(ProblemKind.CLIQUE, g, feas, batch, g.adj.__getitem__)
 
 
 def _build_dominating_set(data) -> SubsetProblem:
-    state = _expect(data, DominationState, ProblemKind.DOMINATING_SET)
-    g = state.graph
-    uni = state.universe()
-    full = (1 << g.n) - 1
-
-    def feas(m: int) -> bool:
-        cov = state.dominated
-        for i in iter_bits(m):
-            cov |= g.closed_nb(uni[i])
-        return cov == full
-
-    def restrict_fn(i: int) -> Restriction:
-        v = uni[i]
-        child = DominationState(
-            graph=g,
-            dominated=state.dominated | g.closed_nb(v),
-            removed=state.removed | (1 << v),
-        )
-        sub = _build_dominating_set(child)
-        return Restriction(sub, child.universe())
-
-    return SubsetProblem(
-        label=f"dominating-set(n={g.n})",
-        universe_size=len(uni),
-        goal=Goal.MINIMIZE,
-        feasible_mask=feas,
-        feasible_batch=lambda ms: _batch_dominating(state, ms),
-        restrict_fn=restrict_fn,
-        kind=ProblemKind.DOMINATING_SET,
-        data=state,
+    g = _expect(data, Graph, ProblemKind.DOMINATING_SET)
+    return _graph_problem(
+        ProblemKind.DOMINATING_SET,
+        g,
+        lambda m: _dominates(g, m),
+        lambda ms: _batch_dominating(g, ms),
+        _keep_all,
     )
 
 
@@ -353,22 +284,23 @@ def _build_set_cover(data) -> SubsetProblem:
             cov |= sys.sets[i]
         return cov == full
 
-    def batch(masks: np.ndarray) -> np.ndarray:
-        cov = np.zeros(masks.shape, dtype=np.int64)
-        for i, s in enumerate(sys.sets):
-            cov |= np.where((masks >> i) & 1 == 1, s, 0)
-        return cov == full
+    @cache
+    def hitters() -> list[int]:
+        """The distinct masks of the sets that hold each ground element.
+        Built on the first batch call: it costs ground x sets steps, and the
+        large problems, which never reach the batch path, would pay it."""
+        return sorted(
+            {
+                mask_of(i for i, s in enumerate(sys.sets) if (s >> x) & 1)
+                for x in range(sys.n_ground)
+            }
+        )
 
-    def restrict_fn(e: int) -> Restriction:
-        residual = [x for x in range(sys.n_ground) if not (sys.sets[e] >> x) & 1]
-        pos = {x: i for i, x in enumerate(residual)}
-        lift = tuple(i for i in range(sys.m) if i != e)
-        child_sets = [
-            mask_of(pos[x] for x in iter_bits(sys.sets[i]) if x in pos)
-            for i in lift
-        ]
-        child = SetSystem(n_ground=len(residual), sets=tuple(child_sets))
-        return Restriction(_build_set_cover(child), lift)
+    def batch(masks: np.ndarray) -> np.ndarray:
+        ok = np.ones(masks.shape, dtype=bool)
+        for h in hitters():
+            ok &= (masks & h) != 0
+        return ok
 
     return SubsetProblem(
         label=f"set-cover(n={sys.n_ground},m={sys.m})",
@@ -376,7 +308,7 @@ def _build_set_cover(data) -> SubsetProblem:
         goal=Goal.MINIMIZE,
         feasible_mask=feas,
         feasible_batch=batch,
-        restrict_fn=restrict_fn,
+        restrict_fn=_keep_all,
         kind=ProblemKind.SET_COVER,
         data=sys,
     )
@@ -406,12 +338,8 @@ def _build_set_packing(data) -> SubsetProblem:
             ok &= ~(((masks >> i) & (masks >> j)) & 1).astype(bool)
         return ok
 
-    def restrict_fn(e: int) -> Restriction:
-        lift = tuple(
-            i for i in range(sys.m) if i != e and not sys.sets[i] & sys.sets[e]
-        )
-        child = SetSystem(n_ground=sys.n_ground, sets=tuple(sys.sets[i] for i in lift))
-        return Restriction(_build_set_packing(child), lift)
+    def restrict_fn(e: int) -> int:
+        return mask_of(i for i, s in enumerate(sys.sets) if not s & sys.sets[e])
 
     return SubsetProblem(
         label=f"set-packing(n={sys.n_ground},m={sys.m})",
@@ -458,25 +386,11 @@ def _build_max_minimal_vertex_cover(data) -> SubsetProblem:
 
 def _build_min_independent_dominating_set(data) -> SubsetProblem:
     g = _expect(data, Graph, ProblemKind.MIN_INDEPENDENT_DOMINATING_SET)
-    full = (1 << g.n) - 1
-
-    def feas(m: int) -> bool:
-        if not _independent_ok(g, m):
-            return False
-        cov = 0
-        for v in iter_bits(m):
-            cov |= g.closed_nb(v)
-        return cov == full
-
-    def batch(masks: np.ndarray) -> np.ndarray:
-        ok = _batch_independent(g, masks)
-        cov = np.zeros(masks.shape, dtype=np.int64)
-        for v in range(g.n):
-            cov |= np.where((masks >> v) & 1 == 1, g.closed_nb(v), 0)
-        return ok & (cov == full)
-
     return _graph_problem(
-        ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, g, feas, batch
+        ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
+        g,
+        lambda m: _independent_ok(g, m) and _dominates(g, m),
+        lambda ms: _batch_independent(g, ms) & _batch_dominating(g, ms),
     )
 
 

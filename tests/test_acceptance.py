@@ -29,27 +29,23 @@ def _announce(num, detail):
 
 
 def _restriction_sound(p):
+    # Sub-instances keep root ids: I(e) is p plus the masks alive and chosen.
+    full = (1 << p.universe_size) - 1
     for e in range(p.universe_size):
-        r = p.restrict(e)
-        child = r.problem
-        for mask in range(1 << child.universe_size):
-            lifted = 1 << e
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    lifted |= 1 << r.lift[i]
-                m >>= 1
-                i += 1
-            if child.feasible_mask(mask) != p.feasible_mask(lifted):
+        child = p.restrict(e)
+        rest = full & ~(1 << e)
+        for mask in range(1 << p.universe_size):
+            if mask & rest != mask:
+                continue
+            if child.feasible_mask(mask) != p.feasible_mask(mask | (1 << e)):
                 return False
     return True
 
 
 def test_criterion_01_restriction_soundness(atlas):
     """All restriction-capable kinds: S' feasible for I(e) iff S'+{e}
-    feasible for I, exhaustively over all subsets; graphs n <= 6 and 200
-    random set systems; <= 60 s."""
+    feasible for I, exhaustively over all S' within U - {e}; graphs n <= 6
+    and 200 random set systems; <= 60 s."""
     started = time.perf_counter()
     graph_kinds = [
         sf.ProblemKind.VERTEX_COVER,
@@ -91,14 +87,12 @@ def test_criterion_02_branching_exactness_vertex_cover():
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, g)
         opt = sf.brute_force_optimum(p)
         assert isinstance(opt, sf.EvaluatedSolution)
-        rep = sf.branch_solve_min(
-            p, oracle, sf.BranchConfig(budget_k=opt.value, memoize=True)
-        )
+        rep = sf.branch_solve_min(p, oracle, sf.BranchConfig(budget_k=opt.value))
         assert rep.outcome is sf.BranchOutcome.FOUND, (i, n, p_edge)
         assert rep.value == opt.value, (i, n, p_edge)
         if opt.value > 0:
             below = sf.branch_solve_min(
-                p, oracle, sf.BranchConfig(budget_k=opt.value - 1, memoize=True)
+                p, oracle, sf.BranchConfig(budget_k=opt.value - 1)
             )
             assert below.outcome is sf.BranchOutcome.NO_INSTANCE, (i, n, p_edge)
     elapsed = time.perf_counter() - started
@@ -263,12 +257,12 @@ def test_criterion_08_prune_safety():
         opt = sf.brute_force_optimum(p)
         for k in {opt.value, max(opt.value - 1, 0)}:
             on = sf.branch_solve_min(
-                p, sf.ORACLES["matching-vc"], sf.BranchConfig(budget_k=k, memoize=True)
+                p, sf.ORACLES["matching-vc"], sf.BranchConfig(budget_k=k)
             )
             off = sf.branch_solve_min(
                 p,
                 sf.ORACLES["matching-vc"],
-                sf.BranchConfig(budget_k=k, prune_enabled=False, memoize=True),
+                sf.BranchConfig(budget_k=k, prune_enabled=False),
             )
             assert on.outcome == off.outcome, (i, k)
             assert on.value == off.value, (i, k)
@@ -291,9 +285,7 @@ def test_criterion_09_performance_floor():
         g = generate_gnp(50, 0.1, 70_000 + seed)
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, g)
         started = time.perf_counter()
-        sf.branch_solve_min(
-            p, sf.ORACLES["matching-vc"], sf.BranchConfig(budget_k=8, memoize=True)
-        )
+        sf.branch_solve_min(p, sf.ORACLES["matching-vc"], sf.BranchConfig(budget_k=8))
         times.append(time.perf_counter() - started)
     med = statistics.median(times)
     assert med <= 1, f"median branch time {med:.2f}s (budget 1s)"

@@ -97,11 +97,23 @@ def _kind_of_oracle(name):
         "greedy-set-cover": sf.ProblemKind.SET_COVER,
         "greedy-dominating": sf.ProblemKind.DOMINATING_SET,
         "greedy-mis": sf.ProblemKind.INDEPENDENT_SET,
+        "greedy-ids": sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
         "greedy-clique": sf.ProblemKind.CLIQUE,
     }[name]
 
 
-GRAPH_ORACLES = ["matching-vc", "greedy-dominating", "greedy-mis", "greedy-clique"]
+GRAPH_ORACLES = [
+    "matching-vc",
+    "greedy-dominating",
+    "greedy-mis",
+    "greedy-ids",
+    "greedy-clique",
+]
+
+
+@pytest.mark.parametrize("kind", list(sf.DEFAULT_ORACLE))
+def test_default_oracle_matches_goal(kind):
+    assert sf.DEFAULT_ORACLE[kind].goal is sf.problems.GOALS[kind]
 
 
 class TestRatioSoundness:

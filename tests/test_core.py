@@ -83,14 +83,17 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_batch_path_matches_sweep(self, seed):
-        from conftest import random_graph
+        from conftest import random_graph, random_system
 
-        g = random_graph(14, 0.4, seed)
-        p = vc(g)
-        assert p.feasible_batch is not None
-        fast = sf.brute_force_optimum(p)
-        slow = sf.brute_force_optimum(dataclasses.replace(p, feasible_batch=None))
-        assert fast == slow
+        # set cover over 80 ground elements: more than an int64 lane holds
+        for p in (
+            vc(random_graph(14, 0.4, seed)),
+            sf.make_problem(sf.ProblemKind.SET_COVER, random_system(80, 15, 10, seed)),
+        ):
+            assert p.feasible_batch is not None
+            fast = sf.brute_force_optimum(p)
+            slow = sf.brute_force_optimum(dataclasses.replace(p, feasible_batch=None))
+            assert fast == slow
 
     def test_determinism(self):
         p = vc(TRIANGLE)

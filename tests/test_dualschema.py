@@ -71,6 +71,9 @@ class TestSchemaConfig:
         with pytest.raises(ValueError):
             sf.SchemaConfig(epsilon=F(3, 2))
 
+    def test_float_epsilon_is_its_decimal(self):
+        assert sf.SchemaConfig(epsilon=0.1).epsilon == F(1, 10)
+
     def test_brute_cap_validated(self):
         with pytest.raises(ValueError):
             sf.SchemaConfig(epsilon=F(1, 2), brute_cap=0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import subsetfpt as sf
-from conftest import all_graphs_upto, atlas_upto, random_graph
+from conftest import all_graphs_upto, atlas_upto, random_graph, random_system
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -63,22 +63,17 @@ class TestBranchSolveMin:
         with pytest.raises(sf.UnsupportedRestriction):
             sf.branch_solve_min(p, _min_mis_oracle(), sf.BranchConfig(budget_k=1))
 
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_exactness_all_graphs_up_to_5(self, memoize):
+    def test_exactness_all_graphs_up_to_5(self):
         for g in all_graphs_upto(5):
             p = vc(g)
             opt = sf.brute_force_optimum(p)
-            rep = sf.branch_solve_min(
-                p, MATCHING, sf.BranchConfig(budget_k=opt.value, memoize=memoize)
-            )
+            rep = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=opt.value))
             assert rep.outcome is sf.BranchOutcome.FOUND
             assert rep.value == opt.value
             assert sf.is_feasible(p, rep.solution)
             if opt.value > 0:
                 rep0 = sf.branch_solve_min(
-                    p,
-                    MATCHING,
-                    sf.BranchConfig(budget_k=opt.value - 1, memoize=memoize),
+                    p, MATCHING, sf.BranchConfig(budget_k=opt.value - 1)
                 )
                 assert rep0.outcome is sf.BranchOutcome.NO_INSTANCE
 
@@ -87,9 +82,7 @@ class TestBranchSolveMin:
         g = random_graph(8, [0.2, 0.5][seed % 2], 5000 + seed)
         p = vc(g)
         opt = sf.brute_force_optimum(p)
-        rep = sf.branch_solve_min(
-            p, MATCHING, sf.BranchConfig(budget_k=opt.value, memoize=True)
-        )
+        rep = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=opt.value))
         assert rep.value == opt.value
 
     def test_found_solution_always_feasible_even_with_bad_oracle(self):
@@ -115,13 +108,9 @@ class TestBranchSolveMin:
         p = vc(g)
         opt = sf.brute_force_optimum(p)
         for k in (opt.value, max(opt.value - 1, 0)):
-            on = sf.branch_solve_min(
-                p, MATCHING, sf.BranchConfig(budget_k=k, memoize=True)
-            )
+            on = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=k))
             off = sf.branch_solve_min(
-                p,
-                MATCHING,
-                sf.BranchConfig(budget_k=k, prune_enabled=False, memoize=True),
+                p, MATCHING, sf.BranchConfig(budget_k=k, prune_enabled=False)
             )
             assert on.outcome == off.outcome
             assert on.value == off.value
@@ -129,7 +118,7 @@ class TestBranchSolveMin:
     def test_arity_bounded_by_oracle_output(self):
         g = random_graph(10, 0.5, 8000)
         p = vc(g)
-        rep = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=6, memoize=True))
+        rep = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=6))
         assert rep.max_arity <= len(MATCHING.run(p))
 
 
@@ -160,6 +149,11 @@ class TestBranchSolveMax:
         assert rep.outcome is sf.BranchOutcome.FOUND
         assert rep.solution == frozenset({0, 1, 2})
 
+    def test_goal_mismatch_rejected(self):
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, PATH3)
+        with pytest.raises(ValueError):
+            sf.branch_solve_max(p, MATCHING, sf.BranchConfig(budget_k=1))
+
     def test_k0_trivially_found(self):
         p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, TRIANGLE)
         rep = sf.branch_solve_max(p, MIS, sf.BranchConfig(budget_k=0))
@@ -169,9 +163,7 @@ class TestBranchSolveMax:
         for g in atlas_upto(atlas, 6):
             p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g)
             opt = sf.brute_force_optimum(p)
-            rep = sf.branch_solve_max(
-                p, MIS, sf.BranchConfig(budget_k=opt.value + 1, memoize=True)
-            )
+            rep = sf.branch_solve_max(p, MIS, sf.BranchConfig(budget_k=opt.value + 1))
             assert rep.outcome is sf.BranchOutcome.NO_INSTANCE
 
     def test_agreement_and_nonintersectivity_witnesses(self, atlas):
@@ -185,9 +177,7 @@ class TestBranchSolveMax:
         for g in atlas_upto(atlas, 7):
             p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g)
             opt = sf.brute_force_optimum(p)
-            rep = sf.branch_solve_max(
-                p, MIS, sf.BranchConfig(budget_k=opt.value, memoize=True)
-            )
+            rep = sf.branch_solve_max(p, MIS, sf.BranchConfig(budget_k=opt.value))
             found = rep.outcome is sf.BranchOutcome.FOUND
             if found:
                 assert rep.value == opt.value
@@ -199,17 +189,45 @@ class TestBranchSolveMax:
         assert disagreements > 0
 
 
+class TestCoveringKindsAgainstBruteForce:
+    """Dominating set and set cover at k = opt: the engine raises nothing,
+    and every FOUND solution is feasible with size opt.  Their greedy
+    oracles are not intersective, so a NO verdict is allowed."""
+
+    def _check(self, p):
+        opt = sf.brute_force_optimum(p)
+        assert isinstance(opt, sf.EvaluatedSolution)
+        rep = sf.branch_solve_min(
+            p, sf.DEFAULT_ORACLE[p.kind], sf.BranchConfig(budget_k=opt.value)
+        )
+        assert rep.outcome is not sf.BranchOutcome.NODE_CAP_EXCEEDED
+        if rep.outcome is sf.BranchOutcome.FOUND:
+            assert rep.value == opt.value
+            assert sf.is_feasible(p, rep.solution)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dominating_set_all_graphs_up_to_6(self, n):
+        for g in all_graphs_upto(n):
+            if g.n == n:
+                self._check(sf.make_problem(sf.ProblemKind.DOMINATING_SET, g))
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_set_cover_random_systems(self, seed):
+        sys = random_system((seed % 9) + 2, (seed % 11) + 2, 4, 9000 + seed)
+        self._check(sf.make_problem(sf.ProblemKind.SET_COVER, sys))
+
+
 def _conforming_max(p, oracle, k):
     """Whether optimal completions can be followed through oracle outputs."""
     if k == 0:
         return p.feasible_mask(0)
     for e in sorted(oracle.run(p)):
-        r = p.restrict(e)
-        child_opt = sf.brute_force_optimum(r.problem)
+        child = p.restrict(e)
+        child_opt = sf.brute_force_optimum(child)
         if (
             isinstance(child_opt, sf.EvaluatedSolution)
             and child_opt.value >= k - 1
-            and _conforming_max(r.problem, oracle, k - 1)
+            and _conforming_max(child, oracle, k - 1)
         ):
             return True
     return False

@@ -113,40 +113,62 @@ class TestFeasibility:
             ]
 
 
-def assert_restriction_sound(p):
-    """S' feasible for I(e)  <=>  S' + {e} feasible for I, all S', all e."""
-    for e in range(p.universe_size):
-        r = p.restrict(e)
-        child = r.problem
-        for mask in range(1 << child.universe_size):
-            lifted = sf.mask_of(r.lift[i] for i in sf.core.iter_bits(mask))
-            assert child.feasible_mask(mask) == p.feasible_mask(
-                lifted | (1 << e)
-            ), (p.label, e, mask)
+def assert_restriction_sound(p, depth=2):
+    """S' feasible for I(e)  <=>  S' + {e} feasible for I, for every
+    selectable e and every S' within U - {e}; again inside each I(e) down to
+    `depth` levels.  Sub-instances keep root ids, so no relabelling occurs."""
+    full = (1 << p.universe_size) - 1
+    for e in sf.iter_bits(p.alive):
+        child = p.restrict(e)
+        rest = full & ~(1 << e)
+        # covering kinds keep every other element selectable; packing kinds
+        # keep exactly those that can join e
+        selectable = p.alive & rest
+        if p.goal is sf.Goal.MAXIMIZE:
+            selectable = sf.mask_of(
+                x for x in sf.iter_bits(selectable) if p.feasible_mask((1 << x) | (1 << e))
+            )
+        assert child.alive == selectable, (p.label, p.chosen, e)
+        for mask in range(1 << p.universe_size):
+            if mask & rest == mask:
+                assert child.feasible_mask(mask) == p.feasible_mask(
+                    mask | (1 << e)
+                ), (p.label, p.chosen, e, mask)
+        if depth > 1:
+            assert_restriction_sound(child, depth - 1)
+
+
+def assert_restriction_commutes(p):
+    """Restricting on a then b gives the sub-instance of b then a."""
+    for a in sf.iter_bits(p.alive):
+        pa = p.restrict(a)
+        for b in sf.iter_bits(pa.alive):
+            pb = p.restrict(b)
+            assert (pb.alive >> a) & 1, (p.label, a, b)
+            ab, ba = pa.restrict(b), pb.restrict(a)
+            assert (ab.alive, ab.chosen) == (ba.alive, ba.chosen), (p.label, a, b)
 
 
 class TestRestriction:
     def test_vertex_cover_path_restrict_middle(self):
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, PATH3)
         r = p.restrict(1)
-        assert r.problem.universe_size == 2
-        assert r.lift == (0, 2)
-        assert r.problem.feasible_mask(0)  # no edges remain
+        assert (r.alive, r.chosen) == (0b101, 0b010)
+        assert r.feasible_mask(0)  # no edges remain
 
     def test_independent_set_triangle_restrict(self):
         p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, TRIANGLE)
         r = p.restrict(0)
-        assert r.problem.universe_size == 0
-        assert r.problem.feasible_mask(0)
+        assert r.alive == 0
+        assert r.feasible_mask(0)
 
     def test_set_cover_restrict_residual(self):
         sys = sf.SetSystem.from_lists(4, [[0, 1], [2, 3], [0, 2]])
         p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
         r = p.restrict(0)
-        child = r.problem.data
-        assert child.n_ground == 2  # residual U = {2, 3}
-        assert child.sets == (0b11, 0b01)  # {3,4} -> both, {1,3} -> {3}
-        assert r.lift == (1, 2)
+        assert (r.alive, r.chosen) == (0b110, 0b001)
+        assert r.feasible_mask(0b010)  # {2,3} covers the residual {2,3}
+        assert not r.feasible_mask(0b100)  # {0,2} misses 3
         assert_restriction_sound(p)
 
     def test_unsupported_kinds_raise(self):
@@ -164,9 +186,9 @@ class TestRestriction:
         g = sf.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         p = sf.make_problem(sf.ProblemKind.DOMINATING_SET, g)
         r = p.restrict(1)
-        assert r.lift == (0, 2, 3)
+        assert r.alive == 0b1101
         # {center} completes the solution
-        assert r.problem.feasible_mask(0b001)
+        assert r.feasible_mask(0b0001)
 
     @pytest.mark.parametrize("kind", RESTRICTABLE_GRAPH_KINDS)
     def test_soundness_all_graphs_up_to_4(self, kind):
@@ -186,13 +208,25 @@ class TestRestriction:
         assert_restriction_sound(sf.make_problem(sf.ProblemKind.SET_COVER, sys))
         assert_restriction_sound(sf.make_problem(sf.ProblemKind.SET_PACKING, sys))
 
-    def test_nested_restriction_lifts_compose(self):
+    def test_nested_restriction_keeps_root_ids(self):
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, random_graph(6, 0.5, 9))
-        r1 = p.restrict(2)
-        r2 = r1.problem.restrict(0)
-        # element 0 of the grandchild maps back through both lifts
-        root_id = r1.lift[r2.lift[0]]
-        assert 0 <= root_id < 6 and root_id != 2
+        r2 = p.restrict(2).restrict(0)
+        assert (r2.alive, r2.chosen) == (0b111010, 0b000101)
+        with pytest.raises(ValueError):
+            r2.restrict(2)  # already chosen
+
+    @pytest.mark.parametrize("kind", RESTRICTABLE_GRAPH_KINDS)
+    def test_restriction_commutes_all_graphs_up_to_5(self, kind):
+        for g in all_graphs_upto(5):
+            assert_restriction_commutes(sf.make_problem(kind, g))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_restriction_commutes_random_set_systems(self, seed):
+        sys = random_system(
+            n_ground=(seed % 6) + 3, m=(seed % 7) + 2, max_size=3, seed=500 + seed
+        )
+        assert_restriction_commutes(sf.make_problem(sf.ProblemKind.SET_COVER, sys))
+        assert_restriction_commutes(sf.make_problem(sf.ProblemKind.SET_PACKING, sys))
 
 
 class TestMinimalityCertificate:
