@@ -98,6 +98,19 @@ def _oracle(args, kind: ProblemKind) -> ApproxOracle:
     return DEFAULT_ORACLE[kind]
 
 
+def _epsilon(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {text!r} has a zero denominator")
+
+
+def _infeasible(rec: dict, fmt: str) -> int:
+    rec.update(outcome="infeasible")
+    _emit(rec, fmt)
+    return EXIT_NO
+
+
 def _base_record(args, kind: ProblemKind, p: SubsetProblem, command: str) -> dict:
     rec = {"command": command, "problem": kind.value, "n": p.universe_size}
     data = p.data
@@ -117,9 +130,7 @@ def cmd_solve(args, kind, fmt) -> int:
         _emit(rec, fmt)
         return EXIT_BUDGET
     if isinstance(res, Infeasible):
-        rec.update(outcome="infeasible")
-        _emit(rec, fmt)
-        return EXIT_NO
+        return _infeasible(rec, fmt)
     rec.update(outcome="optimal", value=res.value, solution=_solution_1based(res.members))
     _emit(rec, fmt)
     return EXIT_OK
@@ -134,9 +145,7 @@ def cmd_approx(args, kind, fmt) -> int:
     try:
         sol = oracle.run(p)
     except InfeasibleInstance:
-        rec.update(outcome="infeasible")
-        _emit(rec, fmt)
-        return EXIT_NO
+        return _infeasible(rec, fmt)
     rec.update(
         outcome="solution",
         value=len(sol),
@@ -155,11 +164,13 @@ def cmd_branch(args, kind, fmt) -> int:
         budget_k=args.k, node_cap=args.node_cap, prune_enabled=not args.no_prune
     )
     solver = branch_solve_min if p.goal is Goal.MINIMIZE else branch_solve_max
-    report = solver(p, oracle, cfg)
     rec = _base_record(args, kind, p, "branch")
+    rec.update(oracle=oracle.name, k=args.k)
+    try:
+        report = solver(p, oracle, cfg)
+    except InfeasibleInstance:
+        return _infeasible(rec, fmt)
     rec.update(
-        oracle=oracle.name,
-        k=args.k,
         outcome=report.outcome.value,
         value=report.value,
         solution=_solution_1based(report.solution),
@@ -180,18 +191,15 @@ def cmd_dual(args, kind, fmt) -> int:
     p = make_problem(kind, data)
     oracle = _oracle(args, kind)
     cfg = SchemaConfig(
-        epsilon=Fraction(args.epsilon),
+        epsilon=_epsilon(args.epsilon),
         brute_cap=args.brute_cap,
         force_brute=args.force_brute,
     )
+    rec = _base_record(args, kind, p, "dual")
     try:
         out = dual_approx(p, oracle, cfg)
     except InfeasibleInstance:
-        rec = _base_record(args, kind, p, "dual")
-        rec.update(outcome="infeasible")
-        _emit(rec, fmt)
-        return EXIT_NO
-    rec = _base_record(args, kind, p, "dual")
+        return _infeasible(rec, fmt)
     rec.update(
         oracle=oracle.name,
         epsilon=str(cfg.epsilon),
@@ -210,10 +218,13 @@ def cmd_check_intersective(args, kind, fmt) -> int:
     data = _read_instance(args.instance, kind)
     p = make_problem(kind, data)
     oracle = _oracle(args, kind)
-    report = verify_intersective(p, oracle, budget=args.budget)
     rec = _base_record(args, kind, p, "check-intersective")
+    rec["oracle"] = oracle.name
+    try:
+        report = verify_intersective(p, oracle, budget=args.budget)
+    except InfeasibleInstance:
+        return _infeasible(rec, fmt)
     rec.update(
-        oracle=oracle.name,
         verdict=report.verdict.value,
         oracle_solution=_solution_1based(report.oracle_solution),
         optima_checked=report.optima_checked,
@@ -250,6 +261,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
     agree = 0
     rows = 0
     errors = 0
+    epsilon = _epsilon(args.epsilon) if args.run == "dual" else None
     for i in range(args.count):
         inst_seed = seed + i
         data = _gen_instance(args, kind, inst_seed)
@@ -260,7 +272,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
         try:
             if args.run == "dual":
                 oracle = _oracle(args, kind)
-                cfg = SchemaConfig(epsilon=Fraction(args.epsilon), brute_cap=args.brute_cap)
+                cfg = SchemaConfig(epsilon=epsilon, brute_cap=args.brute_cap)
                 out = dual_approx(p, oracle, cfg)
                 rec.update(path=out.path.value, dual_value=out.dual_value)
                 opt = brute_force_optimum(dualize(p), budget=args.brute_cap)

@@ -176,62 +176,76 @@ def dualize(p: SubsetProblem) -> SubsetProblem:
     )
 
 
-def _lex_rank(mask: int, n: int) -> int:
-    # Larger rank <=> lexicographically smaller sorted member tuple.
-    r = 0
-    for i in iter_bits(mask):
-        r |= 1 << (n - 1 - i)
-    return r
+# Masks are int64 lanes on the batch path, and a universe this large could
+# never be swept anyway.
+MAX_EXHAUSTIVE = 62
 
 
-def _sweep_best(p: SubsetProblem) -> Optional[tuple[int, int]]:
-    """(mask, value) of the optimum by cardinality sweep, None if infeasible."""
+def _sweep_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
+    """(value, optimal masks in lexicographic order) by cardinality sweep;
+    only the first optimum unless all_ties.  None if infeasible."""
     n = p.universe_size
     cards = range(n + 1) if p.goal is Goal.MINIMIZE else range(n, -1, -1)
     for r in cards:
+        found = []
         for combo in itertools.combinations(range(n), r):
             m = mask_of(combo)
             if p.feasible_mask(m):
-                return m, r
+                found.append(m)
+                if not all_ties:
+                    break
+        if found:
+            return r, found
     return None
 
 
-def _batch_scan(p: SubsetProblem):
-    """Yield (masks, feasible) chunks over all 2^n masks."""
-    n = p.universe_size
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        yield masks, p.feasible_batch(masks)
+def _lex_ranks(masks: np.ndarray, n: int) -> np.ndarray:
+    # Larger rank <=> lexicographically smaller sorted member tuple.
+    ranks = np.zeros(masks.shape, dtype=np.int64)
+    for i in range(n):
+        ranks |= ((masks >> i) & 1) << (n - 1 - i)
+    return ranks
 
 
-def _batch_best(p: SubsetProblem) -> Optional[tuple[int, int]]:
+def _batch_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
+    """The same as _sweep_optima, from one pass of feasible_batch over all
+    2^n masks in chunks."""
     n = p.universe_size
     minimize = p.goal is Goal.MINIMIZE
-    best: Optional[tuple[int, int]] = None  # (value, mask)
-    best_rank = -1
-    for masks, feas in _batch_scan(p):
-        cand = masks[feas]
+    best: Optional[int] = None
+    tied: list[np.ndarray] = []  # per chunk, the masks of value best
+    for start in range(0, 1 << n, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
+        cand = masks[p.feasible_batch(masks)]
         if cand.size == 0:
             continue
         pops = np.bitwise_count(cand)
         val = int(pops.min() if minimize else pops.max())
-        if best is not None and (val > best[0] if minimize else val < best[0]):
+        if best is not None and (val > best if minimize else val < best):
             continue
-        tied = cand[pops == val]
-        ranks = np.zeros(tied.shape, dtype=np.int64)
-        for i in range(n):
-            ranks |= ((tied >> i) & 1) << (n - 1 - i)
-        j = int(ranks.argmax())
-        if best is None or (val < best[0] if minimize else val > best[0]) or (
-            val == best[0] and int(ranks[j]) > best_rank
-        ):
-            best = (val, int(tied[j]))
-            best_rank = int(ranks[j])
+        if val != best:
+            best, tied = val, []
+        cand = cand[pops == val]
+        if not all_ties:
+            cand = cand[[_lex_ranks(cand, n).argmax()]]
+        tied.append(cand)
     if best is None:
         return None
-    return best[1], best[0]
+    cand = np.concatenate(tied)
+    cand = cand[np.argsort(-_lex_ranks(cand, n))]
+    return best, [int(m) for m in (cand if all_ties else cand[:1])]
+
+
+def _optima(p: SubsetProblem, budget: int, all_ties: bool):
+    n = p.universe_size
+    if n > budget:
+        return BudgetExceeded(n, budget)
+    if n > MAX_EXHAUSTIVE:
+        raise ValueError(
+            f"exhaustive search is limited to {MAX_EXHAUSTIVE} elements, got {n}"
+        )
+    scan = _batch_optima if p.feasible_batch is not None and n >= 14 else _sweep_optima
+    return scan(p, all_ties)
 
 
 def brute_force_optimum(
@@ -241,18 +255,15 @@ def brute_force_optimum(
 
     Ties among optima break to the (cardinality, lexicographic)-smallest
     solution.  Returns BudgetExceeded when the universe is larger than the
-    caller allows, so callers never rely on exhaustive search by accident.
+    caller allows, so callers never rely on exhaustive search by accident,
+    and raises ValueError above MAX_EXHAUSTIVE elements whatever the budget.
     """
-    n = p.universe_size
-    if n > budget:
-        return BudgetExceeded(n, budget)
-    if p.feasible_batch is not None and n >= 14:
-        hit = _batch_best(p)
-    else:
-        hit = _sweep_best(p)
+    hit = _optima(p, budget, all_ties=False)
     if hit is None:
         return Infeasible()
-    mask, value = hit
+    if isinstance(hit, BudgetExceeded):
+        return hit
+    value, (mask,) = hit
     return EvaluatedSolution(members_of(mask), value, optimal=True)
 
 
@@ -261,28 +272,9 @@ def enumerate_optima(
 ) -> list[frozenset[int]] | BudgetExceeded:
     """All optimal solutions in (cardinality, lexicographic) order; empty
     list iff the instance is infeasible."""
-    n = p.universe_size
-    if n > budget:
-        return BudgetExceeded(n, budget)
-    if p.feasible_batch is not None and n >= 14:
-        hit = _batch_best(p)
-        if hit is None:
-            return []
-        value = hit[1]
-        out = []
-        for masks, feas in _batch_scan(p):
-            cand = masks[feas]
-            cand = cand[np.bitwise_count(cand) == value]
-            out.extend(int(m) for m in cand)
-        out.sort(key=lambda m: -_lex_rank(m, n))
-        return [members_of(m) for m in out]
-    cards = range(n + 1) if p.goal is Goal.MINIMIZE else range(n, -1, -1)
-    for r in cards:
-        found = [
-            frozenset(combo)
-            for combo in itertools.combinations(range(n), r)
-            if p.feasible_mask(mask_of(combo))
-        ]
-        if found:
-            return found
-    return []
+    hit = _optima(p, budget, all_ties=True)
+    if hit is None:
+        return []
+    if isinstance(hit, BudgetExceeded):
+        return hit
+    return [members_of(m) for m in hit[1]]

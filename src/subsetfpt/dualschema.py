@@ -27,7 +27,7 @@ from .core import (
     complement,
     dualize,
 )
-from .approx import ApproxOracle
+from .approx import ApproxOracle, matching_vertex_cover
 from .problems import Graph, ProblemKind
 
 
@@ -162,15 +162,8 @@ def built_in_upper_bound(p: SubsetProblem) -> Optional[int]:
     """Cheap combinatorial upper bound on the primal optimum, for the
     maximization dispatch test."""
     if p.kind is ProblemKind.INDEPENDENT_SET and isinstance(p.data, Graph):
-        g = p.data
-        matched = 0
-        size = 0
-        for u, v in sorted(g.edges):
-            if not ((matched >> u) & 1 or (matched >> v) & 1):
-                matched |= (1 << u) | (1 << v)
-                size += 1
-        # alpha(G) = n - tau(G) <= n - matching size
-        return g.n - size
+        # alpha(G) = n - tau(G) <= n - (size of a maximal matching)
+        return p.data.n - len(matching_vertex_cover(p.data)) // 2
     if p.kind is ProblemKind.CLIQUE and isinstance(p.data, Graph):
         g = p.data
         alive = (1 << g.n) - 1

@@ -125,8 +125,10 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
         if minimize and best is not None and depth + 1 >= best.bit_count():
             return  # any solution below here is no better than the incumbent
         sol = sorted(oracle.run(inst))
-        if minimize and cfg.prune_enabled and len(sol) > oracle.ratio(inst) * (k - depth):
-            return
+        if minimize and cfg.prune_enabled:
+            r = oracle.ratio(inst)  # prune if len(sol) > r * (k - depth)
+            if len(sol) * r.denominator > r.numerator * (k - depth):
+                return
         max_arity = max(max_arity, len(sol))
         for e in sol:
             if not minimize and best is not None:

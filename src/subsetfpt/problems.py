@@ -1,11 +1,24 @@
 """Concrete subset-problem encodings over graphs and set systems.
 
 Universe convention: vertices for graph problems, set indices for set-system
-problems (the ground set is metadata).  Each encoding supplies a bitmask
-feasibility predicate, a vectorized batch predicate where it is cheap, and,
-for the kinds the branching engine handles, the restrict_fn(e) mask of
-elements compatible with e, from which SubsetProblem.restrict builds the
-sub-instance I(e).
+problems (the ground set is metadata).  The six kinds the branching engine
+handles come in two shapes, each built by one constructor from data:
+
+* covering kinds (vertex cover, dominating set, set cover) are closed under
+  supersets.  Each is a list of hitter masks, one per ground element: the
+  elements that cover it (the two endpoints of an edge, N[v], the sets
+  holding x).  S is feasible iff it meets every hitter, and choosing an
+  element keeps all others selectable.
+* packing kinds (independent set, clique, set packing) are closed under
+  subsets.  Each is a tuple of conflict masks, one per element (adj[v], the
+  non-neighbours of v, the other sets meeting set i).  S is feasible iff no
+  member's conflicts meet S, and choosing e keeps ~conflicts[e].
+
+Both give a scalar bitmask predicate, a numpy batch predicate and the
+restrict_fn(e) mask from which SubsetProblem.restrict builds I(e).  Min
+independent dominating set is packing(adj) and covering(N[v]); max minimal
+vertex cover is covering(edges) plus a minimality test; feedback vertex set
+has its own cycle test.
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -141,269 +154,164 @@ def has_cycle(g: Graph, keep: int) -> bool:
     return False
 
 
-def _cover_ok(g: Graph, mask: int) -> bool:
-    comp = ((1 << g.n) - 1) & ~mask
-    for v in iter_bits(comp):
-        if g.adj[v] & comp:
-            return False
-    return True
+def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]:
+    """Scalar and batch predicates of a covering kind: S is feasible iff it
+    meets every hitter, the mask of the elements that cover one ground
+    element.  The distinct hitters are built on the first predicate call,
+    so large instances that never reach a predicate do not pay for them."""
+    distinct = cache(lambda: tuple(sorted(set(hitters()))))
+
+    def feasible(m: int) -> bool:
+        for h in distinct():
+            if not m & h:
+                return False
+        return True
+
+    def batch(masks: np.ndarray) -> np.ndarray:
+        ok = np.ones(masks.shape, dtype=bool)
+        for h in distinct():
+            ok &= (masks & h) != 0
+        return ok
+
+    return feasible, batch
 
 
-def _independent_ok(g: Graph, mask: int) -> bool:
-    for v in iter_bits(mask):
-        if g.adj[v] & mask:
-            return False
-    return True
+def _packing(conflicts: tuple[int, ...]) -> tuple[Callable, Callable]:
+    """Scalar and batch predicates of a packing kind: S is feasible iff no
+    member's conflict mask meets S."""
 
+    def feasible(m: int) -> bool:
+        for e in iter_bits(m):
+            if conflicts[e] & m:
+                return False
+        return True
 
-def _minimal_cover_ok(g: Graph, mask: int) -> bool:
-    # v is droppable iff every incident edge keeps its other endpoint in S.
-    for v in iter_bits(mask):
-        if g.adj[v] & ~mask == 0:
-            return False
-    return True
+    def batch(masks: np.ndarray) -> np.ndarray:
+        hit = np.zeros(masks.shape, dtype=np.int64)  # union of members' conflicts
+        for e, c in enumerate(conflicts):
+            if c:
+                hit |= -((masks >> e) & 1) & c
+        return (hit & masks) == 0
 
-
-def _batch_edges_covered(g: Graph, masks: np.ndarray) -> np.ndarray:
-    ok = np.ones(masks.shape, dtype=bool)
-    for u, v in sorted(g.edges):
-        ok &= (((masks >> u) | (masks >> v)) & 1).astype(bool)
-    return ok
-
-
-def _batch_independent(g: Graph, masks: np.ndarray) -> np.ndarray:
-    ok = np.ones(masks.shape, dtype=bool)
-    for u, v in sorted(g.edges):
-        ok &= ~(((masks >> u) & (masks >> v)) & 1).astype(bool)
-    return ok
-
-
-def _dominates(g: Graph, mask: int) -> bool:
-    cov = 0
-    for v in iter_bits(mask):
-        cov |= g.closed_nb(v)
-    return cov == (1 << g.n) - 1
-
-
-def _batch_dominating(g: Graph, masks: np.ndarray) -> np.ndarray:
-    cov = np.zeros(masks.shape, dtype=np.int64)
-    for v in range(g.n):
-        cov |= np.where((masks >> v) & 1 == 1, g.closed_nb(v), 0)
-    return cov == (1 << g.n) - 1
+    return feasible, batch
 
 
 def _keep_all(e: int) -> int:
     return -1
 
 
-def make_problem(kind: ProblemKind, data) -> SubsetProblem:
-    """Wrap an instance into the uniform subset-problem contract."""
-    builder = _BUILDERS[kind]
-    return builder(data)
-
-
-def _expect(data, cls, kind):
-    if not isinstance(data, cls):
-        raise TypeError(f"{kind.value} expects {cls.__name__}, got {type(data).__name__}")
-    return data
-
-
-def _graph_problem(kind, g, feas, batch, restrict_fn=None):
+def _problem(kind, data, feasible, batch, restrict_fn=None) -> SubsetProblem:
+    if isinstance(data, SetSystem):
+        label, n = f"{kind.value}(n={data.n_ground},m={data.m})", data.m
+    else:
+        label, n = f"{kind.value}(n={data.n})", data.n
     return SubsetProblem(
-        label=f"{kind.value}(n={g.n})",
-        universe_size=g.n,
+        label=label,
+        universe_size=n,
         goal=GOALS[kind],
-        feasible_mask=feas,
+        feasible_mask=feasible,
         feasible_batch=batch,
         restrict_fn=restrict_fn,
         kind=kind,
-        data=g,
+        data=data,
     )
 
 
-def _build_vertex_cover(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.VERTEX_COVER)
-    return _graph_problem(
-        ProblemKind.VERTEX_COVER,
-        g,
-        lambda m: _cover_ok(g, m),
-        lambda ms: _batch_edges_covered(g, ms),
-        _keep_all,
-    )
+def _covering_problem(kind, data, hitters) -> SubsetProblem:
+    """Feasible sets are closed under supersets, so choosing an element
+    leaves every other one selectable."""
+    return _problem(kind, data, *_covering(hitters), _keep_all)
 
 
-def _build_independent_set(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.INDEPENDENT_SET)
-    return _graph_problem(
-        ProblemKind.INDEPENDENT_SET,
-        g,
-        lambda m: _independent_ok(g, m),
-        lambda ms: _batch_independent(g, ms),
-        lambda v: ~g.closed_nb(v),
-    )
+def _packing_problem(kind, data, conflicts: tuple[int, ...]) -> SubsetProblem:
+    """Feasible sets are closed under subsets; choosing e drops its
+    conflicts."""
+    keep = tuple(~c for c in conflicts)
+    return _problem(kind, data, *_packing(conflicts), keep.__getitem__)
 
 
-def _build_clique(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.CLIQUE)
-
-    def feas(m: int) -> bool:
-        for v in iter_bits(m):
-            if m & ~g.closed_nb(v):
-                return False
-        return True
-
-    def batch(masks: np.ndarray) -> np.ndarray:
-        ok = np.ones(masks.shape, dtype=bool)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if (u, v) not in g.edges:
-                    ok &= ~(((masks >> u) & (masks >> v)) & 1).astype(bool)
-        return ok
-
-    return _graph_problem(ProblemKind.CLIQUE, g, feas, batch, g.adj.__getitem__)
+def _edge_hitters(g: Graph) -> Iterable[int]:
+    return ((1 << u) | (1 << v) for u, v in g.edges)
 
 
-def _build_dominating_set(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.DOMINATING_SET)
-    return _graph_problem(
-        ProblemKind.DOMINATING_SET,
-        g,
-        lambda m: _dominates(g, m),
-        lambda ms: _batch_dominating(g, ms),
-        _keep_all,
-    )
+def _closed_nbs(g: Graph) -> Iterable[int]:
+    return map(g.closed_nb, range(g.n))
 
 
-def _build_set_cover(data) -> SubsetProblem:
-    sys = _expect(data, SetSystem, ProblemKind.SET_COVER)
-    full = (1 << sys.n_ground) - 1
-
-    def feas(m: int) -> bool:
-        cov = 0
-        for i in iter_bits(m):
-            cov |= sys.sets[i]
-        return cov == full
-
-    @cache
-    def hitters() -> list[int]:
-        """The distinct masks of the sets that hold each ground element.
-        Built on the first batch call: it costs ground x sets steps, and the
-        large problems, which never reach the batch path, would pay it."""
-        return sorted(
-            {
-                mask_of(i for i, s in enumerate(sys.sets) if (s >> x) & 1)
-                for x in range(sys.n_ground)
-            }
-        )
-
-    def batch(masks: np.ndarray) -> np.ndarray:
-        ok = np.ones(masks.shape, dtype=bool)
-        for h in hitters():
-            ok &= (masks & h) != 0
-        return ok
-
-    return SubsetProblem(
-        label=f"set-cover(n={sys.n_ground},m={sys.m})",
-        universe_size=sys.m,
-        goal=Goal.MINIMIZE,
-        feasible_mask=feas,
-        feasible_batch=batch,
-        restrict_fn=_keep_all,
-        kind=ProblemKind.SET_COVER,
-        data=sys,
-    )
+def _holders(sys: SetSystem) -> list[int]:
+    """For each ground element, the mask of the sets that hold it."""
+    holders = [0] * sys.n_ground
+    for i, s in enumerate(sys.sets):
+        for x in iter_bits(s):
+            holders[x] |= 1 << i
+    return holders
 
 
-def _build_set_packing(data) -> SubsetProblem:
-    sys = _expect(data, SetSystem, ProblemKind.SET_PACKING)
-
-    def feas(m: int) -> bool:
-        acc = 0
-        for i in iter_bits(m):
-            if sys.sets[i] & acc:
-                return False
-            acc |= sys.sets[i]
-        return True
-
-    conflicts = [
-        (i, j)
-        for i in range(sys.m)
-        for j in range(i + 1, sys.m)
-        if sys.sets[i] & sys.sets[j]
-    ]
-
-    def batch(masks: np.ndarray) -> np.ndarray:
-        ok = np.ones(masks.shape, dtype=bool)
-        for i, j in conflicts:
-            ok &= ~(((masks >> i) & (masks >> j)) & 1).astype(bool)
-        return ok
-
-    def restrict_fn(e: int) -> int:
-        return mask_of(i for i, s in enumerate(sys.sets) if not s & sys.sets[e])
-
-    return SubsetProblem(
-        label=f"set-packing(n={sys.n_ground},m={sys.m})",
-        universe_size=sys.m,
-        goal=Goal.MAXIMIZE,
-        feasible_mask=feas,
-        feasible_batch=batch,
-        restrict_fn=restrict_fn,
-        kind=ProblemKind.SET_PACKING,
-        data=sys,
-    )
+def _set_conflicts(sys: SetSystem) -> tuple[int, ...]:
+    """For each set, the mask of the other sets that meet it."""
+    holders = _holders(sys)
+    conflicts = []
+    for i, s in enumerate(sys.sets):
+        c = 0
+        for x in iter_bits(s):
+            c |= holders[x]
+        conflicts.append(c & ~(1 << i))
+    return tuple(conflicts)
 
 
-def _build_feedback_vertex_set(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.FEEDBACK_VERTEX_SET)
+def _non_neighbours(g: Graph) -> tuple[int, ...]:
     full = (1 << g.n) - 1
-
-    return _graph_problem(
-        ProblemKind.FEEDBACK_VERTEX_SET,
-        g,
-        lambda m: not has_cycle(g, full & ~m),
-        None,
-    )
+    return tuple(full & ~g.closed_nb(v) for v in range(g.n))
 
 
-def _build_max_minimal_vertex_cover(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.MAX_MINIMAL_VERTEX_COVER)
+def _droppable(g: Graph, cover: int) -> Optional[int]:
+    """The lowest member of the vertex cover whose neighbours are all in
+    it, so that dropping it leaves a cover; None if the cover is minimal."""
+    for v in iter_bits(cover):
+        if not g.adj[v] & ~cover:
+            return v
+    return None
+
+
+def _feedback_vertex_set(kind, g: Graph) -> SubsetProblem:
+    full = (1 << g.n) - 1
+    return _problem(kind, g, lambda m: not has_cycle(g, full & ~m), None)
+
+
+def _max_minimal_vertex_cover(kind, g: Graph) -> SubsetProblem:
+    cover, cover_batch = _covering(lambda: _edge_hitters(g))
 
     def batch(masks: np.ndarray) -> np.ndarray:
-        ok = _batch_edges_covered(g, masks)
+        ok = cover_batch(masks)
         for v in range(g.n):
             # v droppable <=> v in S and adj[v] subset of S
-            droppable = ((masks >> v) & 1 == 1) & ((~masks & np.int64(g.adj[v])) == 0)
-            ok &= ~droppable
+            ok &= ((masks >> v) & 1 == 0) | ((~masks & g.adj[v]) != 0)
         return ok
 
-    return _graph_problem(
-        ProblemKind.MAX_MINIMAL_VERTEX_COVER,
-        g,
-        lambda m: _cover_ok(g, m) and _minimal_cover_ok(g, m),
-        batch,
-    )
+    return _problem(kind, g, lambda m: cover(m) and _droppable(g, m) is None, batch)
 
 
-def _build_min_independent_dominating_set(data) -> SubsetProblem:
-    g = _expect(data, Graph, ProblemKind.MIN_INDEPENDENT_DOMINATING_SET)
-    return _graph_problem(
-        ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
+def _min_independent_dominating_set(kind, g: Graph) -> SubsetProblem:
+    independent, independent_batch = _packing(g.adj)
+    dominating, dominating_batch = _covering(lambda: _closed_nbs(g))
+    return _problem(
+        kind,
         g,
-        lambda m: _independent_ok(g, m) and _dominates(g, m),
-        lambda ms: _batch_independent(g, ms) & _batch_dominating(g, ms),
+        lambda m: independent(m) and dominating(m),
+        lambda ms: independent_batch(ms) & dominating_batch(ms),
     )
 
 
 _BUILDERS = {
-    ProblemKind.VERTEX_COVER: _build_vertex_cover,
-    ProblemKind.INDEPENDENT_SET: _build_independent_set,
-    ProblemKind.CLIQUE: _build_clique,
-    ProblemKind.DOMINATING_SET: _build_dominating_set,
-    ProblemKind.SET_COVER: _build_set_cover,
-    ProblemKind.SET_PACKING: _build_set_packing,
-    ProblemKind.FEEDBACK_VERTEX_SET: _build_feedback_vertex_set,
-    ProblemKind.MAX_MINIMAL_VERTEX_COVER: _build_max_minimal_vertex_cover,
-    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: _build_min_independent_dominating_set,
+    ProblemKind.VERTEX_COVER: lambda k, g: _covering_problem(k, g, lambda: _edge_hitters(g)),
+    ProblemKind.DOMINATING_SET: lambda k, g: _covering_problem(k, g, lambda: _closed_nbs(g)),
+    ProblemKind.SET_COVER: lambda k, s: _covering_problem(k, s, lambda: _holders(s)),
+    ProblemKind.INDEPENDENT_SET: lambda k, g: _packing_problem(k, g, g.adj),
+    ProblemKind.CLIQUE: lambda k, g: _packing_problem(k, g, _non_neighbours(g)),
+    ProblemKind.SET_PACKING: lambda k, s: _packing_problem(k, s, _set_conflicts(s)),
+    ProblemKind.FEEDBACK_VERTEX_SET: _feedback_vertex_set,
+    ProblemKind.MAX_MINIMAL_VERTEX_COVER: _max_minimal_vertex_cover,
+    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: _min_independent_dominating_set,
 }
 
 RESTRICTABLE = frozenset(
@@ -418,13 +326,18 @@ RESTRICTABLE = frozenset(
 )
 
 
+def make_problem(kind: ProblemKind, data) -> SubsetProblem:
+    """Wrap an instance into the uniform subset-problem contract."""
+    cls = SetSystem if kind in (ProblemKind.SET_COVER, ProblemKind.SET_PACKING) else Graph
+    if not isinstance(data, cls):
+        raise TypeError(f"{kind.value} expects {cls.__name__}, got {type(data).__name__}")
+    return _BUILDERS[kind](kind, data)
+
+
 def minimality_certificate(g: Graph, cover: Iterable[int]) -> Optional[int]:
     """None if the cover is inclusion-minimal, else the lowest-index vertex
     whose removal keeps it a cover."""
     mask = mask_of(cover)
-    if not _cover_ok(g, mask):
+    if not _covering(lambda: _edge_hitters(g))[0](mask):
         raise ValueError("solution is not a vertex cover")
-    for v in sorted(iter_bits(mask)):
-        if g.adj[v] & ~mask == 0:
-            return v
-    return None
+    return _droppable(g, mask)

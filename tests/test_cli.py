@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subsetfpt as sf
 from subsetfpt.cli import main
@@ -150,6 +153,12 @@ class TestSolveCommand:
         assert code == 0
         assert "value=2" in out and "\t" in out
 
+    def test_more_than_62_elements_exit_2(self, run):
+        code, out, err = run(["solve", "-", "--budget", "100"], "p edge 70 0\n")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "62" in err
+
     def test_problem_flag_after_subcommand(self, run):
         code, out, _ = run(
             ["solve", "-", "--problem", "independent-set"], PATH3_DIMACS
@@ -197,6 +206,14 @@ class TestBranchCommand:
         )
         assert code == 3
 
+    def test_uncoverable_set_cover_exit_1(self, run):
+        code, out, err = run(
+            ["--problem", "set-cover", "branch", "-", "--k", "2"], UNCOVERABLE_SYS
+        )
+        assert code == 1
+        assert json.loads(out)["outcome"] == "infeasible"
+        assert "Traceback" not in err
+
     def test_max_problem_dispatches(self, run):
         code, out, _ = run(
             ["--problem", "independent-set", "branch", "-", "--k", "2"],
@@ -222,6 +239,12 @@ class TestDualCommand:
         code, _, _ = run(["dual", "-", "--epsilon", "0"], TRIANGLE_DIMACS)
         assert code == 2
 
+    def test_zero_denominator_epsilon_exit_2(self, run):
+        code, out, err = run(["dual", "-", "--epsilon", "1/0"], TRIANGLE_DIMACS)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
+
     def test_budget_exceeded_exit_3(self, run):
         g = generate_gnp(12, 0.6, 8)
         code, out, _ = run(
@@ -246,6 +269,14 @@ class TestCheckIntersectiveCommand:
         code, out, _ = run(["check-intersective", "-"], TRIANGLE_DIMACS)
         assert code == 0
         assert json.loads(out)["verdict"] == "intersective"
+
+    def test_uncoverable_set_cover_exit_1(self, run):
+        code, out, err = run(
+            ["--problem", "set-cover", "check-intersective", "-"], UNCOVERABLE_SYS
+        )
+        assert code == 1
+        assert json.loads(out)["outcome"] == "infeasible"
+        assert "Traceback" not in err
 
     def test_budget_exit_3(self, run):
         g = generate_gnp(10, 0.3, 2)
@@ -294,6 +325,12 @@ class TestExperimentCommand:
         assert agg["record"] == "aggregate" and agg["rows"] == 5
         assert "min_ratio" in agg
 
+    def test_zero_denominator_epsilon_exit_2(self, run):
+        code, out, err = run(["experiment", "--run", "dual", "--epsilon", "1/0"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
+
     def test_branch_experiment_counts_agreements(self, run):
         code, out, _ = run(
             ["--seed", "3", "experiment", "--run", "branch", "--count", "4", "--n", "7"]
@@ -321,3 +358,81 @@ def test_stdout_byte_identical_across_runs(run, argv, stdin_text):
     code2, out2, _ = run(argv, stdin_text)
     assert code1 == code2
     assert out1 == out2
+
+
+# --- fuzz: every accepted argv ends in one record or one error line -------
+
+
+@st.composite
+def graph_text(draw):
+    n = draw(st.integers(0, 10))
+    pairs = st.tuples(st.integers(1, n + 1), st.integers(1, n + 1))
+    edges = draw(st.lists(pairs, max_size=20)) if n else []
+    lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def set_system_text(draw):
+    ground = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 10))
+    sets = [draw(st.lists(st.integers(1, ground + 1), max_size=4)) for _ in range(m)]
+    return "\n".join([f"{ground} {m}"] + [" ".join(map(str, s)) for s in sets]) + "\n"
+
+
+BUDGETS = st.integers(-1, 16).map(str)
+ORACLE_FLAG = st.sampled_from([[], ["--oracle", "nope"]] + [["--oracle", o] for o in sf.ORACLES])
+
+
+@st.composite
+def cli_call(draw):
+    kind = draw(st.sampled_from(list(sf.ProblemKind)))
+    set_kind = kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING)
+    text = draw(
+        st.one_of(
+            set_system_text() if set_kind else graph_text(),
+            st.text(alphabet="pe 0123456789/\n-", max_size=30),
+        )
+    )
+    sub = draw(st.sampled_from(["solve", "approx", "branch", "dual", "check-intersective"]))
+    argv = ["--problem", kind.value, sub, "-"]
+    if sub in ("solve", "check-intersective"):
+        argv += ["--budget", draw(BUDGETS)]
+    if sub != "solve":
+        argv += draw(ORACLE_FLAG)
+    if sub == "branch":
+        node_cap = draw(st.sampled_from(["0", "1", "16", "1000"]))
+        argv += ["--k", draw(BUDGETS), "--node-cap", node_cap]
+        argv += draw(st.sampled_from([[], ["--no-prune"]]))
+    if sub == "dual":
+        eps = draw(st.sampled_from(["1/4", "1/2", "0.1", "1", "0", "2", "1/0", "abc", "-1/3"]))
+        argv += [f"--epsilon={eps}", "--brute-cap", draw(BUDGETS)]
+        argv += draw(st.sampled_from([[], ["--force-brute"]]))
+    return argv, text
+
+
+def _call(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_call())
+def test_fuzz_one_record_or_one_error_line(call):
+    argv, text = call
+    code, out, err = _call(argv, text)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == ""
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)

@@ -76,6 +76,14 @@ class TestBruteForce:
         assert isinstance(res, sf.BudgetExceeded)
         assert res.universe_size == 25 and res.budget == 20
 
+    def test_more_than_62_elements_rejected_whatever_the_budget(self):
+        p = vc(sf.Graph.from_edges(70, []))
+        with pytest.raises(ValueError, match="62"):
+            sf.brute_force_optimum(p, budget=100)
+        with pytest.raises(ValueError, match="62"):
+            sf.enumerate_optima(p, budget=100)
+        assert isinstance(sf.brute_force_optimum(p, budget=69), sf.BudgetExceeded)
+
     def test_tie_break_smallest_lexicographic(self):
         # all three 2-subsets of the triangle are optimal covers
         res = sf.brute_force_optimum(vc(TRIANGLE))
