@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, iter_bits
 from .problems import Graph, ProblemKind, SetSystem
 
 
+@cache
 def harmonic(d: int) -> Fraction:
     """H_d = 1 + 1/2 + ... + 1/d (H_0 = 0)."""
     return sum((Fraction(1, i) for i in range(1, d + 1)), Fraction(0))
@@ -78,16 +80,19 @@ def greedy_dominating_set(g: Graph, chosen: int = 0) -> frozenset[int]:
 
 def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
     """Both endpoints of a lexicographically-greedy maximal matching."""
-    alive &= (1 << g.n) - 1
-    cover = 0
-    for u in iter_bits(alive):
-        if (cover >> u) & 1:
-            continue
+    rest = alive & ((1 << g.n) - 1)  # free vertices not yet passed
+    cover = []
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
         # the lowest-index free neighbour above u, as a sorted edge scan finds
-        free = g.adj[u] & alive & ~cover & -(2 << u)
+        free = g.adj[u] & rest
         if free:
-            cover |= (1 << u) | (free & -free)
-    return frozenset(iter_bits(cover))
+            nb = free & -free
+            rest ^= nb
+            cover += (u, nb.bit_length() - 1)
+    return frozenset(cover)
 
 
 def greedy_maximal_independent_set(g: Graph, alive: int = -1) -> frozenset[int]:
@@ -148,18 +153,20 @@ def _max_residual_size(p: SubsetProblem) -> int:
     return max(((s & target).bit_count() for s in sys.sets), default=0)
 
 
+_TWO = Fraction(2)
+
 MATCHING_VC = ApproxOracle(
     name="matching-vc",
     goal=Goal.MINIMIZE,
     run=lambda p: matching_vertex_cover(_graph_of(p), p.alive),
-    ratio=lambda p: Fraction(2),
+    ratio=lambda p: _TWO,
 )
 
 GREEDY_SET_COVER = ApproxOracle(
     name="greedy-set-cover",
     goal=Goal.MINIMIZE,
     run=lambda p: greedy_set_cover(_sys_of(p), p.chosen),
-    ratio=lambda p: max(harmonic(_max_residual_size(p)), Fraction(1)),
+    ratio=lambda p: harmonic(max(_max_residual_size(p), 1)),
 )
 
 GREEDY_DOMINATING = ApproxOracle(

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -255,24 +256,29 @@ def _gen_instance(args, kind: ProblemKind, seed: int):
 
 
 def cmd_experiment(args, kind, fmt, seed: int) -> int:
-    """One record per (instance, run); aggregate row at the end."""
+    """One record per (instance, run); aggregate row at the end.  The flags
+    are checked once, before the first instance.  Only an infeasible
+    instance is a row error; nothing is written until the last instance has
+    run, so any other error leaves one error line only."""
+    records: list[dict] = []
     ratios: list[Fraction] = []
     verdicts: dict[str, int] = {}
     agree = 0
-    rows = 0
     errors = 0
-    epsilon = _epsilon(args.epsilon) if args.run == "dual" else None
+    oracle = None if args.run == "solve" else _oracle(args, kind)
+    if args.run == "dual":
+        cfg = SchemaConfig(epsilon=_epsilon(args.epsilon), brute_cap=args.brute_cap)
+    elif args.run == "branch":
+        cfg = BranchConfig(budget_k=0, node_cap=args.node_cap)
     for i in range(args.count):
         inst_seed = seed + i
         data = _gen_instance(args, kind, inst_seed)
         p = make_problem(kind, data)
         rec = {"command": f"experiment/{args.run}", "problem": kind.value,
                "index": i, "seed": inst_seed, "n": p.universe_size}
-        rows += 1
+        records.append(rec)
         try:
             if args.run == "dual":
-                oracle = _oracle(args, kind)
-                cfg = SchemaConfig(epsilon=epsilon, brute_cap=args.brute_cap)
                 out = dual_approx(p, oracle, cfg)
                 rec.update(path=out.path.value, dual_value=out.dual_value)
                 opt = brute_force_optimum(dualize(p), budget=args.brute_cap)
@@ -285,19 +291,16 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
                     if achieved is not None:
                         ratios.append(achieved)
             elif args.run == "check-intersective":
-                oracle = _oracle(args, kind)
                 rep = verify_intersective(p, oracle, budget=args.budget)
                 rec.update(verdict=rep.verdict.value)
                 verdicts[rep.verdict.value] = verdicts.get(rep.verdict.value, 0) + 1
             elif args.run == "branch":
-                oracle = _oracle(args, kind)
                 opt = brute_force_optimum(p, budget=args.budget)
                 if not isinstance(opt, EvaluatedSolution):
                     rec.update(outcome="no-reference")
                 else:
-                    cfg = BranchConfig(budget_k=opt.value, node_cap=args.node_cap)
                     solver = branch_solve_min if p.goal is Goal.MINIMIZE else branch_solve_max
-                    rep = solver(p, oracle, cfg)
+                    rep = solver(p, oracle, replace(cfg, budget_k=opt.value))
                     match = rep.outcome is BranchOutcome.FOUND and rep.value == opt.value
                     agree += int(match)
                     rec.update(opt=opt.value, outcome=rep.outcome.value,
@@ -310,12 +313,11 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
                     rec.update(outcome="infeasible")
                 else:
                     rec.update(outcome="budget-exceeded")
-        except (InfeasibleInstance, ValueError) as exc:
+        except InfeasibleInstance as exc:
             rec.update(outcome="error", error=str(exc))
             errors += 1
-        _emit(rec, fmt)
     agg = {"command": f"experiment/{args.run}", "record": "aggregate",
-           "rows": rows, "errors": errors}
+           "rows": len(records), "errors": errors}
     if ratios:
         agg["min_ratio"] = str(min(ratios))
         agg["mean_ratio"] = str(sum(ratios) / len(ratios))
@@ -323,7 +325,8 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
         agg["verdicts"] = dict(sorted(verdicts.items()))
     if args.run == "branch":
         agg["agreements"] = agree
-    _emit(agg, fmt)
+    for rec in records + [agg]:
+        _emit(rec, fmt)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ lexicographic on the sorted member tuple) so ties break deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -101,14 +101,17 @@ class SubsetProblem:
         root = self.root or self
         alive = self.alive & self.restrict_fn(e) & ~(1 << e)
         chosen = self.chosen | (1 << e)
-        return replace(
-            root,
+        # Built by hand: dataclasses.replace would cost most of a search node.
+        child = object.__new__(SubsetProblem)
+        child.__dict__.update(
+            root.__dict__,
             feasible_mask=partial(_sub_feasible, root.feasible_mask, alive, chosen),
             feasible_batch=None,
             alive=alive,
             chosen=chosen,
             root=root,
         )
+        return child
 
 
 def _sub_feasible(root_feasible, alive: int, chosen: int, mask: int) -> bool:

@@ -90,7 +90,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((a.bit_count() for a in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def closed_nb(self, v: int) -> int:
         return self.adj[v] | (1 << v)

@@ -14,6 +14,10 @@ def test_harmonic_exact_rationals():
     assert sf.harmonic(1) == 1
     assert sf.harmonic(3) == Fraction(11, 6)
     assert sf.harmonic(0) == 0
+    explicit = Fraction(0)
+    for d in range(1, 21):
+        explicit += Fraction(1, d)
+        assert sf.harmonic(d) == sf.harmonic(d) == explicit  # a repeat is a cache hit
 
 
 class TestGreedySetCover:

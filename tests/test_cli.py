@@ -339,6 +339,24 @@ class TestExperimentCommand:
         agg = json.loads(out.splitlines()[-1])
         assert agg["agreements"] == 4
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--run", "branch", "--oracle", "nope"],
+            ["--run", "check-intersective", "--oracle", "nope"],
+            ["--run", "branch", "--oracle", "greedy-mis"],  # goal does not match
+            ["--run", "dual", "--epsilon", "2"],
+            ["--run", "dual", "--brute-cap", "0"],
+            ["--run", "branch", "--node-cap", "0"],
+        ],
+        ids=["oracle", "oracle-check", "oracle-goal", "epsilon", "brute-cap", "node-cap"],
+    )
+    def test_invalid_flag_is_one_error_line(self, run, flags):
+        code, out, err = run(["experiment", "--count", "2", "--n", "6"] + flags)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 DETERMINISM_CASES = [
     (["solve", "-"], TRIANGLE_DIMACS),
@@ -384,6 +402,20 @@ BUDGETS = st.integers(-1, 16).map(str)
 ORACLE_FLAG = st.sampled_from([[], ["--oracle", "nope"]] + [["--oracle", o] for o in sf.ORACLES])
 
 
+EPSILONS = st.sampled_from(["1/4", "1/2", "0.1", "1", "0", "2", "1/0", "abc", "-1/3"])
+NODE_CAPS = st.sampled_from(["0", "1", "16", "1000"])
+
+
+def experiment_argv(draw, kind):
+    run = draw(st.sampled_from(["solve", "branch", "dual", "check-intersective"]))
+    argv = ["--problem", kind.value, "--seed", str(draw(st.integers(0, 50))), "experiment"]
+    argv += ["--run", run, "--count", str(draw(st.integers(-1, 3)))]
+    argv += ["--n", str(draw(st.integers(-1, 10))), "--p", draw(st.sampled_from(["0", "0.3", "1", "2"]))]
+    argv += ["--ground", str(draw(st.integers(0, 6))), "--sets", str(draw(st.integers(0, 8)))]
+    argv += draw(ORACLE_FLAG) + [f"--epsilon={draw(EPSILONS)}", "--brute-cap", draw(BUDGETS)]
+    return argv + ["--budget", draw(BUDGETS), "--node-cap", draw(NODE_CAPS)]
+
+
 @st.composite
 def cli_call(draw):
     kind = draw(st.sampled_from(list(sf.ProblemKind)))
@@ -394,19 +426,21 @@ def cli_call(draw):
             st.text(alphabet="pe 0123456789/\n-", max_size=30),
         )
     )
-    sub = draw(st.sampled_from(["solve", "approx", "branch", "dual", "check-intersective"]))
+    sub = draw(
+        st.sampled_from(["solve", "approx", "branch", "dual", "check-intersective", "experiment"])
+    )
+    if sub == "experiment":
+        return experiment_argv(draw, kind), ""
     argv = ["--problem", kind.value, sub, "-"]
     if sub in ("solve", "check-intersective"):
         argv += ["--budget", draw(BUDGETS)]
     if sub != "solve":
         argv += draw(ORACLE_FLAG)
     if sub == "branch":
-        node_cap = draw(st.sampled_from(["0", "1", "16", "1000"]))
-        argv += ["--k", draw(BUDGETS), "--node-cap", node_cap]
+        argv += ["--k", draw(BUDGETS), "--node-cap", draw(NODE_CAPS)]
         argv += draw(st.sampled_from([[], ["--no-prune"]]))
     if sub == "dual":
-        eps = draw(st.sampled_from(["1/4", "1/2", "0.1", "1", "0", "2", "1/0", "abc", "-1/3"]))
-        argv += [f"--epsilon={eps}", "--brute-cap", draw(BUDGETS)]
+        argv += [f"--epsilon={draw(EPSILONS)}", "--brute-cap", draw(BUDGETS)]
         argv += draw(st.sampled_from([[], ["--force-brute"]]))
     return argv, text
 
@@ -432,6 +466,11 @@ def test_fuzz_one_record_or_one_error_line(call):
         assert out == ""
         errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and err.splitlines()[-1] == errors[0]
+    elif "experiment" in argv:
+        # one row per instance, then the aggregate
+        rows = [json.loads(ln) for ln in out.splitlines()]
+        assert code == 0 and rows[-1]["record"] == "aggregate"
+        assert len(rows) == rows[-1]["rows"] + 1
     else:
         lines = out.splitlines()
         assert len(lines) == 1

@@ -4,6 +4,7 @@ import pytest
 
 import subsetfpt as sf
 from conftest import all_graphs_upto, atlas_upto, random_graph, random_system
+from subsetfpt.io import generate_gnp, generate_setsystem
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -215,6 +216,99 @@ class TestCoveringKindsAgainstBruteForce:
     def test_set_cover_random_systems(self, seed):
         sys = random_system((seed % 9) + 2, (seed % 11) + 2, 4, 9000 + seed)
         self._check(sf.make_problem(sf.ProblemKind.SET_COVER, sys))
+
+
+# (kind, n, seed, k, prune, outcome, solution, nodes_expanded, max_depth,
+# max_arity) of the engine with each kind's default oracle, at k = opt and
+# at the adjacent NO budget: G(n, p) from generate_gnp (p = 0.5 for clique,
+# 0.3 otherwise) and generate_setsystem(n, n, 4) for set cover.  Speed work
+# must leave the search tree as it is, node for node.
+PINNED_TREES = [
+    ("vertex-cover", 7, 1, 3, True, "found", [0, 4, 5], 22, 3, 6),
+    ("vertex-cover", 7, 1, 3, False, "found", [0, 4, 5], 30, 3, 6),
+    ("vertex-cover", 7, 1, 2, True, "no-instance", None, 1, 0, 0),
+    ("vertex-cover", 7, 1, 2, False, "no-instance", None, 22, 2, 6),
+    ("vertex-cover", 10, 2, 4, True, "found", [2, 3, 4, 5], 64, 4, 6),
+    ("vertex-cover", 10, 2, 4, False, "found", [2, 3, 4, 5], 113, 4, 6),
+    ("vertex-cover", 10, 2, 3, True, "no-instance", None, 16, 3, 6),
+    ("vertex-cover", 10, 2, 3, False, "no-instance", None, 64, 3, 6),
+    ("vertex-cover", 13, 3, 6, True, "found", [0, 5, 8, 9, 10, 11], 564, 6, 10),
+    ("vertex-cover", 13, 3, 6, False, "found", [0, 5, 8, 9, 10, 11], 1492, 6, 10),
+    ("vertex-cover", 13, 3, 5, True, "no-instance", None, 65, 4, 10),
+    ("vertex-cover", 13, 3, 5, False, "no-instance", None, 1282, 5, 10),
+    ("dominating-set", 7, 1, 2, True, "found", [0, 5], 4, 2, 2),
+    ("dominating-set", 7, 1, 2, False, "found", [0, 5], 4, 2, 2),
+    ("dominating-set", 7, 1, 1, True, "no-instance", None, 3, 1, 2),
+    ("dominating-set", 7, 1, 1, False, "no-instance", None, 3, 1, 2),
+    ("dominating-set", 10, 2, 3, True, "found", [1, 2, 3], 8, 3, 3),
+    ("dominating-set", 10, 2, 3, False, "found", [1, 2, 3], 8, 3, 3),
+    ("dominating-set", 10, 2, 2, True, "no-instance", None, 7, 2, 3),
+    ("dominating-set", 10, 2, 2, False, "no-instance", None, 7, 2, 3),
+    ("dominating-set", 13, 3, 4, True, "found", [0, 4, 5, 8], 21, 4, 4),
+    ("dominating-set", 13, 3, 4, False, "found", [0, 4, 5, 8], 21, 4, 4),
+    ("dominating-set", 13, 3, 3, True, "no-instance", None, 20, 3, 4),
+    ("dominating-set", 13, 3, 3, False, "no-instance", None, 20, 3, 4),
+    ("set-cover", 7, 1, 3, True, "found", [0, 3, 4], 10, 3, 4),
+    ("set-cover", 7, 1, 3, False, "found", [0, 3, 4], 14, 3, 4),
+    ("set-cover", 7, 1, 2, True, "no-instance", None, 5, 1, 4),
+    ("set-cover", 7, 1, 2, False, "no-instance", None, 11, 2, 4),
+    ("set-cover", 10, 2, 4, True, "found", [3, 5, 7, 8], 16, 4, 4),
+    ("set-cover", 10, 2, 4, False, "found", [3, 5, 7, 8], 16, 4, 4),
+    ("set-cover", 10, 2, 3, True, "no-instance", None, 11, 2, 4),
+    ("set-cover", 10, 2, 3, False, "no-instance", None, 15, 3, 4),
+    ("set-cover", 13, 3, 6, True, "found", [1, 2, 5, 6, 9, 10], 64, 6, 6),
+    ("set-cover", 13, 3, 6, False, "found", [1, 2, 5, 6, 9, 10], 64, 6, 6),
+    ("set-cover", 13, 3, 5, True, "no-instance", None, 63, 5, 6),
+    ("set-cover", 13, 3, 5, False, "no-instance", None, 63, 5, 6),
+    ("independent-set", 7, 1, 4, True, "found", [0, 2, 3, 6], 5, 4, 4),
+    ("independent-set", 7, 1, 4, False, "found", [0, 2, 3, 6], 5, 4, 4),
+    ("independent-set", 7, 1, 5, True, "no-instance", None, 16, 4, 4),
+    ("independent-set", 7, 1, 5, False, "no-instance", None, 16, 4, 4),
+    ("independent-set", 10, 2, 6, True, "found", [0, 1, 5, 7, 8, 9], 7, 6, 6),
+    ("independent-set", 10, 2, 6, False, "found", [0, 1, 5, 7, 8, 9], 7, 6, 6),
+    ("independent-set", 10, 2, 7, True, "no-instance", None, 64, 6, 6),
+    ("independent-set", 10, 2, 7, False, "no-instance", None, 64, 6, 6),
+    ("independent-set", 13, 3, 7, True, "found", [1, 2, 3, 4, 6, 7, 12], 8, 7, 7),
+    ("independent-set", 13, 3, 7, False, "found", [1, 2, 3, 4, 6, 7, 12], 8, 7, 7),
+    ("independent-set", 13, 3, 8, True, "no-instance", None, 128, 7, 7),
+    ("independent-set", 13, 3, 8, False, "no-instance", None, 128, 7, 7),
+    ("clique", 7, 1, 3, True, "found", [0, 1, 4], 4, 3, 3),
+    ("clique", 7, 1, 3, False, "found", [0, 1, 4], 4, 3, 3),
+    ("clique", 7, 1, 4, True, "no-instance", None, 11, 3, 3),
+    ("clique", 7, 1, 4, False, "no-instance", None, 11, 3, 3),
+    ("clique", 10, 2, 4, True, "found", [2, 4, 5, 6], 5, 4, 4),
+    ("clique", 10, 2, 4, False, "found", [2, 4, 5, 6], 5, 4, 4),
+    ("clique", 10, 2, 5, True, "no-instance", None, 23, 4, 4),
+    ("clique", 10, 2, 5, False, "no-instance", None, 23, 4, 4),
+    ("clique", 13, 3, 4, True, "found", [0, 3, 9, 10], 5, 4, 4),
+    ("clique", 13, 3, 4, False, "found", [0, 3, 9, 10], 5, 4, 4),
+    ("clique", 13, 3, 5, True, "no-instance", None, 16, 4, 4),
+    ("clique", 13, 3, 5, False, "no-instance", None, 16, 4, 4),
+]
+
+
+@pytest.mark.parametrize("kind", sorted({row[0] for row in PINNED_TREES}))
+def test_search_tree_pinned(kind):
+    for _, n, seed, k, prune, outcome, solution, nodes, depth, arity in (
+        row for row in PINNED_TREES if row[0] == kind
+    ):
+        pk = sf.ProblemKind(kind)
+        data = (
+            generate_setsystem(n, n, 4, seed)
+            if pk is sf.ProblemKind.SET_COVER
+            else generate_gnp(n, 0.5 if pk is sf.ProblemKind.CLIQUE else 0.3, seed)
+        )
+        p = sf.make_problem(pk, data)
+        solve = sf.branch_solve_min if p.goal is sf.Goal.MINIMIZE else sf.branch_solve_max
+        rep = solve(p, sf.DEFAULT_ORACLE[pk], sf.BranchConfig(budget_k=k, prune_enabled=prune))
+        got = (
+            rep.outcome.value,
+            None if rep.solution is None else sorted(rep.solution),
+            rep.nodes_expanded,
+            rep.max_depth,
+            rep.max_arity,
+        )
+        assert got == (outcome, solution, nodes, depth, arity), (n, seed, k, prune)
 
 
 def _conforming_max(p, oracle, k):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -214,6 +215,22 @@ class TestRestriction:
         assert (r2.alive, r2.chosen) == (0b111010, 0b000101)
         with pytest.raises(ValueError):
             r2.restrict(2)  # already chosen
+
+    @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
+    def test_restriction_keeps_every_root_field(self, kind):
+        set_kind = kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING)
+        p = sf.make_problem(kind, random_system(6, 6, 3, 77) if set_kind else random_graph(6, 0.5, 77))
+        own = {"feasible_mask", "feasible_batch", "alive", "chosen", "root"}
+        shared = [f.name for f in dataclasses.fields(sf.SubsetProblem) if f.name not in own]
+        assert {"label", "goal", "kind", "data", "restrict_fn"} <= set(shared)
+        child = next(c for c in map(p.restrict, sf.iter_bits(p.alive)) if c.alive)
+        grandchild = child.restrict(min(sf.iter_bits(child.alive)))
+        for sub in (child, grandchild):
+            assert type(sub) is sf.SubsetProblem and sub.root is p
+            assert vars(sub).keys() == vars(p).keys()
+            for name in shared:
+                assert getattr(sub, name) is getattr(p, name), (kind, name)
+            assert sub.feasible_batch is None
 
     @pytest.mark.parametrize("kind", RESTRICTABLE_GRAPH_KINDS)
     def test_restriction_commutes_all_graphs_up_to_5(self, kind):
