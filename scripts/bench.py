@@ -9,8 +9,8 @@ and opt - 1), a small seeded list per restrictable kind with a default
 oracle at k = opt and the adjacent NO budget, and the G(50, 0.1) instance
 at k = 29 and 28 under a 2,000-node cap.
 
-Stdlib timing only: a layer is the median over --repeat `timeit` runs, a
-cost per node the median over --repeat passes of its list.  The result goes
+Stdlib timing only: a layer is the median over REPEAT `timeit` runs, a
+cost per node the median over REPEAT passes of its list.  The result goes
 under --label in --out, next to what the file already holds, with the
 machine and the Python and numpy versions, so that two trees can be set side
 by side:
@@ -35,13 +35,14 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 NODE_CAP = 2_000
 KIND_INSTANCES = 24
+REPEAT = 5
 
 
-def _median_us(stmt, number: int, repeat: int) -> float:
-    return statistics.median(timeit.repeat(stmt, number=number, repeat=repeat)) / number * 1e6
+def _median_us(stmt, number: int) -> float:
+    return statistics.median(timeit.repeat(stmt, number=number, repeat=REPEAT)) / number * 1e6
 
 
-def layers(sf, repeat: int) -> dict:
+def layers(sf) -> dict:
     from subsetfpt.io import generate_gnp, generate_setsystem
 
     g = generate_gnp(50, 0.1, 70000)
@@ -53,20 +54,20 @@ def layers(sf, repeat: int) -> dict:
     vc = probs[K.VERTEX_COVER]
     cover = sf.mask_of(sf.DEFAULT_ORACLE[K.VERTEX_COVER].run(vc))
     out = {
-        "restrict.vertex-cover": _median_us(lambda: vc.restrict(0), 20_000, repeat),
+        "restrict.vertex-cover": _median_us(lambda: vc.restrict(0), 20_000),
         "restrict.independent-set": _median_us(
-            lambda: probs[K.INDEPENDENT_SET].restrict(0), 20_000, repeat),
-        "feasible_mask.feasible": _median_us(lambda: vc.feasible_mask(cover), 20_000, repeat),
-        "feasible_mask.infeasible": _median_us(lambda: vc.feasible_mask(0x3FF), 20_000, repeat),
+            lambda: probs[K.INDEPENDENT_SET].restrict(0), 20_000),
+        "feasible_mask.feasible": _median_us(lambda: vc.feasible_mask(cover), 20_000),
+        "feasible_mask.infeasible": _median_us(lambda: vc.feasible_mask(0x3FF), 20_000),
     }
     for kind, p in probs.items():
         oracle = sf.DEFAULT_ORACLE[kind]
-        out[f"run.{oracle.name}"] = _median_us(lambda: oracle.run(p), 2_000, repeat)
-        out[f"ratio.{oracle.name}"] = _median_us(lambda: oracle.ratio(p), 2_000, repeat)
+        out[f"run.{oracle.name}"] = _median_us(lambda: oracle.run(p), 2_000)
+        out[f"ratio.{oracle.name}"] = _median_us(lambda: oracle.ratio(p), 2_000)
     # The engine's prune test once the oracle has run: |sol| > ratio * (k - depth).
     sol, r, k, depth = cover.bit_count(), sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc), 29, 3
     out["prune_test"] = _median_us(
-        lambda: sol * r.denominator > r.numerator * (k - depth), 200_000, repeat)
+        lambda: sol * r.denominator > r.numerator * (k - depth), 200_000)
     return out
 
 
@@ -106,10 +107,10 @@ def _gnp50(sf) -> list:
     return [(p, 29, NODE_CAP), (p, 28, NODE_CAP)]
 
 
-def per_node(sf, ops: list, repeat: int) -> tuple[float, int]:
+def per_node(sf, ops: list) -> tuple[float, int]:
     """(µs per node, nodes of one pass) over (problem, k, node cap) triples."""
     times, nodes = [], 0
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         nodes, t0 = 0, perf_counter()
         for p, k, cap in ops:
             solve = sf.branch_solve_min if p.goal is sf.Goal.MINIMIZE else sf.branch_solve_max
@@ -134,7 +135,6 @@ def main(argv=None) -> int:
     ap.add_argument("--src", default=str(ROOT / "src"), help="the src/ directory to import subsetfpt from")
     ap.add_argument("--label", required=True, help="key of this run in --out, e.g. parent or change")
     ap.add_argument("--out", required=True, help="JSON file to write or merge into")
-    ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy as np
@@ -146,13 +146,13 @@ def main(argv=None) -> int:
         sf.ProblemKind.INDEPENDENT_SET, sf.ProblemKind.CLIQUE)})
     us_per_node, nodes = {}, {}
     for name, ops in lists.items():
-        us_per_node[name], nodes[name] = per_node(sf, ops, args.repeat)
+        us_per_node[name], nodes[name] = per_node(sf, ops)
     result = {
         "env": {"machine": platform.machine(), "cpu": _cpu_model(), "cpus": os.cpu_count(),
                 "platform": platform.platform(), "python": platform.python_version(),
                 "numpy": np.__version__},
-        "repeat": args.repeat,
-        "layers_us": {k: round(v, 3) for k, v in layers(sf, args.repeat).items()},
+        "repeat": REPEAT,
+        "layers_us": {k: round(v, 3) for k, v in layers(sf).items()},
         "us_per_node": {k: round(v, 2) for k, v in us_per_node.items()},
         "nodes": nodes,
     }

@@ -25,6 +25,7 @@ from .core import (
     Infeasible,
     InfeasibleInstance,
     SubsetProblem,
+    UnsupportedRestriction,
     brute_force_optimum,
     dualize,
     is_feasible,
@@ -48,7 +49,7 @@ from .io import (
     render_graph,
     render_setsystem,
 )
-from .problems import Goal, Graph, ProblemKind, SetSystem, make_problem
+from .problems import GOALS, RESTRICTABLE, Goal, Graph, ProblemKind, SetSystem, make_problem
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -257,15 +258,19 @@ def _gen_instance(args, kind: ProblemKind, seed: int):
 
 def cmd_experiment(args, kind, fmt, seed: int) -> int:
     """One record per (instance, run); aggregate row at the end.  The flags
-    are checked once, before the first instance.  Only an infeasible
-    instance is a row error; nothing is written until the last instance has
-    run, so any other error leaves one error line only."""
-    records: list[dict] = []
+    are checked once, before the first instance; only an infeasible instance
+    is a row error.  Any other error depends on the flags alone and is
+    raised by the first instance before its row is written."""
     ratios: list[Fraction] = []
     verdicts: dict[str, int] = {}
     agree = 0
+    rows = 0
     errors = 0
     oracle = None if args.run == "solve" else _oracle(args, kind)
+    if args.run in ("dual", "branch") and oracle.goal is not GOALS[kind]:
+        raise ValueError("oracle goal must match the problem's goal")
+    if args.run == "branch" and kind not in RESTRICTABLE:
+        raise UnsupportedRestriction(f"{kind.value} has no restriction operator")
     if args.run == "dual":
         cfg = SchemaConfig(epsilon=_epsilon(args.epsilon), brute_cap=args.brute_cap)
     elif args.run == "branch":
@@ -276,7 +281,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
         p = make_problem(kind, data)
         rec = {"command": f"experiment/{args.run}", "problem": kind.value,
                "index": i, "seed": inst_seed, "n": p.universe_size}
-        records.append(rec)
+        rows += 1
         try:
             if args.run == "dual":
                 out = dual_approx(p, oracle, cfg)
@@ -316,8 +321,9 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
         except InfeasibleInstance as exc:
             rec.update(outcome="error", error=str(exc))
             errors += 1
+        _emit(rec, fmt)
     agg = {"command": f"experiment/{args.run}", "record": "aggregate",
-           "rows": len(records), "errors": errors}
+           "rows": rows, "errors": errors}
     if ratios:
         agg["min_ratio"] = str(min(ratios))
         agg["mean_ratio"] = str(sum(ratios) / len(ratios))
@@ -325,8 +331,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
         agg["verdicts"] = dict(sorted(verdicts.items()))
     if args.run == "branch":
         agg["agreements"] = agree
-    for rec in records + [agg]:
-        _emit(rec, fmt)
+    _emit(agg, fmt)
     return EXIT_OK
 
 

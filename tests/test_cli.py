@@ -348,8 +348,10 @@ class TestExperimentCommand:
             ["--run", "dual", "--epsilon", "2"],
             ["--run", "dual", "--brute-cap", "0"],
             ["--run", "branch", "--node-cap", "0"],
+            ["--problem", "min-independent-dominating-set", "--run", "branch"],
         ],
-        ids=["oracle", "oracle-check", "oracle-goal", "epsilon", "brute-cap", "node-cap"],
+        ids=["oracle", "oracle-check", "oracle-goal", "epsilon", "brute-cap", "node-cap",
+             "no-restriction"],
     )
     def test_invalid_flag_is_one_error_line(self, run, flags):
         code, out, err = run(["experiment", "--count", "2", "--n", "6"] + flags)
@@ -456,7 +458,7 @@ def _call(argv, stdin_text):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=360, deadline=None)
 @given(cli_call())
 def test_fuzz_one_record_or_one_error_line(call):
     argv, text = call
