@@ -7,13 +7,16 @@ restriction I(e), the scalar predicate on a feasible and an infeasible mask,
 node: the criterion-02 instance list (500 G(n, p) vertex covers at k = opt
 and opt - 1), a small seeded list per restrictable kind with a default
 oracle at k = opt and the adjacent NO budget, and the G(50, 0.1) instance
-at k = 29 and 28 under a 2,000-node cap.
+at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
+subsetfpt.cli` alone, and `python -m subsetfpt.cli <sub>` for each of the
+seven subcommands on a small fixed instance, each in fresh interpreters run
+one after another.
 
 Stdlib timing only: a layer is the median over REPEAT `timeit` runs, a
-cost per node the median over REPEAT passes of its list.  The result goes
-under --label in --out, next to what the file already holds, with the
-machine and the Python and numpy versions, so that two trees can be set side
-by side:
+cost per node the median over REPEAT passes of its list, a cold start the
+median over REPEAT interpreters.  The result goes under --label in --out,
+next to what the file already holds, with the machine and the Python and
+numpy versions, so that two trees can be set side by side:
 
     python3 scripts/bench.py --src ../parent/src --label parent --out BENCH.json
     python3 scripts/bench.py --label change --out BENCH.json
@@ -27,6 +30,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import timeit
 from pathlib import Path
@@ -36,6 +40,16 @@ ROOT = Path(__file__).resolve().parent.parent
 NODE_CAP = 2_000
 KIND_INSTANCES = 24
 REPEAT = 5
+# argv of one cold-start call per CLI subcommand; the instance comes on stdin.
+CLI_CALLS = {
+    "solve": ["solve", "-"],
+    "approx": ["approx", "-"],
+    "branch": ["branch", "-", "--k", "4"],
+    "dual": ["dual", "-", "--epsilon", "1/2"],
+    "check-intersective": ["check-intersective", "-"],
+    "gen": ["gen", "--model", "gnp", "--n", "8"],
+    "experiment": ["experiment", "--run", "solve", "--count", "2", "--n", "8"],
+}
 
 
 def _median_us(stmt, number: int) -> float:
@@ -120,6 +134,28 @@ def per_node(sf, ops: list) -> tuple[float, int]:
     return statistics.median(times) / nodes * 1e6, nodes
 
 
+def _cold_ms(argv: list, src: Path, stdin: str = "") -> float:
+    """Median wall time in ms of REPEAT fresh `python argv` processes."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    times = []
+    for _ in range(REPEAT):
+        t0 = perf_counter()
+        subprocess.run([sys.executable, *argv], env=env, input=stdin, capture_output=True,
+                       text=True, check=True)
+        times.append(perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def cold_start(src: Path) -> dict:
+    from subsetfpt.io import generate_gnp, render_graph
+
+    text = render_graph(generate_gnp(8, 0.4, 3))  # vertex cover optimum 4
+    out = {"import": _cold_ms(["-c", "import subsetfpt.cli"], src)}
+    for sub, argv in CLI_CALLS.items():
+        out[sub] = _cold_ms(["-m", "subsetfpt.cli", *argv], src, text)
+    return out
+
+
 def _cpu_model() -> str:
     try:
         for line in open("/proc/cpuinfo"):
@@ -136,7 +172,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="key of this run in --out, e.g. parent or change")
     ap.add_argument("--out", required=True, help="JSON file to write or merge into")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
     import numpy as np
     import subsetfpt as sf
 
@@ -155,6 +192,7 @@ def main(argv=None) -> int:
         "layers_us": {k: round(v, 3) for k, v in layers(sf).items()},
         "us_per_node": {k: round(v, 2) for k, v in us_per_node.items()},
         "nodes": nodes,
+        "cold_start_ms": {k: round(v, 1) for k, v in cold_start(src).items()},
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

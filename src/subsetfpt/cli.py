@@ -28,10 +28,9 @@ from .core import (
     UnsupportedRestriction,
     brute_force_optimum,
     dualize,
-    is_feasible,
 )
 from .approx import DEFAULT_ORACLE, ORACLES, ApproxOracle
-from .dualschema import SchemaConfig, SchemaOutcome, SchemaPath, dual_approx
+from .dualschema import SchemaConfig, SchemaPath, dual_approx
 from .intersective import (
     BranchConfig,
     BranchOutcome,
@@ -49,16 +48,17 @@ from .io import (
     render_graph,
     render_setsystem,
 )
-from .problems import GOALS, RESTRICTABLE, Goal, Graph, ProblemKind, SetSystem, make_problem
+from .problems import GOALS, RESTRICTABLE, SET_KINDS, Goal, ProblemKind, make_problem
 
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-GRAPH_KINDS = {
-    k for k in ProblemKind if k not in (ProblemKind.SET_COVER, ProblemKind.SET_PACKING)
-}
+BRANCH_EXIT = {BranchOutcome.FOUND: EXIT_OK, BranchOutcome.NO_INSTANCE: EXIT_NO,
+               BranchOutcome.NODE_CAP_EXCEEDED: EXIT_BUDGET}
+VERDICT_EXIT = {Verdict.INTERSECTIVE: EXIT_OK, Verdict.NOT_INTERSECTIVE: EXIT_NO,
+                Verdict.INCONCLUSIVE: EXIT_BUDGET}
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -77,27 +77,41 @@ def _solution_1based(sol) -> Optional[list[int]]:
 
 
 def _read_instance(path: str, kind: ProblemKind):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    if kind in GRAPH_KINDS:
-        parsed = parse_graph(text)
-        if parsed.dropped_duplicates or parsed.dropped_self_loops:
-            print(
-                f"warning: dropped {parsed.dropped_duplicates} duplicate edge(s), "
-                f"{parsed.dropped_self_loops} self-loop(s)",
-                file=sys.stderr,
-            )
-        return parsed.graph
-    return parse_setsystem(text)
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as f:
+            text = f.read()
+    if kind in SET_KINDS:
+        return parse_setsystem(text)
+    parsed = parse_graph(text)
+    if parsed.dropped_duplicates or parsed.dropped_self_loops:
+        print(
+            f"warning: dropped {parsed.dropped_duplicates} duplicate edge(s), "
+            f"{parsed.dropped_self_loops} self-loop(s)",
+            file=sys.stderr,
+        )
+    return parsed.graph
+
+
+def _generate(args, set_system: bool, seed: int):
+    if set_system:
+        return generate_setsystem(args.ground, args.sets, args.max_size, seed)
+    return generate_gnp(args.n, args.p, seed)
 
 
 def _oracle(args, kind: ProblemKind) -> ApproxOracle:
-    if getattr(args, "oracle", None):
+    if args.oracle:
         if args.oracle not in ORACLES:
             raise ParseError(f"unknown oracle {args.oracle!r}; choose from {sorted(ORACLES)}")
         return ORACLES[args.oracle]
     if kind not in DEFAULT_ORACLE:
         raise ParseError(f"no default oracle for problem kind {kind.value!r}")
     return DEFAULT_ORACLE[kind]
+
+
+def _branch_solver(p: SubsetProblem):
+    return branch_solve_min if p.goal is Goal.MINIMIZE else branch_solve_max
 
 
 def _epsilon(text: str) -> Fraction:
@@ -107,71 +121,55 @@ def _epsilon(text: str) -> Fraction:
         raise ValueError(f"epsilon {text!r} has a zero denominator")
 
 
-def _infeasible(rec: dict, fmt: str) -> int:
-    rec.update(outcome="infeasible")
+def run_instance_command(body, args, kind: ProblemKind, fmt: str) -> int:
+    """The steps every instance subcommand shares: read the instance, build
+    the problem, resolve the oracle (subcommands with --oracle), then let
+    `body(args, p, oracle, rec)` add its fields to the base record and return
+    the exit code.  An infeasible instance ends the record with
+    `outcome: infeasible` and exit 1.  Exactly one record is emitted."""
+    p = make_problem(kind, _read_instance(args.instance, kind))
+    oracle = _oracle(args, kind) if "oracle" in args else None
+    rec = {"command": args.cmd, "problem": kind.value, "n": p.universe_size}
+    if kind in SET_KINDS:
+        rec.update(n_ground=p.data.n_ground, m=p.data.m)
+    try:
+        code = body(args, p, oracle, rec)
+    except InfeasibleInstance:
+        rec["outcome"] = "infeasible"
+        code = EXIT_NO
     _emit(rec, fmt)
-    return EXIT_NO
+    return code
 
 
-def _base_record(args, kind: ProblemKind, p: SubsetProblem, command: str) -> dict:
-    rec = {"command": command, "problem": kind.value, "n": p.universe_size}
-    data = p.data
-    if isinstance(data, SetSystem):
-        rec["n_ground"] = data.n_ground
-        rec["m"] = data.m
-    return rec
-
-
-def cmd_solve(args, kind, fmt) -> int:
-    data = _read_instance(args.instance, kind)
-    p = make_problem(kind, data)
-    rec = _base_record(args, kind, p, "solve")
+def cmd_solve(args, p, oracle, rec) -> int:
     res = brute_force_optimum(p, budget=args.budget)
     if isinstance(res, BudgetExceeded):
         rec.update(outcome="budget-exceeded", budget=args.budget)
-        _emit(rec, fmt)
         return EXIT_BUDGET
     if isinstance(res, Infeasible):
-        return _infeasible(rec, fmt)
+        raise InfeasibleInstance
     rec.update(outcome="optimal", value=res.value, solution=_solution_1based(res.members))
-    _emit(rec, fmt)
     return EXIT_OK
 
 
-def cmd_approx(args, kind, fmt) -> int:
-    data = _read_instance(args.instance, kind)
-    p = make_problem(kind, data)
-    oracle = _oracle(args, kind)
-    rec = _base_record(args, kind, p, "approx")
+def cmd_approx(args, p, oracle, rec) -> int:
     rec["oracle"] = oracle.name
-    try:
-        sol = oracle.run(p)
-    except InfeasibleInstance:
-        return _infeasible(rec, fmt)
+    sol = oracle.run(p)
     rec.update(
         outcome="solution",
         value=len(sol),
         ratio=str(oracle.ratio(p)),
         solution=_solution_1based(sol),
     )
-    _emit(rec, fmt)
     return EXIT_OK
 
 
-def cmd_branch(args, kind, fmt) -> int:
-    data = _read_instance(args.instance, kind)
-    p = make_problem(kind, data)
-    oracle = _oracle(args, kind)
+def cmd_branch(args, p, oracle, rec) -> int:
     cfg = BranchConfig(
         budget_k=args.k, node_cap=args.node_cap, prune_enabled=not args.no_prune
     )
-    solver = branch_solve_min if p.goal is Goal.MINIMIZE else branch_solve_max
-    rec = _base_record(args, kind, p, "branch")
     rec.update(oracle=oracle.name, k=args.k)
-    try:
-        report = solver(p, oracle, cfg)
-    except InfeasibleInstance:
-        return _infeasible(rec, fmt)
+    report = _branch_solver(p)(p, oracle, cfg)
     rec.update(
         outcome=report.outcome.value,
         value=report.value,
@@ -180,28 +178,16 @@ def cmd_branch(args, kind, fmt) -> int:
         max_depth=report.max_depth,
         max_arity=report.max_arity,
     )
-    _emit(rec, fmt)
-    if report.outcome is BranchOutcome.FOUND:
-        return EXIT_OK
-    if report.outcome is BranchOutcome.NO_INSTANCE:
-        return EXIT_NO
-    return EXIT_BUDGET
+    return BRANCH_EXIT[report.outcome]
 
 
-def cmd_dual(args, kind, fmt) -> int:
-    data = _read_instance(args.instance, kind)
-    p = make_problem(kind, data)
-    oracle = _oracle(args, kind)
+def cmd_dual(args, p, oracle, rec) -> int:
     cfg = SchemaConfig(
         epsilon=_epsilon(args.epsilon),
         brute_cap=args.brute_cap,
         force_brute=args.force_brute,
     )
-    rec = _base_record(args, kind, p, "dual")
-    try:
-        out = dual_approx(p, oracle, cfg)
-    except InfeasibleInstance:
-        return _infeasible(rec, fmt)
+    out = dual_approx(p, oracle, cfg)
     rec.update(
         oracle=oracle.name,
         epsilon=str(cfg.epsilon),
@@ -212,48 +198,35 @@ def cmd_dual(args, kind, fmt) -> int:
         exact=out.exact,
     )
     rec.update(out.diagnostics)
-    _emit(rec, fmt)
     return EXIT_OK if out.path is not SchemaPath.BUDGET_EXCEEDED else EXIT_BUDGET
 
 
-def cmd_check_intersective(args, kind, fmt) -> int:
-    data = _read_instance(args.instance, kind)
-    p = make_problem(kind, data)
-    oracle = _oracle(args, kind)
-    rec = _base_record(args, kind, p, "check-intersective")
+def cmd_check_intersective(args, p, oracle, rec) -> int:
     rec["oracle"] = oracle.name
-    try:
-        report = verify_intersective(p, oracle, budget=args.budget)
-    except InfeasibleInstance:
-        return _infeasible(rec, fmt)
+    report = verify_intersective(p, oracle, budget=args.budget)
     rec.update(
         verdict=report.verdict.value,
         oracle_solution=_solution_1based(report.oracle_solution),
         optima_checked=report.optima_checked,
         intersecting_optimum=_solution_1based(report.intersecting_optimum),
     )
-    _emit(rec, fmt)
-    if report.verdict is Verdict.INTERSECTIVE:
-        return EXIT_OK
-    if report.verdict is Verdict.NOT_INTERSECTIVE:
-        return EXIT_NO
-    return EXIT_BUDGET
+    return VERDICT_EXIT[report.verdict]
+
+
+INSTANCE_COMMANDS = {
+    "solve": cmd_solve,
+    "approx": cmd_approx,
+    "branch": cmd_branch,
+    "dual": cmd_dual,
+    "check-intersective": cmd_check_intersective,
+}
 
 
 def cmd_gen(args, seed: int) -> int:
-    if args.model == "gnp":
-        g = generate_gnp(args.n, args.p, seed)
-        sys.stdout.write(render_graph(g))
-    else:
-        s = generate_setsystem(args.ground, args.sets, args.max_size, seed)
-        sys.stdout.write(render_setsystem(s))
+    set_system = args.model == "setsystem"
+    data = _generate(args, set_system, seed)
+    sys.stdout.write(render_setsystem(data) if set_system else render_graph(data))
     return EXIT_OK
-
-
-def _gen_instance(args, kind: ProblemKind, seed: int):
-    if kind in GRAPH_KINDS:
-        return generate_gnp(args.n, args.p, seed)
-    return generate_setsystem(args.ground, args.sets, args.max_size, seed)
 
 
 def cmd_experiment(args, kind, fmt, seed: int) -> int:
@@ -277,8 +250,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
         cfg = BranchConfig(budget_k=0, node_cap=args.node_cap)
     for i in range(args.count):
         inst_seed = seed + i
-        data = _gen_instance(args, kind, inst_seed)
-        p = make_problem(kind, data)
+        p = make_problem(kind, _generate(args, kind in SET_KINDS, inst_seed))
         rec = {"command": f"experiment/{args.run}", "problem": kind.value,
                "index": i, "seed": inst_seed, "n": p.universe_size}
         rows += 1
@@ -304,8 +276,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
                 if not isinstance(opt, EvaluatedSolution):
                     rec.update(outcome="no-reference")
                 else:
-                    solver = branch_solve_min if p.goal is Goal.MINIMIZE else branch_solve_max
-                    rep = solver(p, oracle, replace(cfg, budget_k=opt.value))
+                    rep = _branch_solver(p)(p, oracle, replace(cfg, budget_k=opt.value))
                     match = rep.outcome is BranchOutcome.FOUND and rep.value == opt.value
                     agree += int(match)
                     rec.update(opt=opt.value, outcome=rep.outcome.value,
@@ -355,57 +326,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, help, instance=True):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        if instance:
+            sp.add_argument("instance", help="instance file, or - for stdin")
+        return sp
 
-    def add_instance(sp):
-        sp.add_argument("instance", help="instance file, or - for stdin")
+    def add_oracle(sp):
+        sp.add_argument("--oracle")
 
-    sp = add_parser("solve", help="exact optimum by exhaustive search")
-    add_instance(sp)
+    def add_generator(sp):
+        sp.add_argument("--n", type=int, default=10)
+        sp.add_argument("--p", type=float, default=0.5)
+        sp.add_argument("--ground", type=int, default=8)
+        sp.add_argument("--sets", type=int, default=8)
+        sp.add_argument("--max-size", type=int, default=4)
+
+    sp = add_parser("solve", "exact optimum by exhaustive search")
     sp.add_argument("--budget", type=int, default=20)
 
-    sp = add_parser("approx", help="run one approximation oracle")
-    add_instance(sp)
-    sp.add_argument("--oracle")
+    add_oracle(add_parser("approx", "run one approximation oracle"))
 
-    sp = add_parser("branch", help="oracle-driven branching solver")
-    add_instance(sp)
+    sp = add_parser("branch", "oracle-driven branching solver")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--oracle")
+    add_oracle(sp)
     sp.add_argument("--no-prune", action="store_true")
     sp.add_argument("--node-cap", type=int, default=1_000_000)
 
-    sp = add_parser("dual", help="dual-parameter approximation schema")
-    add_instance(sp)
+    sp = add_parser("dual", "dual-parameter approximation schema")
     sp.add_argument("--epsilon", required=True, help="rational or decimal in (0,1]")
-    sp.add_argument("--oracle")
+    add_oracle(sp)
     sp.add_argument("--brute-cap", type=int, default=20)
     sp.add_argument("--force-brute", action="store_true")
 
-    sp = add_parser("check-intersective", help="verify oracle intersectivity")
-    add_instance(sp)
-    sp.add_argument("--oracle")
+    sp = add_parser("check-intersective", "verify oracle intersectivity")
+    add_oracle(sp)
     sp.add_argument("--budget", type=int, default=20)
 
-    sp = add_parser("gen", help="generate a random instance")
+    sp = add_parser("gen", "generate a random instance", instance=False)
     sp.add_argument("--model", required=True, choices=["gnp", "setsystem"])
-    sp.add_argument("--n", type=int, default=10)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--ground", type=int, default=8)
-    sp.add_argument("--sets", type=int, default=8)
-    sp.add_argument("--max-size", type=int, default=4)
+    add_generator(sp)
 
-    sp = add_parser("experiment", help="run a command over generated instances")
+    sp = add_parser("experiment", "run a command over generated instances", instance=False)
     sp.add_argument("--run", required=True,
                     choices=["solve", "branch", "dual", "check-intersective"])
     sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--n", type=int, default=10)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--ground", type=int, default=8)
-    sp.add_argument("--sets", type=int, default=8)
-    sp.add_argument("--max-size", type=int, default=4)
-    sp.add_argument("--oracle")
+    add_generator(sp)
+    add_oracle(sp)
     sp.add_argument("--epsilon", default="1/4")
     sp.add_argument("--brute-cap", type=int, default=20)
     sp.add_argument("--budget", type=int, default=20)
@@ -415,29 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     kind = ProblemKind(getattr(args, "problem", ProblemKind.VERTEX_COVER.value))
     fmt = getattr(args, "format", "json")
     seed = getattr(args, "seed", 0)
     started = time.monotonic()
     try:
-        if args.cmd == "solve":
-            code = cmd_solve(args, kind, fmt)
-        elif args.cmd == "approx":
-            code = cmd_approx(args, kind, fmt)
-        elif args.cmd == "branch":
-            code = cmd_branch(args, kind, fmt)
-        elif args.cmd == "dual":
-            code = cmd_dual(args, kind, fmt)
-        elif args.cmd == "check-intersective":
-            code = cmd_check_intersective(args, kind, fmt)
-        elif args.cmd == "gen":
+        if args.cmd == "gen":
             code = cmd_gen(args, seed)
         elif args.cmd == "experiment":
             code = cmd_experiment(args, kind, fmt, seed)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.cmd}")
+        else:
+            code = run_instance_command(INSTANCE_COMMANDS[args.cmd], args, kind, fmt)
     except (ParseError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

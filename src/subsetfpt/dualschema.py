@@ -12,13 +12,12 @@ test, so the ratio guarantee is preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    BudgetExceeded as CoreBudgetExceeded,
     EvaluatedSolution,
     Goal,
     Infeasible,

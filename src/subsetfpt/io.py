@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .core import iter_bits
 from .problems import Graph, SetSystem

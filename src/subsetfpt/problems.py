@@ -326,9 +326,13 @@ RESTRICTABLE = frozenset(
 )
 
 
+# The kinds whose instance is a SetSystem; every other kind reads a Graph.
+SET_KINDS = frozenset({ProblemKind.SET_COVER, ProblemKind.SET_PACKING})
+
+
 def make_problem(kind: ProblemKind, data) -> SubsetProblem:
     """Wrap an instance into the uniform subset-problem contract."""
-    cls = SetSystem if kind in (ProblemKind.SET_COVER, ProblemKind.SET_PACKING) else Graph
+    cls = SetSystem if kind in SET_KINDS else Graph
     if not isinstance(data, cls):
         raise TypeError(f"{kind.value} expects {cls.__name__}, got {type(data).__name__}")
     return _BUILDERS[kind](kind, data)

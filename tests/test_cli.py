@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import subsetfpt as sf
 from subsetfpt.cli import main
+from subsetfpt.problems import SET_KINDS
 from subsetfpt.io import (
     ParseError,
     generate_gnp,
@@ -380,6 +383,100 @@ def test_stdout_byte_identical_across_runs(run, argv, stdin_text):
     assert out1 == out2
 
 
+# Instances for the pinned cases: drawn by the generators, so these cases
+# also pin `generate_gnp` and `generate_setsystem`.
+G6 = render_graph(generate_gnp(6, 0.3, 0))  # dual: approx at ε = 1/2, brute at 1/10
+G6B = render_graph(generate_gnp(6, 0.3, 1))
+G6_NOT = render_graph(generate_gnp(6, 0.4, 60))  # greedy-mis is not intersective here
+G8 = render_graph(generate_gnp(8, 0.4, 3))
+G10 = render_graph(generate_gnp(10, 0.3, 0))
+G10B = render_graph(generate_gnp(10, 0.3, 2))
+G12 = render_graph(generate_gnp(12, 0.5, 5))
+G25 = render_graph(generate_gnp(25, 0.2, 1))
+S6 = render_setsystem(generate_setsystem(6, 6, 4, 0))
+
+# (argv, stdin, exit code, sha256(stdout)[:16]); every outcome, every kind in
+# json and text, each experiment run and both gen models.
+PINNED = [
+    (["--problem", "vertex-cover", "solve", "-"], G8, 0, "08b0e8de591f26a8"),
+    (["--format", "text", "--problem", "vertex-cover", "solve", "-"], G8, 0, "4c1f655f3759b355"),
+    (["--problem", "independent-set", "solve", "-"], G8, 0, "06cd9b6e631253ea"),
+    (["--format", "text", "--problem", "independent-set", "solve", "-"], G8, 0, "a2d5e04c8828f132"),
+    (["--problem", "clique", "solve", "-"], G8, 0, "f7f1c78d9e79991e"),
+    (["--format", "text", "--problem", "clique", "solve", "-"], G8, 0, "8026ce6753e29376"),
+    (["--problem", "dominating-set", "solve", "-"], G8, 0, "d20fb583b51cd91f"),
+    (["--format", "text", "--problem", "dominating-set", "solve", "-"], G8, 0, "edd7b476f982061a"),
+    (["--problem", "set-cover", "solve", "-"], S6, 0, "1a62824eec1283c6"),
+    (["--format", "text", "--problem", "set-cover", "solve", "-"], S6, 0, "9d0c29030e9073e8"),
+    (["--problem", "set-packing", "solve", "-"], S6, 0, "d060277ab8e94ea1"),
+    (["--format", "text", "--problem", "set-packing", "solve", "-"], S6, 0, "f3a3b048a4d6e221"),
+    (["--problem", "feedback-vertex-set", "solve", "-"], G8, 0, "a280b80768bd0aaf"),
+    (["--format", "text", "--problem", "feedback-vertex-set", "solve", "-"], G8, 0, "7771e9348fd7008d"),
+    (["--problem", "max-minimal-vertex-cover", "solve", "-"], G8, 0, "5caabe35dda13871"),
+    (["--format", "text", "--problem", "max-minimal-vertex-cover", "solve", "-"], G8, 0, "ca366f83492d69a9"),
+    (["--problem", "min-independent-dominating-set", "solve", "-"], G8, 0, "8a67d141105c3925"),
+    (["--format", "text", "--problem", "min-independent-dominating-set", "solve", "-"], G8, 0, "960b118540c5a351"),
+    (["solve", "-"], TRIANGLE_DIMACS, 0, "61edc95cf32cfa87"),
+    (["--problem", "set-cover", "solve", "-"], UNCOVERABLE_SYS, 1, "54cf0d804ae245ab"),
+    (["--format", "text", "--problem", "set-cover", "solve", "-"], UNCOVERABLE_SYS, 1, "99e0b0caddebb6b3"),
+    (["solve", "-", "--budget", "20"], G25, 3, "53812672a53e67e7"),
+    (["solve", "-"], "p edge 2 1\ne 1 3\n", 2, "e3b0c44298fc1c14"),
+    (["approx", "-"], PATH3_DIMACS, 0, "5cba7a0eccd69c49"),
+    (["--format", "text", "approx", "-"], PATH3_DIMACS, 0, "c11a0ac777a230f0"),
+    (["--problem", "set-cover", "approx", "-"], UNCOVERABLE_SYS, 1, "761a025644257d5e"),
+    (["--problem", "feedback-vertex-set", "approx", "-", "--oracle", "matching-vc"], G8, 0, "cc591d92eccca1aa"),
+    (["--problem", "set-cover", "approx", "-"], S6, 0, "d78460289feba691"),
+    (["--format", "text", "--problem", "dominating-set", "approx", "-"], G8, 0, "b55e63cd8267801b"),
+    (["--problem", "feedback-vertex-set", "approx", "-"], G8, 2, "e3b0c44298fc1c14"),
+    (["branch", "-", "--k", "1"], PATH3_DIMACS, 0, "f63e6ff9f3a4171d"),
+    (["branch", "-", "--k", "1"], TRIANGLE_DIMACS, 1, "ebac4faefc098056"),
+    (["branch", "-", "--k", "8", "--node-cap", "3"], G12, 3, "5749ecf99e80f747"),
+    (["--problem", "set-cover", "branch", "-", "--k", "2"], UNCOVERABLE_SYS, 1, "df14e200f1f0b6c8"),
+    (["--format", "text", "--problem", "independent-set", "branch", "-", "--k", "2"], PATH3_DIMACS, 0, "caedceeccf7094d0"),
+    (["--format", "text", "--problem", "dominating-set", "branch", "-", "--k", "3", "--no-prune"], G8, 0, "6a112f3942244acd"),
+    (["--problem", "set-cover", "branch", "-", "--k", "2"], S6, 0, "11dad82699049cfd"),
+    (["--problem", "clique", "branch", "-", "--k", "3"], G8, 0, "d0394427242812d1"),
+    (["dual", "-", "--epsilon", "1/2"], G6, 0, "159d99a989445003"),
+    (["--format", "text", "dual", "-", "--epsilon", "1/2"], G6, 0, "2a1d5c1c3bd77747"),
+    (["dual", "-", "--epsilon", "1/10"], G6, 0, "e7c45f0e124240ca"),
+    (["dual", "-", "--epsilon", "1/2", "--brute-cap", "8"], G10, 3, "2ef41154e1e04bef"),
+    (["--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], UNCOVERABLE_SYS, 1, "162a8062127b8811"),
+    (["--problem", "dominating-set", "dual", "-", "--epsilon", "1/2"], G6B, 0, "93b2b65d02528281"),
+    (["--format", "text", "--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], S6, 0, "95c4c556af6c4de7"),
+    (["dual", "-", "--epsilon", "1/2", "--force-brute"], G6, 0, "d70fabe8cc8fcbf7"),
+    (["check-intersective", "-"], TRIANGLE_DIMACS, 0, "b8345d79f3f8a09a"),
+    (["--format", "text", "check-intersective", "-"], TRIANGLE_DIMACS, 0, "554e81a9fb2319f3"),
+    (["--problem", "independent-set", "check-intersective", "-"], G6_NOT, 1, "acab04fb6cc1a279"),
+    (["check-intersective", "-", "--budget", "5"], G10B, 3, "af43bacd5a10c8b7"),
+    (["--problem", "set-cover", "check-intersective", "-"], UNCOVERABLE_SYS, 1, "851302b56ba64ec5"),
+    (["--format", "text", "--problem", "clique", "check-intersective", "-"], G8, 0, "de8012591329f566"),
+    (["--seed", "3", "experiment", "--run", "solve", "--count", "3", "--n", "6"], None, 0, "b60aa1bdd9b7c5ca"),
+    (["--seed", "3", "experiment", "--run", "branch", "--count", "3", "--n", "7"], None, 0, "cfab784d4c268185"),
+    (["--seed", "11", "experiment", "--run", "dual", "--count", "3", "--n", "8", "--epsilon", "1/2"], None, 0, "34c15da36370ef0a"),
+    (["--seed", "5", "experiment", "--run", "check-intersective", "--count", "3", "--n", "6"], None, 0, "99e162e7dfe498e0"),
+    (["--format", "text", "--problem", "set-cover", "--seed", "2", "experiment", "--run", "branch", "--count", "3"], None, 0, "c394f76afdb0b089"),
+    (["--format", "text", "--seed", "4", "experiment", "--run", "dual", "--count", "2", "--n", "7"], None, 0, "2ff2b01d801d6811"),
+    (["--seed", "9", "gen", "--model", "gnp", "--n", "8"], None, 0, "b79ff584140d4a96"),
+    (["--seed", "9", "gen", "--model", "setsystem"], None, 0, "040ac10b534eae4d"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin_text,code,digest", PINNED)
+def test_stdout_pinned(run, argv, stdin_text, code, digest):
+    got_code, out, _ = run(argv, stdin_text)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
+def test_instance_file_is_closed(run, tmp_path):
+    path = tmp_path / "triangle.dimacs"
+    path.write_text(TRIANGLE_DIMACS)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, _ = run(["solve", str(path)])
+    assert code == 0 and json.loads(out)["value"] == 2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 # --- fuzz: every accepted argv ends in one record or one error line -------
 
 
@@ -421,7 +518,7 @@ def experiment_argv(draw, kind):
 @st.composite
 def cli_call(draw):
     kind = draw(st.sampled_from(list(sf.ProblemKind)))
-    set_kind = kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING)
+    set_kind = kind in SET_KINDS
     text = draw(
         st.one_of(
             set_system_text() if set_kind else graph_text(),
@@ -477,3 +574,11 @@ def test_fuzz_one_record_or_one_error_line(call):
         lines = out.splitlines()
         assert len(lines) == 1
         assert isinstance(json.loads(lines[0]), dict)
+    # The same call in text form: same exit code, one line per record, and
+    # each line's key= fields in the JSON record's key order.
+    text_code, text_out, _ = _call(["--format", "text"] + argv, text)
+    assert text_code == code
+    assert len(text_out.splitlines()) == len(out.splitlines())
+    for json_line, text_line in zip(out.splitlines(), text_out.splitlines()):
+        keys = [field.split("=", 1)[0] for field in text_line.split("\t")]
+        assert keys == list(json.loads(json_line))
