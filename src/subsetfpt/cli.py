@@ -187,9 +187,9 @@ def cmd_dual(args, p, oracle, rec) -> int:
         brute_cap=args.brute_cap,
         force_brute=args.force_brute,
     )
+    rec["oracle"] = oracle.name
     out = dual_approx(p, oracle, cfg)
     rec.update(
-        oracle=oracle.name,
         epsilon=str(cfg.epsilon),
         path=out.path.value,
         dual_value=out.dual_value,
@@ -296,7 +296,10 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
     agg = {"command": f"experiment/{args.run}", "record": "aggregate",
            "rows": rows, "errors": errors}
     if ratios:
-        agg["min_ratio"] = str(min(ratios))
+        # The worst row for the dual's goal: the least ratio of a maximized
+        # dual (min_ratio), the greatest of a minimized one (max_ratio).
+        worst = min if GOALS[kind] is Goal.MINIMIZE else max
+        agg[f"{worst.__name__}_ratio"] = str(worst(ratios))
         agg["mean_ratio"] = str(sum(ratios) / len(ratios))
     if verdicts:
         agg["verdicts"] = dict(sorted(verdicts.items()))

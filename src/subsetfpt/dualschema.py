@@ -40,7 +40,6 @@ class SchemaPath(Enum):
 class SchemaConfig:
     epsilon: Fraction
     brute_cap: int = 20
-    k_upper_hint: Optional[int] = None
     force_brute: bool = False
 
     def __post_init__(self):
@@ -115,9 +114,9 @@ def dual_approx(
         diag["surrogate_k"] = k_prime
     else:
         c = threshold_max(rho, eps)
-        k_ub = min(n, math.ceil(k_prime / rho))
-        if cfg.k_upper_hint is not None:
-            k_ub = min(k_ub, cfg.k_upper_hint)
+        # k' >= rho*k bounds k from above; so does the kind's own bound.
+        bound = built_in_upper_bound(p)
+        k_ub = min(n, math.ceil(k_prime / rho), n if bound is None else bound)
         take_approx = n >= c * k_ub
         diag["threshold"] = str(c)
         diag["surrogate_k"] = k_ub

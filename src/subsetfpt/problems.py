@@ -16,8 +16,9 @@ handles come in two shapes, each built by one constructor from data:
 
 Both give a scalar bitmask predicate, a numpy batch predicate and the
 restrict_fn(e) mask from which SubsetProblem.restrict builds I(e).  Min
-independent dominating set is packing(adj) and covering(N[v]); max minimal
-vertex cover is covering(edges) plus a minimality test; feedback vertex set
+independent dominating set is packing(adj) and covering(N[v]).  Max minimal
+vertex cover is its dual: S is a minimal vertex cover iff V - S is a maximal
+independent set, that is, an independent dominating set.  Feedback vertex set
 has its own cycle test.
 """
 
@@ -33,6 +34,7 @@ import numpy as np
 from .core import (
     Goal,
     SubsetProblem,
+    dualize,
     iter_bits,
     mask_of,
 )
@@ -85,9 +87,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n=n, edges=frozenset(norm), adj=tuple(adj))
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
         return max(map(int.bit_count, self.adj), default=0)
@@ -278,19 +277,6 @@ def _feedback_vertex_set(kind, g: Graph) -> SubsetProblem:
     return _problem(kind, g, lambda m: not has_cycle(g, full & ~m), None)
 
 
-def _max_minimal_vertex_cover(kind, g: Graph) -> SubsetProblem:
-    cover, cover_batch = _covering(lambda: _edge_hitters(g))
-
-    def batch(masks: np.ndarray) -> np.ndarray:
-        ok = cover_batch(masks)
-        for v in range(g.n):
-            # v droppable <=> v in S and adj[v] subset of S
-            ok &= ((masks >> v) & 1 == 0) | ((~masks & g.adj[v]) != 0)
-        return ok
-
-    return _problem(kind, g, lambda m: cover(m) and _droppable(g, m) is None, batch)
-
-
 def _min_independent_dominating_set(kind, g: Graph) -> SubsetProblem:
     independent, independent_batch = _packing(g.adj)
     dominating, dominating_batch = _covering(lambda: _closed_nbs(g))
@@ -300,6 +286,11 @@ def _min_independent_dominating_set(kind, g: Graph) -> SubsetProblem:
         lambda m: independent(m) and dominating(m),
         lambda ms: independent_batch(ms) & dominating_batch(ms),
     )
+
+
+def _max_minimal_vertex_cover(kind, g: Graph) -> SubsetProblem:
+    dual = dualize(make_problem(ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, g))
+    return _problem(kind, g, dual.feasible_mask, dual.feasible_batch)
 
 
 _BUILDERS = {

@@ -103,3 +103,13 @@ def ds_feasible_ref(g: sf.Graph, s: frozenset) -> bool:
             if (g.adj[v] >> u) & 1:
                 dominated.add(u)
     return len(dominated) == g.n
+
+
+def mmvc_feasible_ref(g: sf.Graph, s: frozenset) -> bool:
+    """S is a minimal vertex cover: it covers every edge, and every member
+    has a neighbour outside S, so no member can be dropped."""
+    neighbours = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    return vc_feasible_ref(g, s) and all(neighbours[v] - s for v in s)

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +249,17 @@ class TestDualCommand:
         assert out == ""
         assert err.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
 
+    def test_uncoverable_set_cover_record_names_oracle(self, run):
+        code, out, err = run(
+            ["--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], UNCOVERABLE_SYS
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "command": "dual", "problem": "set-cover", "n": 2, "n_ground": 3,
+            "m": 2, "oracle": "greedy-set-cover", "outcome": "infeasible",
+        }
+        assert "Traceback" not in err
+
     def test_budget_exceeded_exit_3(self, run):
         g = generate_gnp(12, 0.6, 8)
         code, out, _ = run(
@@ -327,6 +339,19 @@ class TestExperimentCommand:
         agg = rows[-1]
         assert agg["record"] == "aggregate" and agg["rows"] == 5
         assert "min_ratio" in agg
+
+    def test_dual_experiment_reports_worst_ratio_of_minimized_dual(self, run):
+        # The dual of clique minimizes, so its worst row is the largest ratio.
+        code, out, _ = run(
+            ["--problem", "clique", "--seed", "0", "experiment", "--run", "dual",
+             "--count", "6", "--n", "20", "--epsilon", "1"]
+        )
+        assert code == 0
+        *rows, agg = map(json.loads, out.splitlines())
+        ratios = [Fraction(r["achieved_ratio"]) for r in rows]
+        assert len(ratios) == 6 and min(ratios) < max(ratios)
+        assert "min_ratio" not in agg
+        assert Fraction(agg["max_ratio"]) == max(ratios)
 
     def test_zero_denominator_epsilon_exit_2(self, run):
         code, out, err = run(["experiment", "--run", "dual", "--epsilon", "1/0"])
@@ -440,7 +465,7 @@ PINNED = [
     (["--format", "text", "dual", "-", "--epsilon", "1/2"], G6, 0, "2a1d5c1c3bd77747"),
     (["dual", "-", "--epsilon", "1/10"], G6, 0, "e7c45f0e124240ca"),
     (["dual", "-", "--epsilon", "1/2", "--brute-cap", "8"], G10, 3, "2ef41154e1e04bef"),
-    (["--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], UNCOVERABLE_SYS, 1, "162a8062127b8811"),
+    (["--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], UNCOVERABLE_SYS, 1, "333923c47915f359"),
     (["--problem", "dominating-set", "dual", "-", "--epsilon", "1/2"], G6B, 0, "93b2b65d02528281"),
     (["--format", "text", "--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], S6, 0, "95c4c556af6c4de7"),
     (["dual", "-", "--epsilon", "1/2", "--force-brute"], G6, 0, "d70fabe8cc8fcbf7"),

@@ -149,16 +149,28 @@ class TestDualApprox:
         assert out.dual_solution is None and out.dual_value is None
 
     def test_upper_hint_can_enable_approx_path(self):
-        # without a hint the surrogate bound is too pessimistic; supplying
-        # the true optimum as the bound flips the dispatch
+        # k'/rho alone is too pessimistic; the clique's built-in bound
+        # (degeneracy + 1 = 2, which is omega) flips the dispatch
         g = sf.Graph.from_edges(
             6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
         )  # star: alpha = 5
         p = sf.make_problem(sf.ProblemKind.CLIQUE, g)
         oracle = sf.ORACLES["greedy-clique"]
+        assert sf.built_in_upper_bound(p) == 2
         # omega = 2; threshold_max(1/6, 1) = 11/6, and 6 >= 11/6 * 2
-        out = sf.dual_approx(p, oracle, sf.SchemaConfig(F(1), k_upper_hint=2))
+        out = sf.dual_approx(p, oracle, sf.SchemaConfig(F(1)))
         assert out.path is sf.SchemaPath.APPROX
+        assert out.diagnostics["surrogate_k"] == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clique_bound_takes_approx_path_on_larger_graphs(self, seed):
+        # Above brute_cap, k'/rho alone exceeds n/threshold and the schema
+        # gave up; the degeneracy bound brings the surrogate down.
+        p = sf.make_problem(sf.ProblemKind.CLIQUE, random_graph(24, 0.3, seed))
+        out = sf.dual_approx(p, sf.ORACLES["greedy-clique"], sf.SchemaConfig(F(1, 2)))
+        assert out.path is sf.SchemaPath.APPROX
+        assert out.diagnostics["surrogate_k"] <= sf.built_in_upper_bound(p)
+        assert sf.is_feasible(sf.dualize(p), out.dual_solution)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_min_guarantee_sound(self, seed):

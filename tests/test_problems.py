@@ -9,6 +9,7 @@ from conftest import (
     atlas_upto,
     ds_feasible_ref,
     is_feasible_ref,
+    mmvc_feasible_ref,
     random_graph,
     random_system,
     uf_has_cycle,
@@ -84,6 +85,24 @@ class TestFeasibility:
             for r in range(g.n + 1):
                 for combo in itertools.combinations(range(g.n), r):
                     assert sf.is_feasible(p, combo) == ref(g, frozenset(combo))
+
+    def test_mmvc_predicate_matches_reference_up_to_6(self, atlas):
+        # every labelled graph up to 5 vertices, every graph up to 6 up to
+        # isomorphism
+        for g in itertools.chain(all_graphs_upto(5), atlas_upto(atlas, 6)):
+            p = sf.make_problem(sf.ProblemKind.MAX_MINIMAL_VERTEX_COVER, g)
+            for m in range(1 << g.n):
+                assert p.feasible_mask(m) == mmvc_feasible_ref(g, sf.members_of(m)), (g.edges, m)
+
+    @pytest.mark.parametrize("n,prob,seed", [(14, 0.2, 1), (15, 0.3, 2), (16, 0.15, 3)])
+    def test_mmvc_batch_matches_reference(self, n, prob, seed):
+        import numpy as np
+
+        g = random_graph(n, prob, 1_100 + seed)
+        p = sf.make_problem(sf.ProblemKind.MAX_MINIMAL_VERTEX_COVER, g)
+        got = p.feasible_batch(np.arange(1 << n, dtype=np.int64))
+        want = [mmvc_feasible_ref(g, sf.members_of(m)) for m in range(1 << n)]
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_batch_predicates_match_scalar(self, seed):
