@@ -4,6 +4,11 @@ Each oracle is a pure function (all ties break to the lowest index) paired
 with a ratio computed from the instance as an exact Fraction, so threshold
 comparisons downstream never hit floating point.  Minimization ratios are
 >= 1, maximization ratios in (0, 1].
+
+One greedy loop serves each core of problems.py: `_greedy_cover` is
+greedy-set-cover on the sets and greedy-dominating on the closed
+neighbourhoods; `_greedy_packing` is greedy-mis and greedy-ids on the
+adjacency masks and greedy-clique on the non-neighbour masks.
 """
 
 from __future__ import annotations
@@ -11,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable
 
-from .core import Goal, InfeasibleInstance, SubsetProblem, iter_bits
+from .core import Goal, InfeasibleInstance, SubsetProblem, is_feasible, iter_bits
 from .problems import Graph, ProblemKind, SetSystem
 
 
@@ -37,22 +42,17 @@ class ApproxOracle:
     ratio: Callable[[SubsetProblem], Fraction]
 
 
-def _greedy_cover(covers: list[tuple[int, int]], target: int) -> frozenset[int]:
-    """Greedy max-coverage loop shared by set cover and dominating set:
-    covers holds (id, mask) pairs in id order; ties go to the lowest id."""
-    chosen: list[int] = []
-    covered = 0
-    while covered & target != target:
-        best, best_cover, best_gain = -1, 0, 0
-        for i, s in covers:
-            gain = (s & target & ~covered).bit_count()
-            if gain > best_gain:
-                best, best_cover, best_gain = i, s, gain
-        if best < 0:
-            raise InfeasibleInstance("ground set not coverable")
-        chosen.append(best)
-        covered |= best_cover
-    return frozenset(chosen)
+class InfeasibleOutput(ValueError):
+    """An oracle returned a set that is not feasible for the problem it ran on."""
+
+
+def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
+    """oracle.run(p), refused unless it is feasible for p: an oracle can be
+    named for a kind it does not solve (greedy-mis on clique)."""
+    sol = frozenset(oracle.run(p))
+    if not is_feasible(p, sol):
+        raise InfeasibleOutput(f"oracle {oracle.name} returned a set infeasible for {p.label}")
+    return sol
 
 
 # The greedy algorithms below also run on a sub-instance and return root ids.
@@ -62,20 +62,54 @@ def _greedy_cover(covers: list[tuple[int, int]], target: int) -> frozenset[int]:
 # (-1 for all).
 
 
-def _uncovered(sets: Iterable[int], full: int) -> int:
-    for s in sets:
-        full &= ~s
-    return full
+def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
+    """The ground elements that the covers of the chosen ids leave uncovered."""
+    target = (1 << n_ground) - 1
+    for i in iter_bits(chosen):
+        target &= ~covers[i]
+    return target
+
+
+def _greedy_cover(covers: tuple[int, ...], n_ground: int, chosen: int) -> frozenset[int]:
+    """The covering core's greedy: take the id whose cover mask holds the most
+    uncovered ground elements (lowest id on ties), repeat."""
+    target = _residual(covers, n_ground, chosen)
+    picked = []
+    while target:
+        best, best_gain = -1, 0
+        for i, s in enumerate(covers):
+            gain = (s & target).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        if best < 0:
+            raise InfeasibleInstance("ground set not coverable")
+        picked.append(best)
+        target &= ~covers[best]
+    return frozenset(picked)
+
+
+def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> frozenset[int]:
+    """The packing core's greedy: take the alive element with the fewest alive
+    conflicts (lowest id on ties), drop it and its conflicts, repeat."""
+    alive &= (1 << len(conflicts)) - 1
+    picked = []
+    while alive:
+        best, best_deg = -1, len(conflicts)
+        for v in iter_bits(alive):
+            deg = (conflicts[v] & alive).bit_count()
+            if deg < best_deg:
+                best, best_deg = v, deg
+        picked.append(best)
+        alive &= ~(conflicts[best] | (1 << best))
+    return frozenset(picked)
 
 
 def greedy_set_cover(sys: SetSystem, chosen: int = 0) -> frozenset[int]:
-    target = _uncovered((sys.sets[i] for i in iter_bits(chosen)), (1 << sys.n_ground) - 1)
-    return _greedy_cover(list(enumerate(sys.sets)), target)
+    return _greedy_cover(sys.sets, sys.n_ground, chosen)
 
 
 def greedy_dominating_set(g: Graph, chosen: int = 0) -> frozenset[int]:
-    target = _uncovered((g.closed_nb(v) for v in iter_bits(chosen)), (1 << g.n) - 1)
-    return _greedy_cover([(v, g.closed_nb(v)) for v in range(g.n)], target)
+    return _greedy_cover(g.closed_nbs, g.n, chosen)
 
 
 def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
@@ -96,36 +130,13 @@ def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
 
 
 def greedy_maximal_independent_set(g: Graph, alive: int = -1) -> frozenset[int]:
-    """Repeatedly take the minimum-degree remaining vertex and delete its
-    closed neighborhood; the result is maximal independent, hence also an
-    independent dominating set."""
-    alive &= (1 << g.n) - 1
-    picked = []
-    while alive:
-        best, best_deg = -1, g.n + 1
-        for v in iter_bits(alive):
-            deg = (g.adj[v] & alive).bit_count()
-            if deg < best_deg:
-                best, best_deg = v, deg
-        picked.append(best)
-        alive &= ~g.closed_nb(best)
-    return frozenset(picked)
+    """A maximal independent set, hence also an independent dominating set."""
+    return _greedy_packing(g.adj, alive)
 
 
 def greedy_clique(g: Graph, alive: int = -1) -> frozenset[int]:
-    """Grow a clique, always adding the candidate with the most neighbors
-    among the remaining candidates."""
-    cand = alive & ((1 << g.n) - 1)
-    clique = 0
-    while cand:
-        best, best_deg = -1, -1
-        for v in iter_bits(cand):
-            deg = (g.adj[v] & cand).bit_count()
-            if deg > best_deg:
-                best, best_deg = v, deg
-        clique |= 1 << best
-        cand &= g.adj[best]
-    return frozenset(iter_bits(clique))
+    """Grow a clique by the candidate with the most candidate neighbours."""
+    return _greedy_packing(g.non_neighbours, alive)
 
 
 def _graph_of(p: SubsetProblem) -> Graph:
@@ -149,7 +160,7 @@ def _max_degree(p: SubsetProblem) -> int:
 def _max_residual_size(p: SubsetProblem) -> int:
     """Largest number of ground elements one set adds to the chosen sets."""
     sys = _sys_of(p)
-    target = _uncovered((sys.sets[i] for i in iter_bits(p.chosen)), (1 << sys.n_ground) - 1)
+    target = _residual(sys.sets, sys.n_ground, p.chosen)
     return max(((s & target).bit_count() for s in sys.sets), default=0)
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     EvaluatedSolution,
     Infeasible,
@@ -29,9 +30,10 @@ from .core import (
     brute_force_optimum,
     dualize,
 )
-from .approx import DEFAULT_ORACLE, ORACLES, ApproxOracle
+from .approx import DEFAULT_ORACLE, ORACLES, ApproxOracle, InfeasibleOutput, run_checked
 from .dualschema import SchemaConfig, SchemaPath, dual_approx
 from .intersective import (
+    DEFAULT_NODE_CAP,
     BranchConfig,
     BranchOutcome,
     Verdict,
@@ -154,7 +156,7 @@ def cmd_solve(args, p, oracle, rec) -> int:
 
 def cmd_approx(args, p, oracle, rec) -> int:
     rec["oracle"] = oracle.name
-    sol = oracle.run(p)
+    sol = run_checked(oracle, p)
     rec.update(
         outcome="solution",
         value=len(sol),
@@ -232,8 +234,9 @@ def cmd_gen(args, seed: int) -> int:
 def cmd_experiment(args, kind, fmt, seed: int) -> int:
     """One record per (instance, run); aggregate row at the end.  The flags
     are checked once, before the first instance; only an infeasible instance
-    is a row error.  Any other error depends on the flags alone and is
-    raised by the first instance before its row is written."""
+    or an oracle output infeasible for it is a row error.  Any other error
+    depends on the flags alone and is raised by the first instance before
+    its row is written."""
     ratios: list[Fraction] = []
     verdicts: dict[str, int] = {}
     agree = 0
@@ -289,7 +292,7 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
                     rec.update(outcome="infeasible")
                 else:
                     rec.update(outcome="budget-exceeded")
-        except InfeasibleInstance as exc:
+        except (InfeasibleInstance, InfeasibleOutput) as exc:
             rec.update(outcome="error", error=str(exc))
             errors += 1
         _emit(rec, fmt)
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-size", type=int, default=4)
 
     sp = add_parser("solve", "exact optimum by exhaustive search")
-    sp.add_argument("--budget", type=int, default=20)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     add_oracle(add_parser("approx", "run one approximation oracle"))
 
@@ -354,17 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     add_oracle(sp)
     sp.add_argument("--no-prune", action="store_true")
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
     sp = add_parser("dual", "dual-parameter approximation schema")
     sp.add_argument("--epsilon", required=True, help="rational or decimal in (0,1]")
     add_oracle(sp)
-    sp.add_argument("--brute-cap", type=int, default=20)
+    sp.add_argument("--brute-cap", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--force-brute", action="store_true")
 
     sp = add_parser("check-intersective", "verify oracle intersectivity")
     add_oracle(sp)
-    sp.add_argument("--budget", type=int, default=20)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = add_parser("gen", "generate a random instance", instance=False)
     sp.add_argument("--model", required=True, choices=["gnp", "setsystem"])
@@ -377,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_generator(sp)
     add_oracle(sp)
     sp.add_argument("--epsilon", default="1/4")
-    sp.add_argument("--brute-cap", type=int, default=20)
-    sp.add_argument("--budget", type=int, default=20)
-    sp.add_argument("--node-cap", type=int, default=1_000_000)
+    sp.add_argument("--brute-cap", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
     return parser
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    DEFAULT_BUDGET,
     EvaluatedSolution,
     Goal,
     Infeasible,
@@ -26,7 +27,7 @@ from .core import (
     complement,
     dualize,
 )
-from .approx import ApproxOracle, matching_vertex_cover
+from .approx import ApproxOracle, matching_vertex_cover, run_checked
 from .problems import Graph, ProblemKind
 
 
@@ -39,7 +40,7 @@ class SchemaPath(Enum):
 @dataclass(frozen=True)
 class SchemaConfig:
     epsilon: Fraction
-    brute_cap: int = 20
+    brute_cap: int = DEFAULT_BUDGET
     force_brute: bool = False
 
     def __post_init__(self):
@@ -100,7 +101,7 @@ def dual_approx(
         raise ValueError("oracle goal must match the primal problem's goal")
     n = p.universe_size
     eps = cfg.epsilon
-    sol = frozenset(oracle.run(p))
+    sol = run_checked(oracle, p)
     k_prime = len(sol)
     rho = Fraction(oracle.ratio(p))
     diag: dict = {"n": n, "k_prime": k_prime, "rho": str(rho), "epsilon": str(eps)}

@@ -26,6 +26,9 @@ from .core import (
 from .approx import ApproxOracle
 
 
+DEFAULT_NODE_CAP = 1_000_000
+
+
 class BranchOutcome(Enum):
     FOUND = "found"
     NO_INSTANCE = "no-instance"
@@ -35,7 +38,7 @@ class BranchOutcome(Enum):
 @dataclass(frozen=True)
 class BranchConfig:
     budget_k: int
-    node_cap: int = 1_000_000
+    node_cap: int = DEFAULT_NODE_CAP
     prune_enabled: bool = True
 
     def __post_init__(self):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -91,8 +91,17 @@ class Graph:
     def max_degree(self) -> int:
         return max(map(int.bit_count, self.adj), default=0)
 
-    def closed_nb(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
+    # Built on first use; equality and hashing still compare the fields only.
+    @cached_property
+    def closed_nbs(self) -> tuple[int, ...]:
+        """N[v] = adj[v] plus v, for each vertex v."""
+        return tuple(a | (1 << v) for v, a in enumerate(self.adj))
+
+    @cached_property
+    def non_neighbours(self) -> tuple[int, ...]:
+        """The vertices neither v nor adjacent to v, for each vertex v."""
+        full = (1 << self.n) - 1
+        return tuple(full & ~nb for nb in self.closed_nbs)
 
     def complement(self) -> "Graph":
         comp = [
@@ -233,10 +242,6 @@ def _edge_hitters(g: Graph) -> Iterable[int]:
     return ((1 << u) | (1 << v) for u, v in g.edges)
 
 
-def _closed_nbs(g: Graph) -> Iterable[int]:
-    return map(g.closed_nb, range(g.n))
-
-
 def _holders(sys: SetSystem) -> list[int]:
     """For each ground element, the mask of the sets that hold it."""
     holders = [0] * sys.n_ground
@@ -258,11 +263,6 @@ def _set_conflicts(sys: SetSystem) -> tuple[int, ...]:
     return tuple(conflicts)
 
 
-def _non_neighbours(g: Graph) -> tuple[int, ...]:
-    full = (1 << g.n) - 1
-    return tuple(full & ~g.closed_nb(v) for v in range(g.n))
-
-
 def _droppable(g: Graph, cover: int) -> Optional[int]:
     """The lowest member of the vertex cover whose neighbours are all in
     it, so that dropping it leaves a cover; None if the cover is minimal."""
@@ -279,7 +279,7 @@ def _feedback_vertex_set(kind, g: Graph) -> SubsetProblem:
 
 def _min_independent_dominating_set(kind, g: Graph) -> SubsetProblem:
     independent, independent_batch = _packing(g.adj)
-    dominating, dominating_batch = _covering(lambda: _closed_nbs(g))
+    dominating, dominating_batch = _covering(lambda: g.closed_nbs)
     return _problem(
         kind,
         g,
@@ -295,10 +295,10 @@ def _max_minimal_vertex_cover(kind, g: Graph) -> SubsetProblem:
 
 _BUILDERS = {
     ProblemKind.VERTEX_COVER: lambda k, g: _covering_problem(k, g, lambda: _edge_hitters(g)),
-    ProblemKind.DOMINATING_SET: lambda k, g: _covering_problem(k, g, lambda: _closed_nbs(g)),
+    ProblemKind.DOMINATING_SET: lambda k, g: _covering_problem(k, g, lambda: g.closed_nbs),
     ProblemKind.SET_COVER: lambda k, s: _covering_problem(k, s, lambda: _holders(s)),
     ProblemKind.INDEPENDENT_SET: lambda k, g: _packing_problem(k, g, g.adj),
-    ProblemKind.CLIQUE: lambda k, g: _packing_problem(k, g, _non_neighbours(g)),
+    ProblemKind.CLIQUE: lambda k, g: _packing_problem(k, g, g.non_neighbours),
     ProblemKind.SET_PACKING: lambda k, s: _packing_problem(k, s, _set_conflicts(s)),
     ProblemKind.FEEDBACK_VERTEX_SET: _feedback_vertex_set,
     ProblemKind.MAX_MINIMAL_VERTEX_COVER: _max_minimal_vertex_cover,

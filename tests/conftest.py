@@ -96,6 +96,15 @@ def is_feasible_ref(g: sf.Graph, s: frozenset) -> bool:
     return all(not (u in s and v in s) for u, v in g.edges)
 
 
+def closed_neighbourhoods_ref(g: sf.Graph) -> list[set]:
+    """N[v] for each vertex v, as plain sets built from the edge list."""
+    nbs = [{v} for v in range(g.n)]
+    for u, v in g.edges:
+        nbs[u].add(v)
+        nbs[v].add(u)
+    return nbs
+
+
 def ds_feasible_ref(g: sf.Graph, s: frozenset) -> bool:
     dominated = set(s)
     for v in s:

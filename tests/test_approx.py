@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import subsetfpt as sf
-from conftest import all_graphs_upto, random_graph, random_system
+from conftest import all_graphs_upto, closed_neighbourhoods_ref, random_graph, random_system
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -93,6 +93,24 @@ class TestGreedyClique:
 
     def test_path_edge(self):
         assert len(sf.greedy_clique(PATH3)) == 2
+
+
+class TestSharedGreedies:
+    """Each core has one greedy: the clique greedy is the independent-set
+    greedy on the complement, and the dominating-set greedy is the set-cover
+    greedy on the closed neighbourhoods, on every sub-instance mask."""
+
+    def test_clique_is_mis_of_complement(self):
+        for g in all_graphs_upto(5):
+            comp = g.complement()
+            for alive in [-1, *range(1 << g.n)]:
+                assert sf.greedy_clique(g, alive) == sf.greedy_maximal_independent_set(comp, alive)
+
+    def test_dominating_is_set_cover_of_closed_neighbourhoods(self):
+        for g in all_graphs_upto(5):
+            sys = sf.SetSystem.from_lists(g.n, closed_neighbourhoods_ref(g))
+            for chosen in range(1 << g.n):
+                assert sf.greedy_dominating_set(g, chosen) == sf.greedy_set_cover(sys, chosen)
 
 
 def _kind_of_oracle(name):

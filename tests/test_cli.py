@@ -26,6 +26,11 @@ from subsetfpt.io import (
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 PATH3_DIMACS = "p edge 3 2\ne 1 2\ne 2 3\n"
 UNCOVERABLE_SYS = "3 2\n1\n2\n"
+# greedy-mis has clique's goal, but on this graph it returns 22 independent
+# vertices, which are no clique
+G40 = render_graph(generate_gnp(40, 0.05, 3))
+CLIQUE_BY_MIS = ["--problem", "clique", "--oracle", "greedy-mis"]
+INFEASIBLE_OUTPUT = "error: oracle greedy-mis returned a set infeasible for clique(n=40)"
 
 
 @pytest.fixture
@@ -190,6 +195,10 @@ class TestApproxCommand:
         code, _, err = run(["approx", "-", "--oracle", "nope"], PATH3_DIMACS)
         assert code == 2 and "unknown oracle" in err
 
+    def test_infeasible_oracle_output_exit_2(self, run):
+        code, out, err = run(["approx", "-", *CLIQUE_BY_MIS], G40)
+        assert (code, out, err.splitlines()) == (2, "", [INFEASIBLE_OUTPUT])
+
 
 class TestBranchCommand:
     def test_found_exit_0(self, run):
@@ -259,6 +268,10 @@ class TestDualCommand:
             "m": 2, "oracle": "greedy-set-cover", "outcome": "infeasible",
         }
         assert "Traceback" not in err
+
+    def test_infeasible_oracle_output_exit_2(self, run):
+        code, out, err = run(["dual", "-", "--epsilon", "1", *CLIQUE_BY_MIS], G40)
+        assert (code, out, err.splitlines()) == (2, "", [INFEASIBLE_OUTPUT])
 
     def test_budget_exceeded_exit_3(self, run):
         g = generate_gnp(12, 0.6, 8)
@@ -352,6 +365,15 @@ class TestExperimentCommand:
         assert len(ratios) == 6 and min(ratios) < max(ratios)
         assert "min_ratio" not in agg
         assert Fraction(agg["max_ratio"]) == max(ratios)
+
+    def test_infeasible_oracle_output_is_row_error(self, run):
+        code, out, _ = run(["--seed", "3", "experiment", "--run", "dual", "--count", "2",
+                            "--n", "10", "--p", "0.3", "--epsilon", "1", *CLIQUE_BY_MIS])
+        assert code == 0
+        *rows, agg = map(json.loads, out.splitlines())
+        assert [r["outcome"] for r in rows] == ["error", "error"]
+        assert rows[0]["error"] == "oracle greedy-mis returned a set infeasible for clique(n=10)"
+        assert agg["errors"] == 2
 
     def test_zero_denominator_epsilon_exit_2(self, run):
         code, out, err = run(["experiment", "--run", "dual", "--epsilon", "1/0"])

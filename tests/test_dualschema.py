@@ -94,6 +94,13 @@ class TestDualApprox:
         with pytest.raises(ValueError):
             sf.dual_approx(p, sf.ORACLES["matching-vc"], sf.SchemaConfig(F(1, 2)))
 
+    def test_infeasible_oracle_output_rejected(self):
+        # greedy-mis has clique's goal; its 22-vertex independent set would
+        # have been complemented into an 18-vertex "dual" answer
+        p = sf.make_problem(sf.ProblemKind.CLIQUE, random_graph(40, 0.05, 3))
+        with pytest.raises(ValueError, match="greedy-mis.*clique"):
+            sf.dual_approx(p, sf.ORACLES["greedy-mis"], sf.SchemaConfig(F(1)))
+
     def test_exact_min_oracle_always_takes_approx_path(self):
         # ratio 1 makes the dispatch threshold 1, so n >= k' always holds
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, TRIANGLE)

@@ -7,6 +7,7 @@ import subsetfpt as sf
 from conftest import (
     all_graphs_upto,
     atlas_upto,
+    closed_neighbourhoods_ref,
     ds_feasible_ref,
     is_feasible_ref,
     mmvc_feasible_ref,
@@ -45,6 +46,20 @@ class TestGraph:
         for u in range(8):
             for v in range(8):
                 assert ((g.adj[u] >> v) & 1) == ((g.adj[v] >> u) & 1)
+
+
+    def test_neighbourhood_masks_match_plain_sets(self):
+        graphs = [*all_graphs_upto(5), *(random_graph(12, 0.3, s) for s in range(5))]
+        for g in graphs:
+            nbs = closed_neighbourhoods_ref(g)
+            assert [set(sf.iter_bits(m)) for m in g.closed_nbs] == nbs
+            everything = set(range(g.n))
+            assert [set(sf.iter_bits(m)) for m in g.non_neighbours] == [everything - nb for nb in nbs]
+
+    def test_cached_masks_leave_equality_and_hash_alone(self):
+        g, h = random_graph(8, 0.5, 1), random_graph(8, 0.5, 1)
+        assert g.closed_nbs and g.non_neighbours  # now cached on g, not on h
+        assert g == h and hash(g) == hash(h)
 
 
 class TestFeasibility:
