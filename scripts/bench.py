@@ -3,20 +3,23 @@
 
 Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
 restriction I(e), the scalar predicate on a feasible and an infeasible mask,
-`run` and `ratio` of each default oracle, and the prune test.  Cost per
-node: the criterion-02 instance list (500 G(n, p) vertex covers at k = opt
-and opt - 1), a small seeded list per restrictable kind with a default
-oracle at k = opt and the adjacent NO budget, and the G(50, 0.1) instance
-at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
-subsetfpt.cli` alone, and `python -m subsetfpt.cli <sub>` for each of the
-seven subcommands on a small fixed instance, each in fresh interpreters run
-one after another.
+`run` and `ratio` of each default oracle, and the prune test.  The batch
+predicate, in masks/s: `feasible_batch` of vertex cover and independent set
+on G(16, 0.3) over all 2^16 masks, the array brute force scans at n = 16.
+Cost per node: the criterion-02 instance list (500 G(n, p) vertex covers at
+k = opt and opt - 1), a small seeded list per restrictable kind with a
+default oracle at k = opt and the adjacent NO budget, and the G(50, 0.1)
+instance at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
+subsetfpt.cli` alone, `python -m subsetfpt.cli <sub>` for each of the seven
+subcommands on a small fixed instance, and `solve` on a 16-vertex graph, the
+batch path that still imports numpy.
 
 Stdlib timing only: a layer is the median over REPEAT `timeit` runs, a
 cost per node the median over REPEAT passes of its list, a cold start the
-median over REPEAT interpreters.  The result goes under --label in --out,
-next to what the file already holds, with the machine and the Python and
-numpy versions, so that two trees can be set side by side:
+median over COLD_REPEAT interpreters, run in rounds of one per figure so
+that drift of the machine spreads over all of them.  The result goes under
+--label in --out, next to what the file already holds, with the machine and
+the Python and numpy versions, so that two trees can be set side by side:
 
     python3 scripts/bench.py --src ../parent/src --label parent --out BENCH.json
     python3 scripts/bench.py --label change --out BENCH.json
@@ -40,15 +43,19 @@ ROOT = Path(__file__).resolve().parent.parent
 NODE_CAP = 2_000
 KIND_INSTANCES = 24
 REPEAT = 5
-# argv of one cold-start call per CLI subcommand; the instance comes on stdin.
+# Five interpreters read 233 vs 302 ms for the same tree; fifteen is the least.
+COLD_REPEAT = 15
+# argv of one cold-start call, and the vertex count of the G(n, 0.4) drawn
+# with seed 3 that comes on its stdin.
 CLI_CALLS = {
-    "solve": ["solve", "-"],
-    "approx": ["approx", "-"],
-    "branch": ["branch", "-", "--k", "4"],
-    "dual": ["dual", "-", "--epsilon", "1/2"],
-    "check-intersective": ["check-intersective", "-"],
-    "gen": ["gen", "--model", "gnp", "--n", "8"],
-    "experiment": ["experiment", "--run", "solve", "--count", "2", "--n", "8"],
+    "solve": (["solve", "-"], 8),
+    "approx": (["approx", "-"], 8),
+    "branch": (["branch", "-", "--k", "4"], 8),
+    "dual": (["dual", "-", "--epsilon", "1/2"], 8),
+    "check-intersective": (["check-intersective", "-"], 8),
+    "gen": (["gen", "--model", "gnp", "--n", "8"], 8),
+    "experiment": (["experiment", "--run", "solve", "--count", "2", "--n", "8"], 8),
+    "solve-16": (["solve", "-"], 16),
 }
 
 
@@ -82,6 +89,19 @@ def layers(sf) -> dict:
     sol, r, k, depth = cover.bit_count(), sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc), 29, 3
     out["prune_test"] = _median_us(
         lambda: sol * r.denominator > r.numerator * (k - depth), 200_000)
+    return out
+
+
+def batch_masks_per_s(sf) -> dict:
+    from subsetfpt.io import generate_gnp
+    import numpy as np
+
+    g = generate_gnp(16, 0.3, 70000)
+    masks = np.arange(1 << 16, dtype=np.int64)
+    out = {}
+    for kind in (sf.ProblemKind.VERTEX_COVER, sf.ProblemKind.INDEPENDENT_SET):
+        batch = sf.make_problem(kind, g).feasible_batch
+        out[kind.value] = masks.size / (_median_us(lambda: batch(masks), 20) * 1e-6)
     return out
 
 
@@ -134,26 +154,22 @@ def per_node(sf, ops: list) -> tuple[float, int]:
     return statistics.median(times) / nodes * 1e6, nodes
 
 
-def _cold_ms(argv: list, src: Path, stdin: str = "") -> float:
-    """Median wall time in ms of REPEAT fresh `python argv` processes."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    times = []
-    for _ in range(REPEAT):
-        t0 = perf_counter()
-        subprocess.run([sys.executable, *argv], env=env, input=stdin, capture_output=True,
-                       text=True, check=True)
-        times.append(perf_counter() - t0)
-    return statistics.median(times) * 1e3
-
-
 def cold_start(src: Path) -> dict:
+    """Median wall time in ms of COLD_REPEAT fresh interpreters per figure."""
     from subsetfpt.io import generate_gnp, render_graph
 
-    text = render_graph(generate_gnp(8, 0.4, 3))  # vertex cover optimum 4
-    out = {"import": _cold_ms(["-c", "import subsetfpt.cli"], src)}
-    for sub, argv in CLI_CALLS.items():
-        out[sub] = _cold_ms(["-m", "subsetfpt.cli", *argv], src, text)
-    return out
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = {"import": (["-c", "import subsetfpt.cli"], "")}
+    runs.update({sub: (["-m", "subsetfpt.cli", *argv], render_graph(generate_gnp(n, 0.4, 3)))
+                 for sub, (argv, n) in CLI_CALLS.items()})
+    times = {name: [] for name in runs}
+    for _ in range(COLD_REPEAT):
+        for name, (argv, stdin) in runs.items():
+            t0 = perf_counter()
+            subprocess.run([sys.executable, *argv], env=env, input=stdin,
+                           capture_output=True, text=True, check=True)
+            times[name].append(perf_counter() - t0)
+    return {name: statistics.median(t) * 1e3 for name, t in times.items()}
 
 
 def _cpu_model() -> str:
@@ -189,7 +205,9 @@ def main(argv=None) -> int:
                 "platform": platform.platform(), "python": platform.python_version(),
                 "numpy": np.__version__},
         "repeat": REPEAT,
+        "cold_repeat": COLD_REPEAT,
         "layers_us": {k: round(v, 3) for k, v in layers(sf).items()},
+        "batch_masks_per_s": {k: round(v) for k, v in batch_masks_per_s(sf).items()},
         "us_per_node": {k: round(v, 2) for k, v in us_per_node.items()},
         "nodes": nodes,
         "cold_start_ms": {k: round(v, 1) for k, v in cold_start(src).items()},

@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 20
 
@@ -65,7 +66,9 @@ class SubsetProblem:
 
     feasible_mask takes an integer bitmask over [0, universe_size).
     feasible_batch, when present, evaluates a whole numpy array of masks at
-    once (used by the exhaustive oracles for speed).
+    once (used by the exhaustive oracles for speed).  numpy is imported on
+    its first call, only when brute force takes the batch path, so building
+    a problem never loads it.
 
     A sub-instance is its root instance plus two masks in root numbering:
     `alive`, the elements still selectable, and `chosen`, the elements
@@ -203,6 +206,8 @@ def _sweep_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[
 
 
 def _lex_ranks(masks: np.ndarray, n: int) -> np.ndarray:
+    import numpy as np
+
     # Larger rank <=> lexicographically smaller sorted member tuple.
     ranks = np.zeros(masks.shape, dtype=np.int64)
     for i in range(n):
@@ -213,6 +218,8 @@ def _lex_ranks(masks: np.ndarray, n: int) -> np.ndarray:
 def _batch_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
     """The same as _sweep_optima, from one pass of feasible_batch over all
     2^n masks in chunks."""
+    import numpy as np
+
     n = p.universe_size
     minimize = p.goal is Goal.MINIMIZE
     best: Optional[int] = None

@@ -23,7 +23,7 @@ from .core import (
     iter_bits,
     members_of,
 )
-from .approx import ApproxOracle
+from .approx import ApproxOracle, run_checked
 
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -171,8 +171,9 @@ def verify_intersective(
     p: SubsetProblem, oracle: ApproxOracle, budget: int = DEFAULT_BUDGET
 ) -> IntersectivityReport:
     """Check whether the oracle's output meets at least one optimal solution,
-    by enumerating all optima exhaustively."""
-    sol = frozenset(oracle.run(p))
+    by enumerating all optima exhaustively.  An output infeasible for p
+    raises approx.InfeasibleOutput: it certifies nothing."""
+    sol = run_checked(oracle, p)
     optima = enumerate_optima(p, budget)
     if isinstance(optima, BudgetExceeded):
         return IntersectivityReport(sol, 0, None, Verdict.INCONCLUSIVE)

@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .core import (
     Goal,
@@ -38,6 +36,9 @@ from .core import (
     iter_bits,
     mask_of,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ProblemKind(Enum):
@@ -176,6 +177,8 @@ def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]
         return True
 
     def batch(masks: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         ok = np.ones(masks.shape, dtype=bool)
         for h in distinct():
             ok &= (masks & h) != 0
@@ -195,6 +198,8 @@ def _packing(conflicts: tuple[int, ...]) -> tuple[Callable, Callable]:
         return True
 
     def batch(masks: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         hit = np.zeros(masks.shape, dtype=np.int64)  # union of members' conflicts
         for e, c in enumerate(conflicts):
             if c:

@@ -313,6 +313,12 @@ class TestCheckIntersectiveCommand:
         )
         assert code == 3
 
+    def test_infeasible_oracle_output_exit_2(self, run):
+        g10 = render_graph(generate_gnp(10, 0.3, 3))
+        code, out, err = run(["check-intersective", "-", *CLIQUE_BY_MIS], g10)
+        assert (code, out, err.splitlines()) == (
+            2, "", ["error: oracle greedy-mis returned a set infeasible for clique(n=10)"])
+
 
 class TestGenCommand:
     def test_gnp_output_parses(self, run):
@@ -374,6 +380,14 @@ class TestExperimentCommand:
         assert [r["outcome"] for r in rows] == ["error", "error"]
         assert rows[0]["error"] == "oracle greedy-mis returned a set infeasible for clique(n=10)"
         assert agg["errors"] == 2
+
+    def test_infeasible_oracle_output_is_row_error_of_check(self, run):
+        code, out, _ = run(["--seed", "3", "experiment", "--run", "check-intersective",
+                            "--count", "2", "--n", "10", "--p", "0.3", *CLIQUE_BY_MIS])
+        assert code == 0
+        *rows, agg = map(json.loads, out.splitlines())
+        assert [r["outcome"] for r in rows] == ["error", "error"]
+        assert agg["errors"] == 2 and "verdicts" not in agg
 
     def test_zero_denominator_epsilon_exit_2(self, run):
         code, out, err = run(["experiment", "--run", "dual", "--epsilon", "1/0"])

@@ -362,3 +362,10 @@ class TestVerifyIntersective:
         g = random_graph(10, 0.3, 12)
         rep = sf.verify_intersective(vc(g), MATCHING, budget=5)
         assert rep.verdict is sf.Verdict.INCONCLUSIVE
+
+    def test_infeasible_oracle_output_rejected(self):
+        # greedy-mis has clique's goal, but its independent set {2,3,4,6,8,9}
+        # is no clique; it met the optimum {0,6,7} and was certified
+        p = sf.make_problem(sf.ProblemKind.CLIQUE, generate_gnp(10, 0.3, 3))
+        with pytest.raises(ValueError, match="greedy-mis.*clique"):
+            sf.verify_intersective(p, MIS)
