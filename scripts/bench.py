@@ -3,23 +3,25 @@
 
 Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
 restriction I(e), the scalar predicate on a feasible and an infeasible mask,
-`run` and `ratio` of each default oracle, and the prune test.  The batch
-predicate, in masks/s: `feasible_batch` of vertex cover and independent set
-on G(16, 0.3) over all 2^16 masks, the array brute force scans at n = 16.
-Cost per node: the criterion-02 instance list (500 G(n, p) vertex covers at
-k = opt and opt - 1), a small seeded list per restrictable kind with a
+`run` and `ratio` of each default oracle, and the prune test.  Brute force:
+`brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each graph kind with
+a batch predicate and for its dual (feedback vertex set, which has none, is
+left out: its sweep takes seconds at n = 20).  Cost per node: the
+criterion-02 instance list (500 G(n, p) vertex covers at k = opt and
+opt - 1), a small seeded list per restrictable kind with a
 default oracle at k = opt and the adjacent NO budget, and the G(50, 0.1)
 instance at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
 subsetfpt.cli` alone, `python -m subsetfpt.cli <sub>` for each of the seven
-subcommands on a small fixed instance, and `solve` on a 16-vertex graph, the
-batch path that still imports numpy.
+subcommands on a small fixed instance, and `solve` on a 16-vertex graph,
+where brute force scans 2^16 masks.
 
 Stdlib timing only: a layer is the median over REPEAT `timeit` runs, a
 cost per node the median over REPEAT passes of its list, a cold start the
 median over COLD_REPEAT interpreters, run in rounds of one per figure so
 that drift of the machine spreads over all of them.  The result goes under
---label in --out, next to what the file already holds, with the machine and
-the Python and numpy versions, so that two trees can be set side by side:
+--label in --out, next to what the file already holds, with the machine,
+the Python version and the numpy version if numpy is installed (the package
+does not use it), so that two trees can be set side by side:
 
     python3 scripts/bench.py --src ../parent/src --label parent --out BENCH.json
     python3 scripts/bench.py --label change --out BENCH.json
@@ -28,6 +30,7 @@ the Python and numpy versions, so that two trees can be set side by side:
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -45,6 +48,8 @@ KIND_INSTANCES = 24
 REPEAT = 5
 # Five interpreters read 233 vs 302 ms for the same tree; fifteen is the least.
 COLD_REPEAT = 15
+# Brute force: (n, timeit number) per size, on G(n, 0.3) drawn with seed 70000.
+BRUTE_SIZES = ((16, 20), (20, 2))
 # argv of one cold-start call, and the vertex count of the G(n, 0.4) drawn
 # with seed 3 that comes on its stdin.
 CLI_CALLS = {
@@ -92,16 +97,19 @@ def layers(sf) -> dict:
     return out
 
 
-def batch_masks_per_s(sf) -> dict:
+def brute_us(sf) -> dict:
     from subsetfpt.io import generate_gnp
-    import numpy as np
 
-    g = generate_gnp(16, 0.3, 70000)
-    masks = np.arange(1 << 16, dtype=np.int64)
     out = {}
-    for kind in (sf.ProblemKind.VERTEX_COVER, sf.ProblemKind.INDEPENDENT_SET):
-        batch = sf.make_problem(kind, g).feasible_batch
-        out[kind.value] = masks.size / (_median_us(lambda: batch(masks), 20) * 1e-6)
+    for n, number in BRUTE_SIZES:
+        g = generate_gnp(n, 0.3, 70000)
+        for kind in sf.ProblemKind:
+            if kind in sf.problems.SET_KINDS or kind is sf.ProblemKind.FEEDBACK_VERTEX_SET:
+                continue
+            p = sf.make_problem(kind, g)
+            for q in (p, sf.dualize(p)):
+                sf.brute_force_optimum(q)  # fills the caches a first call builds
+                out[q.label] = _median_us(lambda: sf.brute_force_optimum(q), number)
     return out
 
 
@@ -190,7 +198,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
-    import numpy as np
     import subsetfpt as sf
 
     lists = {"criterion-02": _criterion_02(sf), "G(50,0.1)": _gnp50(sf)}
@@ -200,14 +207,18 @@ def main(argv=None) -> int:
     us_per_node, nodes = {}, {}
     for name, ops in lists.items():
         us_per_node[name], nodes[name] = per_node(sf, ops)
+    env = {"machine": platform.machine(), "cpu": _cpu_model(), "cpus": os.cpu_count(),
+           "platform": platform.platform(), "python": platform.python_version()}
+    try:
+        env["numpy"] = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        pass
     result = {
-        "env": {"machine": platform.machine(), "cpu": _cpu_model(), "cpus": os.cpu_count(),
-                "platform": platform.platform(), "python": platform.python_version(),
-                "numpy": np.__version__},
+        "env": env,
         "repeat": REPEAT,
         "cold_repeat": COLD_REPEAT,
         "layers_us": {k: round(v, 3) for k, v in layers(sf).items()},
-        "batch_masks_per_s": {k: round(v) for k, v in batch_masks_per_s(sf).items()},
+        "brute_us": {k: round(v, 1) for k, v in brute_us(sf).items()},
         "us_per_node": {k: round(v, 2) for k, v in us_per_node.items()},
         "nodes": nodes,
         "cold_start_ms": {k: round(v, 1) for k, v in cold_start(src).items()},

@@ -15,15 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from functools import cache, lru_cache, partial
+from typing import Callable, Iterable, Iterator, Optional
 
 DEFAULT_BUDGET = 20
 
-_CHUNK = 1 << 20
+# Brute force tests 2^_CHUNK_BITS masks per feasible_batch call, so each
+# column is an int of at most 2^20 bits (128 KiB).
+_CHUNK_BITS = 20
 
 
 class UnsupportedRestriction(ValueError):
@@ -65,10 +64,12 @@ class SubsetProblem:
     """Uniform contract for problems whose solutions are subsets of a universe.
 
     feasible_mask takes an integer bitmask over [0, universe_size).
-    feasible_batch, when present, evaluates a whole numpy array of masks at
-    once (used by the exhaustive oracles for speed).  numpy is imported on
-    its first call, only when brute force takes the batch path, so building
-    a problem never loads it.
+    feasible_batch, when present, tests a chunk of masks at once, bit-sliced,
+    for brute force: it takes `cols`, a tuple of universe_size ints over
+    2^min(universe_size, 20) positions, where bit s of cols[e] is set iff
+    the mask at position s holds e, and returns an int whose bit s says
+    whether that mask is feasible.  Bits at or above the chunk width are
+    don't-care on both sides.
 
     A sub-instance is its root instance plus two masks in root numbering:
     `alive`, the elements still selectable, and `chosen`, the elements
@@ -83,7 +84,7 @@ class SubsetProblem:
     goal: Goal
     feasible_mask: Callable[[int], bool]
     restrict_fn: Optional[Callable[[int], int]] = None
-    feasible_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    feasible_batch: Optional[Callable[[tuple[int, ...]], int]] = None
     kind: object = None
     data: object = None
     alive: Optional[int] = None  # None: the whole universe
@@ -151,9 +152,17 @@ def is_feasible(p: SubsetProblem, members: Iterable[int]) -> bool:
     return p.feasible_mask(mask_of(_check_members(p, members)))
 
 
+# One universe per size, so that complements of one size share their int
+# objects instead of each holding fresh ones (ints above 256 are not cached).
+# The bound must exceed the sizes a caller cycles through, or LRU never hits.
+@lru_cache(maxsize=128)
+def _universe(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
 def complement(p: SubsetProblem, members: Iterable[int]) -> frozenset[int]:
     s = _check_members(p, members)
-    return frozenset(range(p.universe_size)) - s
+    return _universe(p.universe_size) - s
 
 
 def dualize(p: SubsetProblem) -> SubsetProblem:
@@ -169,8 +178,11 @@ def dualize(p: SubsetProblem) -> SubsetProblem:
     if p.feasible_batch is not None:
         inner = p.feasible_batch
 
-        def batch(masks: np.ndarray) -> np.ndarray:
-            return inner(full & ~masks)
+        def batch(cols: tuple[int, ...]) -> int:
+            # XOR with the chunk's ones: ~c would make every column negative,
+            # which slows the big-int operations of the predicate.
+            ones = _chunk_ones(len(cols))
+            return inner(tuple(c ^ ones for c in cols))
 
     return SubsetProblem(
         label="D-" + p.label,
@@ -182,8 +194,7 @@ def dualize(p: SubsetProblem) -> SubsetProblem:
     )
 
 
-# Masks are int64 lanes on the batch path, and a universe this large could
-# never be swept anyway.
+# No universe this large could ever be scanned: 2^62 masks.
 MAX_EXHAUSTIVE = 62
 
 
@@ -205,45 +216,66 @@ def _sweep_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[
     return None
 
 
-def _lex_ranks(masks: np.ndarray, n: int) -> np.ndarray:
-    import numpy as np
+def _chunk_ones(n: int) -> int:
+    """All ones over the positions of one chunk of an n-element universe."""
+    return (1 << (1 << min(n, _CHUNK_BITS))) - 1
 
-    # Larger rank <=> lexicographically smaller sorted member tuple.
-    ranks = np.zeros(masks.shape, dtype=np.int64)
-    for i in range(n):
-        ranks |= ((masks >> i) & 1) << (n - 1 - i)
-    return ranks
+
+@cache  # one entry per chunk width, at most _CHUNK_BITS + 1 of them
+def _chunk_basis(w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a chunk of 2^w positions: the column of each position bit b < w
+    (bit s set iff s has bit b), and the popcount layers j = 0..w (bit s set
+    iff s has j bits set)."""
+    cols, layers = (), (1,)
+    for k in range(w):
+        half = 1 << k
+        cols = tuple(c | c << half for c in cols) + (((1 << half) - 1) << half,)
+        layers = tuple(lo | hi << half for lo, hi in zip(layers + (0,), (0,) + layers))
+    return cols, layers
+
+
+def _set_bits_descending(x: int) -> Iterator[int]:
+    """The positions of the set bits of x >= 0, highest first, in one pass."""
+    digits = bin(x)
+    top = len(digits) - 1
+    i = digits.find("1", 2)
+    while i >= 0:
+        yield top - i
+        i = digits.find("1", i + 1)
 
 
 def _batch_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
-    """The same as _sweep_optima, from one pass of feasible_batch over all
-    2^n masks in chunks."""
-    import numpy as np
+    """The same as _sweep_optima, from feasible_batch over all 2^n masks.
 
+    Rank r stands for the mask that holds element i iff bit n-1-i of r is
+    set, so of two masks of one size the higher rank is lexicographically
+    smaller.  A chunk fixes the high n-w rank bits and its positions are the
+    low w; chunks are scanned from the top down, positions from high to low."""
     n = p.universe_size
+    w = min(n, _CHUNK_BITS)
+    low, layers = _chunk_basis(w)
+    tail, ones = low[::-1], _chunk_ones(n)
     minimize = p.goal is Goal.MINIMIZE
+    sizes = range(w + 1) if minimize else range(w, -1, -1)
     best: Optional[int] = None
-    tied: list[np.ndarray] = []  # per chunk, the masks of value best
-    for start in range(0, 1 << n, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        cand = masks[p.feasible_batch(masks)]
-        if cand.size == 0:
+    masks: list[int] = []
+    for chunk in range((1 << (n - w)) - 1, -1, -1):
+        head = tuple(ones if chunk >> b & 1 else 0 for b in range(n - w - 1, -1, -1))
+        feasible = p.feasible_batch(head + tail) & ones
+        if not feasible:
             continue
-        pops = np.bitwise_count(cand)
-        val = int(pops.min() if minimize else pops.max())
-        if best is not None and (val > best if minimize else val < best):
+        for j in sizes:
+            at = feasible & layers[j]
+            if at:
+                break
+        value = chunk.bit_count() + j
+        if best is None or (value < best if minimize else value > best):
+            best, masks = value, []
+        elif value != best or not all_ties:
             continue
-        if val != best:
-            best, tied = val, []
-        cand = cand[pops == val]
-        if not all_ties:
-            cand = cand[[_lex_ranks(cand, n).argmax()]]
-        tied.append(cand)
-    if best is None:
-        return None
-    cand = np.concatenate(tied)
-    cand = cand[np.argsort(-_lex_ranks(cand, n))]
-    return best, [int(m) for m in (cand if all_ties else cand[:1])]
+        positions = _set_bits_descending(at) if all_ties else (at.bit_length() - 1,)
+        masks += [int(format(chunk << w | s, f"0{n}b")[::-1], 2) for s in positions]
+    return None if best is None else (best, masks)
 
 
 def _optima(p: SubsetProblem, budget: int, all_ties: bool):
@@ -254,7 +286,7 @@ def _optima(p: SubsetProblem, budget: int, all_ties: bool):
         raise ValueError(
             f"exhaustive search is limited to {MAX_EXHAUSTIVE} elements, got {n}"
         )
-    scan = _batch_optima if p.feasible_batch is not None and n >= 14 else _sweep_optima
+    scan = _sweep_optima if p.feasible_batch is None else _batch_optima
     return scan(p, all_ties)
 
 

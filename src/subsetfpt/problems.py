@@ -14,7 +14,7 @@ handles come in two shapes, each built by one constructor from data:
   non-neighbours of v, the other sets meeting set i).  S is feasible iff no
   member's conflicts meet S, and choosing e keeps ~conflicts[e].
 
-Both give a scalar bitmask predicate, a numpy batch predicate and the
+Both give a scalar bitmask predicate, a bit-sliced batch predicate and the
 restrict_fn(e) mask from which SubsetProblem.restrict builds I(e).  Min
 independent dominating set is packing(adj) and covering(N[v]).  Max minimal
 vertex cover is its dual: S is a minimal vertex cover iff V - S is a maximal
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     Goal,
@@ -36,9 +36,6 @@ from .core import (
     iter_bits,
     mask_of,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ProblemKind(Enum):
@@ -166,9 +163,12 @@ def has_cycle(g: Graph, keep: int) -> bool:
 def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]:
     """Scalar and batch predicates of a covering kind: S is feasible iff it
     meets every hitter, the mask of the elements that cover one ground
-    element.  The distinct hitters are built on the first predicate call,
-    so large instances that never reach a predicate do not pay for them."""
+    element.  The batch predicate ANDs, over the hitters, the OR of their
+    members' columns.  The distinct hitters are built on the first predicate
+    call, so large instances that never reach a predicate do not pay for
+    them."""
     distinct = cache(lambda: tuple(sorted(set(hitters()))))
+    members = cache(lambda: tuple(tuple(iter_bits(h)) for h in distinct()))
 
     def feasible(m: int) -> bool:
         for h in distinct():
@@ -176,12 +176,13 @@ def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]
                 return False
         return True
 
-    def batch(masks: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        ok = np.ones(masks.shape, dtype=bool)
-        for h in distinct():
-            ok &= (masks & h) != 0
+    def batch(cols: tuple[int, ...]) -> int:
+        ok = -1
+        for hitter in members():
+            met = 0
+            for e in hitter:
+                met |= cols[e]
+            ok &= met
         return ok
 
     return feasible, batch
@@ -189,7 +190,11 @@ def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]
 
 def _packing(conflicts: tuple[int, ...]) -> tuple[Callable, Callable]:
     """Scalar and batch predicates of a packing kind: S is feasible iff no
-    member's conflict mask meets S."""
+    member's conflict mask meets S.  Conflicts are symmetric, so the batch
+    predicate tests each conflicting pair once, from its lower element."""
+    above = cache(lambda: tuple(
+        (e, tuple(f for f in iter_bits(c) if f > e)) for e, c in enumerate(conflicts) if c >> e + 1
+    ))
 
     def feasible(m: int) -> bool:
         for e in iter_bits(m):
@@ -197,14 +202,14 @@ def _packing(conflicts: tuple[int, ...]) -> tuple[Callable, Callable]:
                 return False
         return True
 
-    def batch(masks: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        hit = np.zeros(masks.shape, dtype=np.int64)  # union of members' conflicts
-        for e, c in enumerate(conflicts):
-            if c:
-                hit |= -((masks >> e) & 1) & c
-        return (hit & masks) == 0
+    def batch(cols: tuple[int, ...]) -> int:
+        clash = 0
+        for e, partners in above():
+            met = 0
+            for f in partners:
+                met |= cols[f]
+            clash |= cols[e] & met
+        return ~clash
 
     return feasible, batch
 

@@ -140,6 +140,35 @@ class TestEnumerateOptima:
         assert fast == slow
 
 
+class TestChunkedScan:
+    """Brute force over several chunks, each narrower than the universe,
+    gives the sweep's optimum and ties on every kind with a batch predicate."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunks_match_sweep(self, seed, monkeypatch):
+        from conftest import random_graph, random_system
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", 3)
+        g, sys = random_graph(8, 0.4, 500 + seed), random_system(7, 8, 3, 500 + seed)
+        kinds = [k for k in sf.ProblemKind if k is not sf.ProblemKind.FEEDBACK_VERTEX_SET]
+        assert len(kinds) == 8
+        for kind in kinds:
+            p = sf.make_problem(kind, sys if kind in sf.problems.SET_KINDS else g)
+            assert p.feasible_batch is not None
+            for q in (p, sf.dualize(p)):
+                hit = core._sweep_optima(q, all_ties=True)
+                best = core._sweep_optima(q, all_ties=False)
+                if hit is None:
+                    assert sf.brute_force_optimum(q) == sf.Infeasible()
+                    assert sf.enumerate_optima(q) == []
+                    continue
+                value, (mask,) = best
+                assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(
+                    sf.members_of(mask), value, optimal=True)
+                assert sf.enumerate_optima(q) == [sf.members_of(m) for m in hit[1]]
+
+
 class TestComplement:
     def test_examples(self):
         p = vc(sf.Graph.from_edges(5, []))
@@ -154,6 +183,13 @@ class TestComplement:
         s = data.draw(st.sets(st.integers(0, n - 1)))
         p = vc(sf.Graph.from_edges(n, []))
         assert len(sf.complement(p, s)) == n - len(s)
+
+    def test_results_of_one_size_share_their_ints(self):
+        # Ints above 256 are fresh objects unless both sets take them from
+        # one universe.
+        p = vc(sf.Graph.from_edges(1_000, []))
+        a, b = sf.complement(p, {0}), sf.complement(p, {999})
+        assert {id(x) for x in a if x < 999} == {id(x) for x in b if x > 0}
 
 
 class TestDualize:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -19,6 +20,28 @@ from conftest import (
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@functools.cache
+def _identity_columns(n):
+    """Batch columns over all 2^n masks with position s standing for mask s:
+    bit s of column e is set iff s holds e."""
+    return tuple(
+        int("".join("1" if s >> e & 1 else "0" for s in reversed(range(1 << n))), 2)
+        for e in range(n)
+    )
+
+
+def _positions(got, n):
+    """A batch result as one bool per position; higher bits are don't-care."""
+    return [bool(got >> s & 1) for s in range(1 << n)]
+
+
+def _assert_batch_matches_scalar(p):
+    n = p.universe_size
+    got = p.feasible_batch(_identity_columns(n))
+    assert _positions(got, n) == [p.feasible_mask(m) for m in range(1 << n)], p.label
+
 
 RESTRICTABLE_GRAPH_KINDS = [
     sf.ProblemKind.VERTEX_COVER,
@@ -111,18 +134,14 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("n,prob,seed", [(14, 0.2, 1), (15, 0.3, 2), (16, 0.15, 3)])
     def test_mmvc_batch_matches_reference(self, n, prob, seed):
-        import numpy as np
-
         g = random_graph(n, prob, 1_100 + seed)
         p = sf.make_problem(sf.ProblemKind.MAX_MINIMAL_VERTEX_COVER, g)
-        got = p.feasible_batch(np.arange(1 << n, dtype=np.int64))
+        got = p.feasible_batch(_identity_columns(n))
         want = [mmvc_feasible_ref(g, sf.members_of(m)) for m in range(1 << n)]
-        assert got.tolist() == want
+        assert _positions(got, n) == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_batch_predicates_match_scalar(self, seed):
-        import numpy as np
-
         g = random_graph(6, 0.5, 300 + seed)
         for kind in sf.ProblemKind:
             if kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING):
@@ -130,22 +149,16 @@ class TestFeasibility:
             p = sf.make_problem(kind, g)
             if p.feasible_batch is None:
                 continue
-            masks = np.arange(1 << p.universe_size, dtype=np.int64)
-            got = p.feasible_batch(masks)
-            want = [p.feasible_mask(int(m)) for m in masks]
-            assert got.tolist() == want
+            for q in (p, sf.dualize(p)):
+                _assert_batch_matches_scalar(q)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_setsystem_batch_matches_scalar(self, seed):
-        import numpy as np
-
         sys = random_system(6, 6, 3, 400 + seed)
         for kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING):
             p = sf.make_problem(kind, sys)
-            masks = np.arange(1 << p.universe_size, dtype=np.int64)
-            assert p.feasible_batch(masks).tolist() == [
-                p.feasible_mask(int(m)) for m in masks
-            ]
+            for q in (p, sf.dualize(p)):
+                _assert_batch_matches_scalar(q)
 
 
 def assert_restriction_sound(p, depth=2):
