@@ -3,7 +3,9 @@
 
 Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
 restriction I(e), the scalar predicate on a feasible and an infeasible mask,
-`run` and `ratio` of each default oracle, and the prune test.  Brute force:
+`run` and `ratio` of each default oracle, and the prune test.  The set-cover
+oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
+35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.  Brute force:
 `brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each graph kind with
 a batch predicate and for its dual (feedback vertex set, which has none, is
 left out: its sweep takes seconds at n = 20).  Cost per node: the
@@ -90,6 +92,11 @@ def layers(sf) -> dict:
         oracle = sf.DEFAULT_ORACLE[kind]
         out[f"run.{oracle.name}"] = _median_us(lambda: oracle.run(p), 2_000)
         out[f"ratio.{oracle.name}"] = _median_us(lambda: oracle.ratio(p), 2_000)
+    wide = sf.make_problem(K.SET_COVER, generate_setsystem(35, 2_000, 8, 70000))
+    oracle = sf.DEFAULT_ORACLE[K.SET_COVER]
+    oracle.run(wide)  # builds what a set system caches on first use
+    out[f"run.{oracle.name}.wide"] = _median_us(lambda: oracle.run(wide), 50)
+    out[f"ratio.{oracle.name}.wide"] = _median_us(lambda: oracle.ratio(wide), 50)
     # The engine's prune test once the oracle has run: |sol| > ratio * (k - depth).
     sol, r, k, depth = cover.bit_count(), sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc), 29, 3
     out["prune_test"] = _median_us(

@@ -26,6 +26,7 @@ from .core import (
     brute_force_optimum,
     complement,
     dualize,
+    iter_bits,
 )
 from .approx import ApproxOracle, matching_vertex_cover, run_checked
 from .problems import Graph, ProblemKind
@@ -168,8 +169,7 @@ def built_in_upper_bound(p: SubsetProblem) -> Optional[int]:
         alive = (1 << g.n) - 1
         degeneracy = 0
         while alive:
-            remaining = [u for u in range(g.n) if (alive >> u) & 1]
-            v = min(remaining, key=lambda u: (g.adj[u] & alive).bit_count())
+            v = min(iter_bits(alive), key=lambda u: (g.adj[u] & alive).bit_count())
             degeneracy = max(degeneracy, (g.adj[v] & alive).bit_count())
             alive &= ~(1 << v)
         return degeneracy + 1

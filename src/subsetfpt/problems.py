@@ -87,9 +87,13 @@ class Graph:
         return cls(n=n, edges=frozenset(norm), adj=tuple(adj))
 
     def max_degree(self) -> int:
-        return max(map(int.bit_count, self.adj), default=0)
+        return self._max_degree
 
     # Built on first use; equality and hashing still compare the fields only.
+    @cached_property
+    def _max_degree(self) -> int:
+        return max(map(int.bit_count, self.adj), default=0)
+
     @cached_property
     def closed_nbs(self) -> tuple[int, ...]:
         """N[v] = adj[v] plus v, for each vertex v."""
@@ -135,6 +139,16 @@ class SetSystem:
     @property
     def m(self) -> int:
         return len(self.sets)
+
+    # Built on first use, like Graph.closed_nbs.
+    @cached_property
+    def holders(self) -> tuple[int, ...]:
+        """For each ground element, the mask of the sets that hold it."""
+        holders = [0] * self.n_ground
+        for i, s in enumerate(self.sets):
+            for x in iter_bits(s):
+                holders[x] |= 1 << i
+        return tuple(holders)
 
 
 def has_cycle(g: Graph, keep: int) -> bool:
@@ -252,18 +266,9 @@ def _edge_hitters(g: Graph) -> Iterable[int]:
     return ((1 << u) | (1 << v) for u, v in g.edges)
 
 
-def _holders(sys: SetSystem) -> list[int]:
-    """For each ground element, the mask of the sets that hold it."""
-    holders = [0] * sys.n_ground
-    for i, s in enumerate(sys.sets):
-        for x in iter_bits(s):
-            holders[x] |= 1 << i
-    return holders
-
-
 def _set_conflicts(sys: SetSystem) -> tuple[int, ...]:
     """For each set, the mask of the other sets that meet it."""
-    holders = _holders(sys)
+    holders = sys.holders
     conflicts = []
     for i, s in enumerate(sys.sets):
         c = 0
@@ -306,7 +311,7 @@ def _max_minimal_vertex_cover(kind, g: Graph) -> SubsetProblem:
 _BUILDERS = {
     ProblemKind.VERTEX_COVER: lambda k, g: _covering_problem(k, g, lambda: _edge_hitters(g)),
     ProblemKind.DOMINATING_SET: lambda k, g: _covering_problem(k, g, lambda: g.closed_nbs),
-    ProblemKind.SET_COVER: lambda k, s: _covering_problem(k, s, lambda: _holders(s)),
+    ProblemKind.SET_COVER: lambda k, s: _covering_problem(k, s, lambda: s.holders),
     ProblemKind.INDEPENDENT_SET: lambda k, g: _packing_problem(k, g, g.adj),
     ProblemKind.CLIQUE: lambda k, g: _packing_problem(k, g, g.non_neighbours),
     ProblemKind.SET_PACKING: lambda k, s: _packing_problem(k, s, _set_conflicts(s)),

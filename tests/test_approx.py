@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import subsetfpt as sf
+from subsetfpt import approx
 from conftest import all_graphs_upto, closed_neighbourhoods_ref, random_graph, random_system
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -36,6 +38,95 @@ class TestGreedySetCover:
     def test_uncoverable_raises(self):
         with pytest.raises(sf.InfeasibleInstance):
             sf.greedy_set_cover(sf.SetSystem.from_lists(2, [[0]]))
+
+
+def _random_covers(rng, n_ground, m):
+    """m cover masks over n_ground elements, with empty and repeated sets and
+    sometimes a ground element that no set holds."""
+    covers = []
+    for _ in range(m):
+        roll = rng.random()
+        if roll < 0.1:
+            covers.append(0)
+        elif roll < 0.2 and covers:
+            covers.append(rng.choice(covers))
+        else:
+            size = rng.randint(1, max(1, n_ground // 3))
+            covers.append(sum(1 << x for x in rng.sample(range(n_ground), size)))
+    if rng.random() < 0.8:  # cover every element, so most systems are coverable
+        for x in range(n_ground):
+            if not any((c >> x) & 1 for c in covers):
+                covers[rng.randrange(m)] |= 1 << x
+    return tuple(covers)
+
+
+def _transpose(covers, n_ground):
+    return tuple(sum(1 << i for i, c in enumerate(covers) if (c >> x) & 1) for x in range(n_ground))
+
+
+def _picks_or_infeasible(fn, *args):
+    try:
+        return fn(*args)
+    except sf.InfeasibleInstance:
+        return "infeasible"
+
+
+class TestGainCounters:
+    """The bit-sliced gain counters pick what the plain scan picks, in the
+    same order, and raise where it raises."""
+
+    # (ground, ids): narrow, square and wide systems, on both sides of WIDE.
+    SHAPES = [(1, 1), (3, 2), (5, 5), (8, 12), (8, 31), (8, 32), (12, 60), (16, 64), (20, 150)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_counters_match_scan(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        systems = []
+        for n_ground, m in self.SHAPES:
+            covers = _random_covers(rng, n_ground, m)
+            gone = ~(1 << rng.randrange(n_ground))  # no set holds this element
+            systems += [(n_ground, m, covers), (n_ground, m, tuple(c & gone for c in covers))]
+        for n_ground, m, covers in systems:
+            holders = _transpose(covers, n_ground)
+            for _ in range(4):
+                chosen = rng.getrandbits(m) & rng.getrandbits(m)
+                target = approx._residual(covers, n_ground, chosen)
+                scan = _picks_or_infeasible(approx._scan_picks, covers, target)
+                counters = _picks_or_infeasible(approx._counter_picks, covers, holders, target)
+                assert counters == scan
+                outcomes.add(scan == "infeasible")
+                gains = [(c & target).bit_count() for c in covers]
+                best = max(gains, default=0)
+                top = sum(1 << i for i, gain in enumerate(gains) if gain == best) if best else 0
+                assert approx._top_gain(approx._gain_planes(holders, target)) == (top, best)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_max_residual_size_in_both_regimes(self, seed):
+        rng = random.Random(100 + seed)
+        for n_ground, m in ((10, 10), (10, 39), (10, 40), (10, 80)):
+            sys = sf.SetSystem(n_ground, _random_covers(rng, n_ground, m))
+            assert approx._is_wide(sys.m, sys.n_ground) == (m >= 4 * n_ground)
+            p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
+            for e in rng.sample(range(m), 3):
+                p = p.restrict(e)
+                target = approx._residual(sys.sets, n_ground, p.chosen)
+                expected = max((s & target).bit_count() for s in sys.sets)
+                assert approx._max_residual_size(p) == expected
+
+    def test_wide_system_takes_the_counters(self, monkeypatch):
+        sys = random_system(10, 40, 3, 7)
+        expected = sf.greedy_set_cover(sys, 0b101)
+
+        def refuse(*args):
+            raise AssertionError("a wide system took the scan")
+
+        monkeypatch.setattr(approx, "_scan_picks", refuse)
+        assert sf.greedy_set_cover(sys, 0b101) == expected
+        assert len(expected) > 1
+        with pytest.raises(AssertionError):
+            sf.greedy_set_cover(random_system(10, 39, 3, 7))
 
 
 class TestMatchingVertexCover:

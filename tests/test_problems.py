@@ -78,11 +78,22 @@ class TestGraph:
             assert [set(sf.iter_bits(m)) for m in g.closed_nbs] == nbs
             everything = set(range(g.n))
             assert [set(sf.iter_bits(m)) for m in g.non_neighbours] == [everything - nb for nb in nbs]
+            assert g.max_degree() == max((len(nb) - 1 for nb in nbs), default=0)
 
     def test_cached_masks_leave_equality_and_hash_alone(self):
         g, h = random_graph(8, 0.5, 1), random_graph(8, 0.5, 1)
-        assert g.closed_nbs and g.non_neighbours  # now cached on g, not on h
+        assert g.closed_nbs and g.non_neighbours and g.max_degree()  # now cached on g, not on h
         assert g == h and hash(g) == hash(h)
+
+
+class TestSetSystem:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_holders_are_the_transpose(self, seed):
+        s = random_system(12, 3 + 4 * seed, 5, 3000 + seed)
+        expected = [{i for i, m in enumerate(s.sets) if (m >> x) & 1} for x in range(s.n_ground)]
+        assert [set(sf.iter_bits(h)) for h in s.holders] == expected
+        assert s.holders is s.holders  # one transpose per set system
+        assert s == random_system(12, 3 + 4 * seed, 5, 3000 + seed)
 
 
 class TestFeasibility:
