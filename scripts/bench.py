@@ -5,14 +5,12 @@ Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
 restriction I(e), the scalar predicate on a feasible and an infeasible mask,
 `run` and `ratio` of each default oracle, and the prune test.  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
-35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.  Brute force:
-`brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each graph kind with
-a batch predicate and for its dual (feedback vertex set, which has none, is
-left out: its sweep takes seconds at n = 20).  Cost per node: the
-criterion-02 instance list (500 G(n, p) vertex covers at k = opt and
-opt - 1), a small seeded list per restrictable kind with a
-default oracle at k = opt and the adjacent NO budget, and the G(50, 0.1)
-instance at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
+35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
+Brute force: `brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each
+graph kind and for its dual.  Cost per node: the criterion-02 instance list
+(500 G(n, p) vertex covers at k = opt and opt - 1), a small seeded list per
+restrictable kind with a default oracle at k = opt and the adjacent NO
+budget, and the G(50, 0.1) instance at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
 subsetfpt.cli` alone, `python -m subsetfpt.cli <sub>` for each of the seven
 subcommands on a small fixed instance, and `solve` on a 16-vertex graph,
 where brute force scans 2^16 masks.
@@ -111,7 +109,7 @@ def brute_us(sf) -> dict:
     for n, number in BRUTE_SIZES:
         g = generate_gnp(n, 0.3, 70000)
         for kind in sf.ProblemKind:
-            if kind in sf.problems.SET_KINDS or kind is sf.ProblemKind.FEEDBACK_VERTEX_SET:
+            if kind in sf.problems.SET_KINDS:
                 continue
             p = sf.make_problem(kind, g)
             for q in (p, sf.dualize(p)):

@@ -12,7 +12,6 @@ lexicographic on the sorted member tuple) so ties break deterministically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache, partial
@@ -64,10 +63,11 @@ class SubsetProblem:
     """Uniform contract for problems whose solutions are subsets of a universe.
 
     feasible_mask takes an integer bitmask over [0, universe_size).
-    feasible_batch, when present, tests a chunk of masks at once, bit-sliced,
-    for brute force: it takes `cols`, a tuple of universe_size ints over
-    2^min(universe_size, 20) positions, where bit s of cols[e] is set iff
-    the mask at position s holds e, and returns an int whose bit s says
+    feasible_batch is the same predicate on a chunk of masks at once,
+    bit-sliced; brute force scans with it alone, and every kind and every
+    sub-instance has one.  It takes `cols`, a tuple of universe_size ints
+    over 2^min(universe_size, 20) positions, where bit s of cols[e] is set
+    iff the mask at position s holds e, and returns an int whose bit s says
     whether that mask is feasible.  Bits at or above the chunk width are
     don't-care on both sides.
 
@@ -103,23 +103,35 @@ class SubsetProblem:
         if not (self.alive >> e) & 1:
             raise ValueError(f"element {e} is not selectable in {self.label}")
         root = self.root or self
+        batch = root.feasible_batch
         alive = self.alive & self.restrict_fn(e) & ~(1 << e)
         chosen = self.chosen | (1 << e)
-        # Built by hand: dataclasses.replace would cost most of a search node.
+        # Built by hand: dataclasses.replace would cost most of a search node,
+        # and keyword arguments to update() would cost a dict of their own.
         child = object.__new__(SubsetProblem)
-        child.__dict__.update(
-            root.__dict__,
-            feasible_mask=partial(_sub_feasible, root.feasible_mask, alive, chosen),
-            feasible_batch=None,
-            alive=alive,
-            chosen=chosen,
-            root=root,
-        )
+        fields = child.__dict__
+        fields.update(root.__dict__)
+        fields["feasible_mask"] = partial(_sub_feasible, root.feasible_mask, alive, chosen)
+        fields["feasible_batch"] = None if batch is None else partial(_sub_batch, batch, alive, chosen)
+        fields["alive"] = alive
+        fields["chosen"] = chosen
+        fields["root"] = root
         return child
 
 
 def _sub_feasible(root_feasible, alive: int, chosen: int, mask: int) -> bool:
     return not mask & ~alive and root_feasible(mask | chosen)
+
+
+def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> int:
+    """_sub_feasible over bit columns: the chosen columns are all ones, and
+    a position holding any element outside alive is infeasible."""
+    ones = _chunk_ones(len(cols))
+    outside = 0
+    for e in iter_bits(~alive & ((1 << len(cols)) - 1)):
+        outside |= cols[e]
+    fixed = tuple(ones if chosen >> e & 1 else c for e, c in enumerate(cols))
+    return root_batch(fixed) & ~outside
 
 
 @dataclass(frozen=True)
@@ -198,24 +210,6 @@ def dualize(p: SubsetProblem) -> SubsetProblem:
 MAX_EXHAUSTIVE = 62
 
 
-def _sweep_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
-    """(value, optimal masks in lexicographic order) by cardinality sweep;
-    only the first optimum unless all_ties.  None if infeasible."""
-    n = p.universe_size
-    cards = range(n + 1) if p.goal is Goal.MINIMIZE else range(n, -1, -1)
-    for r in cards:
-        found = []
-        for combo in itertools.combinations(range(n), r):
-            m = mask_of(combo)
-            if p.feasible_mask(m):
-                found.append(m)
-                if not all_ties:
-                    break
-        if found:
-            return r, found
-    return None
-
-
 def _chunk_ones(n: int) -> int:
     """All ones over the positions of one chunk of an n-element universe."""
     return (1 << (1 << min(n, _CHUNK_BITS))) - 1
@@ -245,7 +239,9 @@ def _set_bits_descending(x: int) -> Iterator[int]:
 
 
 def _batch_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
-    """The same as _sweep_optima, from feasible_batch over all 2^n masks.
+    """(value, optimal masks in lexicographic order), from feasible_batch
+    over all 2^n masks; only the first optimum unless all_ties.  None if
+    infeasible.
 
     Rank r stands for the mask that holds element i iff bit n-1-i of r is
     set, so of two masks of one size the higher rank is lexicographically
@@ -286,8 +282,9 @@ def _optima(p: SubsetProblem, budget: int, all_ties: bool):
         raise ValueError(
             f"exhaustive search is limited to {MAX_EXHAUSTIVE} elements, got {n}"
         )
-    scan = _sweep_optima if p.feasible_batch is None else _batch_optima
-    return scan(p, all_ties)
+    if p.feasible_batch is None:
+        raise ValueError(f"{p.label} has no batch predicate for exhaustive search")
+    return _batch_optima(p, all_ties)
 
 
 def brute_force_optimum(

@@ -11,7 +11,6 @@ test, so the ratio guarantee is preserved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,15 +63,29 @@ class SchemaOutcome:
     diagnostics: dict
 
 
+def _threshold(rho: Fraction, epsilon: Fraction, goal: Goal) -> tuple[int, int]:
+    """threshold_min (goal MINIMIZE) or threshold_max as an unreduced
+    (numerator, denominator) pair of ints, so that a dispatch test is one
+    integer cross-multiplication."""
+    rn, rd, en, ed = rho.numerator, rho.denominator, epsilon.numerator, epsilon.denominator
+    if goal is Goal.MINIMIZE:
+        if rn < rd:
+            raise ValueError("minimization ratio must be >= 1")
+        num = (rn - rd) * ed + en * rd  # (rho - 1 + epsilon) * rd * ed
+    else:
+        if not 0 < rn <= rd:
+            raise ValueError("maximization ratio must be in (0, 1]")
+        num = (rd - rn) * ed + en * rd  # (1 - rho + epsilon) * rd * ed
+    if not 0 < en <= ed:
+        raise ValueError("epsilon must be in (0, 1]")
+    return num, en * rd
+
+
 def threshold_min(rho: Fraction, epsilon: Fraction) -> Fraction:
     """Instance-size factor above which complementing a rho-approximate
-    minimizer is (1 - epsilon)-good for the dual maximization problem."""
-    rho, epsilon = Fraction(rho), Fraction(epsilon)
-    if rho < 1:
-        raise ValueError("minimization ratio must be >= 1")
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    return (rho - 1 + epsilon) / epsilon
+    minimizer is (1 - epsilon)-good for the dual maximization problem:
+    (rho - 1 + epsilon)/epsilon."""
+    return Fraction(*_threshold(Fraction(rho), Fraction(epsilon), Goal.MINIMIZE))
 
 
 def threshold_max(rho: Fraction, epsilon: Fraction) -> Fraction:
@@ -83,12 +96,7 @@ def threshold_max(rho: Fraction, epsilon: Fraction) -> Fraction:
     since k' >= rho*k; requiring that to be <= 1 + epsilon solves to
     n >= ((1 - rho + epsilon)/epsilon) * k.
     """
-    rho, epsilon = Fraction(rho), Fraction(epsilon)
-    if not 0 < rho <= 1:
-        raise ValueError("maximization ratio must be in (0, 1]")
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    return (1 - rho + epsilon) / epsilon
+    return Fraction(*_threshold(Fraction(rho), Fraction(epsilon), Goal.MAXIMIZE))
 
 
 def dual_approx(
@@ -104,25 +112,20 @@ def dual_approx(
     eps = cfg.epsilon
     sol = run_checked(oracle, p)
     k_prime = len(sol)
-    rho = Fraction(oracle.ratio(p))
-    diag: dict = {"n": n, "k_prime": k_prime, "rho": str(rho), "epsilon": str(eps)}
-
-    take_approx = False
+    rho = oracle.ratio(p)
+    num, den = _threshold(rho, eps, p.goal)
     if p.goal is Goal.MINIMIZE:
-        c = threshold_min(rho, eps)
         # k' >= k, so n >= c*k' implies the true condition n >= c*k.
-        take_approx = n >= c * k_prime
-        diag["threshold"] = str(c)
-        diag["surrogate_k"] = k_prime
+        surrogate_k = k_prime
     else:
-        c = threshold_max(rho, eps)
         # k' >= rho*k bounds k from above; so does the kind's own bound.
         bound = built_in_upper_bound(p)
-        k_ub = min(n, math.ceil(k_prime / rho), n if bound is None else bound)
-        take_approx = n >= c * k_ub
-        diag["threshold"] = str(c)
-        diag["surrogate_k"] = k_ub
-    diag["dual_parameter"] = n - k_prime
+        k_over_rho = -(-k_prime * rho.denominator // rho.numerator)  # ceil(k'/rho)
+        surrogate_k = min(n, k_over_rho, n if bound is None else bound)
+    take_approx = n * den >= num * surrogate_k  # n >= c * surrogate_k
+    diag: dict = {"n": n, "k_prime": k_prime, "rho": str(rho), "epsilon": str(eps),
+                  "threshold": str(Fraction(num, den)), "surrogate_k": surrogate_k,
+                  "dual_parameter": n - k_prime}
 
     if take_approx and not cfg.force_brute:
         dual_sol = complement(p, sol)

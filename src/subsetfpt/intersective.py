@@ -94,13 +94,13 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     """Depth-first search over sub-instances of p, branching on the oracle's
     output at each one.
 
-    A node is the sub-instance reached by choosing the elements of its
-    `chosen` mask.  For every restrictable kind that sub-instance depends
-    on the chosen set alone, not on the order of choice, so each chosen set
-    is expanded once.  Minimization keeps the best solution seen and prunes
-    nodes that cannot beat it or whose oracle output exceeds ratio times
-    the remaining budget; maximization stops at the first feasible set of
-    size budget_k.
+    A node is the sub-instance reached from p by choosing the elements of
+    its `chosen` mask beyond p's own; those form its candidate solution.
+    For every restrictable kind that sub-instance depends on the chosen set
+    alone, not on the order of choice, so each chosen set is expanded once.
+    Minimization keeps the best solution seen and prunes nodes that cannot
+    beat it or whose oracle output exceeds ratio times the remaining
+    budget; maximization stops at the first feasible set of size budget_k.
     """
     if oracle.goal is not p.goal:
         raise ValueError("oracle goal must match the problem's goal")
@@ -108,8 +108,11 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     k = cfg.budget_k
     nodes = max_depth = max_arity = 0
     cap_hit = False
-    best: Optional[int] = None  # chosen mask of the incumbent
+    best: Optional[int] = None  # the incumbent, as a solution of p
     seen: set[int] = set()
+    # p's own chosen elements lie outside p.alive, so p's predicate would
+    # reject them: a node's solution is what it chose beyond them.
+    inherited = p.chosen
 
     def visit(inst: SubsetProblem) -> None:
         nonlocal nodes, max_depth, max_arity, cap_hit, best
@@ -117,11 +120,12 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
             cap_hit = True
             return
         nodes += 1
-        depth = inst.chosen.bit_count()
+        own = inst.chosen ^ inherited
+        depth = own.bit_count()
         max_depth = max(max_depth, depth)
-        if (minimize or depth == k) and p.feasible_mask(inst.chosen):
-            if best is None or _rank(inst.chosen) < _rank(best):
-                best = inst.chosen
+        if (minimize or depth == k) and p.feasible_mask(own):
+            if best is None or _rank(own) < _rank(best):
+                best = own
             return
         if depth == k:
             return

@@ -19,7 +19,8 @@ restrict_fn(e) mask from which SubsetProblem.restrict builds I(e).  Min
 independent dominating set is packing(adj) and covering(N[v]).  Max minimal
 vertex cover is its dual: S is a minimal vertex cover iff V - S is a maximal
 independent set, that is, an independent dominating set.  Feedback vertex set
-has its own cycle test.
+has its own pair of predicates, a DFS cycle test and leaf peeling over bit
+columns, and no restriction.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable, Iterable, Optional
 from .core import (
     Goal,
     SubsetProblem,
+    _chunk_ones,
     dualize,
     iter_bits,
     mask_of,
@@ -287,9 +289,42 @@ def _droppable(g: Graph, cover: int) -> Optional[int]:
     return None
 
 
+def _forest_batch(g: Graph) -> Callable:
+    """Batch predicate of feedback vertex set: the kept vertices induce a
+    forest iff peeling vertices with fewer than two kept neighbours leaves
+    none.  kept[v] holds the positions where v is not deleted; a vertex's
+    saturating count of kept neighbours (one, two) drops it where two is
+    unset, until a round changes nothing."""
+    nbs = tuple(tuple(iter_bits(a)) for a in g.adj)
+
+    def batch(cols: tuple[int, ...]) -> int:
+        ones = _chunk_ones(len(cols))
+        kept = [c ^ ones for c in cols]
+        changed = True
+        while changed:
+            changed = False
+            for v, us in enumerate(nbs):
+                k = kept[v]
+                if not k:
+                    continue
+                one = two = 0
+                for u in us:
+                    two |= one & kept[u]
+                    one |= kept[u]
+                if k & ~two:
+                    kept[v] = k & two
+                    changed = True
+        left = 0
+        for k in kept:
+            left |= k
+        return ~left
+
+    return batch
+
+
 def _feedback_vertex_set(kind, g: Graph) -> SubsetProblem:
     full = (1 << g.n) - 1
-    return _problem(kind, g, lambda m: not has_cycle(g, full & ~m), None)
+    return _problem(kind, g, lambda m: not has_cycle(g, full & ~m), _forest_batch(g))
 
 
 def _min_independent_dominating_set(kind, g: Graph) -> SubsetProblem:

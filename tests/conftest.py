@@ -70,6 +70,26 @@ def ref_optimum(universe_size, goal, feasible):
     return None
 
 
+def _sweep_optima(p: sf.SubsetProblem, all_ties: bool):
+    """Reference for brute force's bit-sliced scan: (value, optimal masks in
+    lexicographic order) by a cardinality sweep over the scalar predicate,
+    one mask at a time; only the first optimum unless all_ties.  None if
+    infeasible."""
+    n = p.universe_size
+    cards = range(n + 1) if p.goal is sf.Goal.MINIMIZE else range(n, -1, -1)
+    for r in cards:
+        found = []
+        for combo in itertools.combinations(range(n), r):
+            m = sf.mask_of(combo)
+            if p.feasible_mask(m):
+                found.append(m)
+                if not all_ties:
+                    break
+        if found:
+            return r, found
+    return None
+
+
 def uf_has_cycle(n, edges):
     """Union-find cycle detector, independent of the package's DFS check."""
     parent = list(range(n))

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import subsetfpt as sf
-from subsetfpt.core import _sweep_optima
+from conftest import _sweep_optima
 from subsetfpt.io import generate_gnp, render_graph
 
 SRC = Path(sf.__file__).resolve().parent.parent

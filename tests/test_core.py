@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsetfpt as sf
-from conftest import ref_optimum
+from conftest import _sweep_optima, ref_optimum
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -98,10 +98,17 @@ class TestBruteForce:
             vc(random_graph(14, 0.4, seed)),
             sf.make_problem(sf.ProblemKind.SET_COVER, random_system(80, 15, 10, seed)),
         ):
-            assert p.feasible_batch is not None
-            fast = sf.brute_force_optimum(p)
-            slow = sf.brute_force_optimum(dataclasses.replace(p, feasible_batch=None))
-            assert fast == slow
+            value, (mask,) = _sweep_optima(p, all_ties=False)
+            assert sf.brute_force_optimum(p) == sf.EvaluatedSolution(
+                sf.members_of(mask), value, optimal=True)
+
+    def test_problem_without_batch_predicate_is_refused(self):
+        p = sf.SubsetProblem(label="bare", universe_size=3, goal=sf.Goal.MINIMIZE,
+                             feasible_mask=lambda m: True)
+        with pytest.raises(ValueError, match="bare has no batch predicate"):
+            sf.brute_force_optimum(p)
+        with pytest.raises(ValueError, match="bare has no batch predicate"):
+            sf.enumerate_optima(p)
 
     def test_determinism(self):
         p = vc(TRIANGLE)
@@ -135,14 +142,27 @@ class TestEnumerateOptima:
 
         g = random_graph(14, 0.3, 100 + seed)
         p = vc(g)
-        fast = sf.enumerate_optima(p)
-        slow = sf.enumerate_optima(dataclasses.replace(p, feasible_batch=None))
-        assert fast == slow
+        _, masks = _sweep_optima(p, all_ties=True)
+        assert sf.enumerate_optima(p) == [sf.members_of(m) for m in masks]
+
+
+def _assert_scan_matches_sweep(q):
+    """brute_force_optimum and enumerate_optima give the reference sweep's
+    optimum and ties."""
+    hit = _sweep_optima(q, all_ties=True)
+    if hit is None:
+        assert sf.brute_force_optimum(q) == sf.Infeasible()
+        assert sf.enumerate_optima(q) == []
+        return
+    value, (mask,) = _sweep_optima(q, all_ties=False)
+    assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(
+        sf.members_of(mask), value, optimal=True), q.label
+    assert sf.enumerate_optima(q) == [sf.members_of(m) for m in hit[1]], q.label
 
 
 class TestChunkedScan:
     """Brute force over several chunks, each narrower than the universe,
-    gives the sweep's optimum and ties on every kind with a batch predicate."""
+    gives the sweep's optimum and ties on every kind."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chunks_match_sweep(self, seed, monkeypatch):
@@ -151,22 +171,33 @@ class TestChunkedScan:
 
         monkeypatch.setattr(core, "_CHUNK_BITS", 3)
         g, sys = random_graph(8, 0.4, 500 + seed), random_system(7, 8, 3, 500 + seed)
-        kinds = [k for k in sf.ProblemKind if k is not sf.ProblemKind.FEEDBACK_VERTEX_SET]
-        assert len(kinds) == 8
+        kinds = list(sf.ProblemKind)
+        assert len(kinds) == 9
         for kind in kinds:
             p = sf.make_problem(kind, sys if kind in sf.problems.SET_KINDS else g)
-            assert p.feasible_batch is not None
             for q in (p, sf.dualize(p)):
-                hit = core._sweep_optima(q, all_ties=True)
-                best = core._sweep_optima(q, all_ties=False)
-                if hit is None:
-                    assert sf.brute_force_optimum(q) == sf.Infeasible()
-                    assert sf.enumerate_optima(q) == []
-                    continue
-                value, (mask,) = best
-                assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(
-                    sf.members_of(mask), value, optimal=True)
-                assert sf.enumerate_optima(q) == [sf.members_of(m) for m in hit[1]]
+                _assert_scan_matches_sweep(q)
+
+
+class TestSubInstanceScan:
+    """Brute force on children and grandchildren, which scan with their own
+    batch predicate, gives the reference sweep's optimum and ties."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("chunk_bits", [3, 20])
+    def test_sub_instances_match_sweep(self, seed, chunk_bits, monkeypatch):
+        from conftest import random_graph, random_system
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        g, sys = random_graph(8, 0.4, 520 + seed), random_system(7, 8, 3, 520 + seed)
+        for kind in sorted(sf.RESTRICTABLE, key=lambda k: k.value):
+            p = sf.make_problem(kind, sys if kind in sf.problems.SET_KINDS else g)
+            for e in sf.iter_bits(p.alive):
+                child = p.restrict(e)
+                _assert_scan_matches_sweep(child)
+                for f in itertools.islice(sf.iter_bits(child.alive), 2):
+                    _assert_scan_matches_sweep(child.restrict(f))
 
 
 class TestComplement:

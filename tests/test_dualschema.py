@@ -169,6 +169,16 @@ class TestDualApprox:
         assert out.path is sf.SchemaPath.APPROX
         assert out.diagnostics["surrogate_k"] == 2
 
+    def test_max_surrogate_rounds_k_over_rho_up(self):
+        # k' = 3 at ratio 2/3 bounds the optimum by ceil(9/2) = 5, below n
+        # and the edgeless graph's own bound; threshold_max(2/3, 1) = 4/3
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, sf.Graph.from_edges(10, []))
+        oracle = sf.ApproxOracle(name="three", goal=sf.Goal.MAXIMIZE,
+                                 run=lambda q: frozenset({0, 1, 2}), ratio=lambda q: F(2, 3))
+        out = sf.dual_approx(p, oracle, sf.SchemaConfig(F(1)))
+        assert (out.diagnostics["surrogate_k"], out.diagnostics["threshold"]) == (5, "4/3")
+        assert out.path is sf.SchemaPath.APPROX
+
     @pytest.mark.parametrize("seed", range(5))
     def test_clique_bound_takes_approx_path_on_larger_graphs(self, seed):
         # Above brute_cap, k'/rho alone exceeds n/threshold and the schema

@@ -218,6 +218,71 @@ class TestCoveringKindsAgainstBruteForce:
         self._check(sf.make_problem(sf.ProblemKind.SET_COVER, sys))
 
 
+class TestBranchOnSubInstances:
+    """The engine started at a sub-instance I(e) answers for I(e) itself,
+    checked against brute force on it: exactly for vertex cover, whose
+    matching oracle is intersective by construction; for the other kinds
+    with a default oracle, every FOUND solution is feasible for I(e) and has
+    the right size."""
+
+    def test_vertex_cover_and_independent_set_examples(self):
+        g = generate_gnp(8, 0.4, 3)
+        child = vc(g).restrict(0)
+        assert sf.brute_force_optimum(child).value == 3
+        found, no = sf.BranchOutcome.FOUND, sf.BranchOutcome.NO_INSTANCE
+        for k in range(8):
+            rep = sf.branch_solve_min(child, MATCHING, sf.BranchConfig(budget_k=k))
+            assert rep.outcome is (found if k >= 3 else no)
+        child = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g).restrict(0)
+        assert sf.brute_force_optimum(child).value == 2
+        for k in range(5):
+            rep = sf.branch_solve_max(child, MIS, sf.BranchConfig(budget_k=k))
+            assert rep.outcome is (found if k <= 2 else no)
+            assert rep.value in (k, None)
+
+    @staticmethod
+    def _sub_instances(kind, seed):
+        data = (generate_setsystem(8, 8, 3, seed) if kind is sf.ProblemKind.SET_COVER
+                else generate_gnp(8, 0.5 if kind is sf.ProblemKind.CLIQUE else 0.4, seed))
+        p = sf.make_problem(kind, data)
+        for e in sf.iter_bits(p.alive):
+            child = p.restrict(e)
+            yield child
+            if child.alive:
+                yield child.restrict(min(sf.iter_bits(child.alive)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vertex_cover_is_exact(self, seed):
+        for sub in self._sub_instances(sf.ProblemKind.VERTEX_COVER, 2_000 + seed):
+            opt = sf.brute_force_optimum(sub).value
+            for k in range(sub.alive.bit_count() + 1):
+                rep = sf.branch_solve_min(sub, MATCHING, sf.BranchConfig(budget_k=k))
+                if k < opt:
+                    assert rep.outcome is sf.BranchOutcome.NO_INSTANCE, (sub.chosen, k)
+                    continue
+                assert rep.outcome is sf.BranchOutcome.FOUND, (sub.chosen, k)
+                assert rep.value == opt and sf.is_feasible(sub, rep.solution)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["dominating-set", "set-cover", "independent-set", "clique"])
+    def test_found_solutions_are_feasible_with_the_right_size(self, kind, seed):
+        pk = sf.ProblemKind(kind)
+        for sub in self._sub_instances(pk, 2_100 + seed):
+            opt = sf.brute_force_optimum(sub)
+            minimize = sub.goal is sf.Goal.MINIMIZE
+            solve = sf.branch_solve_min if minimize else sf.branch_solve_max
+            for k in range(sub.alive.bit_count() + 1):
+                rep = solve(sub, sf.DEFAULT_ORACLE[pk], sf.BranchConfig(budget_k=k))
+                assert rep.outcome is not sf.BranchOutcome.NODE_CAP_EXCEEDED
+                if rep.outcome is not sf.BranchOutcome.FOUND:
+                    continue
+                assert sf.is_feasible(sub, rep.solution), (kind, sub.chosen, k)
+                if minimize:
+                    assert opt.value <= rep.value <= k, (kind, sub.chosen, k)
+                else:
+                    assert rep.value == k <= opt.value, (kind, sub.chosen, k)
+
+
 # (kind, n, seed, k, prune, outcome, solution, nodes_expanded, max_depth,
 # max_arity) of the engine with each kind's default oracle, at k = opt and
 # at the adjacent NO budget: G(n, p) from generate_gnp (p = 0.5 for clique,

@@ -288,7 +288,19 @@ class TestRestriction:
             assert vars(sub).keys() == vars(p).keys()
             for name in shared:
                 assert getattr(sub, name) is getattr(p, name), (kind, name)
-            assert sub.feasible_batch is None
+            _assert_batch_matches_scalar(sub)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
+    def test_sub_instance_batch_matches_scalar(self, kind, seed):
+        set_kind = kind in sf.problems.SET_KINDS
+        p = sf.make_problem(kind, random_system(6, 6, 3, 90 + seed) if set_kind
+                            else random_graph(6, 0.5, 90 + seed))
+        for e in sf.iter_bits(p.alive):
+            child = p.restrict(e)
+            _assert_batch_matches_scalar(child)
+            for f in sf.iter_bits(child.alive):
+                _assert_batch_matches_scalar(child.restrict(f))
 
     @pytest.mark.parametrize("kind", RESTRICTABLE_GRAPH_KINDS)
     def test_restriction_commutes_all_graphs_up_to_5(self, kind):
@@ -343,7 +355,39 @@ class TestDualities:
         assert clq.value == ind.value
 
 
+def _assert_forest_batch(g, acyclic):
+    """The FVS batch predicate and its dual's against acyclic[keep], whether
+    g induces a forest on the vertex mask keep: S is a feedback vertex set
+    iff V - S induces one."""
+    n, full = g.n, (1 << g.n) - 1
+    p = sf.make_problem(sf.ProblemKind.FEEDBACK_VERTEX_SET, g)
+    cols = _identity_columns(n)
+    assert _positions(p.feasible_batch(cols), n) == [acyclic[full & ~m] for m in range(1 << n)]
+    assert _positions(sf.dualize(p).feasible_batch(cols), n) == acyclic
+
+
 class TestFeedbackVertexSet:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batch_matches_has_cycle_all_graphs(self, n):
+        # all_graphs_upto lists the graphs on n vertices by their edge bits
+        # over the pairs in combinations order, so the subgraph that graph b
+        # induces on keep is graph b & within[keep] with keep's complement
+        # isolated: one has_cycle call per graph covers every mask.
+        graphs = [g for g in all_graphs_upto(n) if g.n == n]
+        full = (1 << n) - 1
+        acyclic = [not sf.problems.has_cycle(g, full) for g in graphs]
+        pairs = list(itertools.combinations(range(n), 2))
+        within = [sf.mask_of(i for i, (u, v) in enumerate(pairs) if keep >> u & keep >> v & 1)
+                  for keep in range(1 << n)]
+        for b, g in enumerate(graphs):
+            assert g.edges == {pairs[i] for i in sf.iter_bits(b)}
+            _assert_forest_batch(g, [acyclic[b & w] for w in within])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_batch_matches_has_cycle_random_graphs(self, seed):
+        g = random_graph(7 + seed % 3, [0.2, 0.35, 0.5, 0.7][seed % 4], 1_300 + seed)
+        _assert_forest_batch(g, [not sf.problems.has_cycle(g, keep) for keep in range(1 << g.n)])
+
     @pytest.mark.parametrize("chunk", range(10))
     def test_acyclicity_agrees_with_union_find(self, chunk):
         # 100 random graphs per chunk, 1000 total
