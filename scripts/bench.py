@@ -13,7 +13,8 @@ restrictable kind with a default oracle at k = opt and the adjacent NO
 budget, and the G(50, 0.1) instance at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
 subsetfpt.cli` alone, `python -m subsetfpt.cli <sub>` for each of the seven
 subcommands on a small fixed instance, and `solve` on a 16-vertex graph,
-where brute force scans 2^16 masks.
+where brute force scans 2^16 masks.  Size: `src_lines`, the line count of
+each module of the package under --src and their total (as `wc -l`).
 
 Stdlib timing only: a layer is the median over REPEAT `timeit` runs, a
 cost per node the median over REPEAT passes of its list, a cold start the
@@ -185,6 +186,12 @@ def cold_start(src: Path) -> dict:
     return {name: statistics.median(t) * 1e3 for name, t in times.items()}
 
 
+def src_lines(src: Path) -> dict:
+    """Newlines per module of subsetfpt under src, and their total."""
+    lines = {p.name: p.read_bytes().count(b"\n") for p in sorted((src / "subsetfpt").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def _cpu_model() -> str:
     try:
         for line in open("/proc/cpuinfo"):
@@ -227,6 +234,7 @@ def main(argv=None) -> int:
         "us_per_node": {k: round(v, 2) for k, v in us_per_node.items()},
         "nodes": nodes,
         "cold_start_ms": {k: round(v, 1) for k, v in cold_start(src).items()},
+        "src_lines": src_lines(src),
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}

@@ -63,13 +63,14 @@ class SubsetProblem:
     """Uniform contract for problems whose solutions are subsets of a universe.
 
     feasible_mask takes an integer bitmask over [0, universe_size).
-    feasible_batch is the same predicate on a chunk of masks at once,
-    bit-sliced; brute force scans with it alone, and every kind and every
-    sub-instance has one.  It takes `cols`, a tuple of universe_size ints
-    over 2^min(universe_size, 20) positions, where bit s of cols[e] is set
-    iff the mask at position s holds e, and returns an int whose bit s says
-    whether that mask is feasible.  Bits at or above the chunk width are
-    don't-care on both sides.
+    feasible_batch, a required field, is the same predicate on a chunk of
+    masks at once, bit-sliced; brute force scans with it alone, and
+    restrict and dualize derive the one of a sub-instance or a dual from it.
+    It takes `cols`, a tuple of universe_size ints over
+    2^min(universe_size, 20) positions, where bit s of cols[e] is set iff the
+    mask at position s holds e, and returns an int whose bit s says whether
+    that mask is feasible.  Bits at or above the chunk width are don't-care
+    on both sides.
 
     A sub-instance is its root instance plus two masks in root numbering:
     `alive`, the elements still selectable, and `chosen`, the elements
@@ -83,8 +84,8 @@ class SubsetProblem:
     universe_size: int
     goal: Goal
     feasible_mask: Callable[[int], bool]
+    feasible_batch: Callable[[tuple[int, ...]], int]
     restrict_fn: Optional[Callable[[int], int]] = None
-    feasible_batch: Optional[Callable[[tuple[int, ...]], int]] = None
     kind: object = None
     data: object = None
     alive: Optional[int] = None  # None: the whole universe
@@ -103,7 +104,6 @@ class SubsetProblem:
         if not (self.alive >> e) & 1:
             raise ValueError(f"element {e} is not selectable in {self.label}")
         root = self.root or self
-        batch = root.feasible_batch
         alive = self.alive & self.restrict_fn(e) & ~(1 << e)
         chosen = self.chosen | (1 << e)
         # Built by hand: dataclasses.replace would cost most of a search node,
@@ -112,7 +112,7 @@ class SubsetProblem:
         fields = child.__dict__
         fields.update(root.__dict__)
         fields["feasible_mask"] = partial(_sub_feasible, root.feasible_mask, alive, chosen)
-        fields["feasible_batch"] = None if batch is None else partial(_sub_batch, batch, alive, chosen)
+        fields["feasible_batch"] = partial(_sub_batch, root.feasible_batch, alive, chosen)
         fields["alive"] = alive
         fields["chosen"] = chosen
         fields["root"] = root
@@ -186,15 +186,13 @@ def dualize(p: SubsetProblem) -> SubsetProblem:
     def feas(mask: int) -> bool:
         return p.feasible_mask(full & ~mask)
 
-    batch = None
-    if p.feasible_batch is not None:
-        inner = p.feasible_batch
+    inner = p.feasible_batch
 
-        def batch(cols: tuple[int, ...]) -> int:
-            # XOR with the chunk's ones: ~c would make every column negative,
-            # which slows the big-int operations of the predicate.
-            ones = _chunk_ones(len(cols))
-            return inner(tuple(c ^ ones for c in cols))
+    def batch(cols: tuple[int, ...]) -> int:
+        # XOR with the chunk's ones: ~c would make every column negative,
+        # which slows the big-int operations of the predicate.
+        ones = _chunk_ones(len(cols))
+        return inner(tuple(c ^ ones for c in cols))
 
     return SubsetProblem(
         label="D-" + p.label,
@@ -282,8 +280,6 @@ def _optima(p: SubsetProblem, budget: int, all_ties: bool):
         raise ValueError(
             f"exhaustive search is limited to {MAX_EXHAUSTIVE} elements, got {n}"
         )
-    if p.feasible_batch is None:
-        raise ValueError(f"{p.label} has no batch predicate for exhaustive search")
     return _batch_optima(p, all_ties)
 
 

@@ -10,6 +10,7 @@ a solution within budget and is pruned.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -101,6 +102,8 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     Minimization keeps the best solution seen and prunes nodes that cannot
     beat it or whose oracle output exceeds ratio times the remaining
     budget; maximization stops at the first feasible set of size budget_k.
+    The search nests one call per chosen element; a search deeper than the
+    interpreter's recursion limit raises ValueError.
     """
     if oracle.goal is not p.goal:
         raise ValueError("oracle goal must match the problem's goal")
@@ -145,7 +148,12 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
                 seen.add(chosen)
                 visit(inst.restrict(e))
 
-    visit(p)
+    try:
+        visit(p)
+    except RecursionError:
+        raise ValueError(
+            f"search deeper than the interpreter's recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     # Maximization stops at its first solution, before any node-cap hit.
     if cap_hit:
         outcome = BranchOutcome.NODE_CAP_EXCEEDED

@@ -64,14 +64,9 @@ def parse_graph(text: str) -> ParsedGraph:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise ParseError("missing 'p edge' line")
-    self_loops = sum(1 for u, v in raw_edges if u == v)
     kept = [(u, v) for u, v in raw_edges if u != v]
-    dedup = {(min(u, v), max(u, v)) for u, v in kept}
-    return ParsedGraph(
-        graph=Graph.from_edges(n, dedup),
-        dropped_duplicates=len(kept) - len(dedup),
-        dropped_self_loops=self_loops,
-    )
+    graph = Graph.from_edges(n, kept)
+    return ParsedGraph(graph, len(kept) - len(graph.edges), len(raw_edges) - len(kept))
 
 
 def render_graph(g: Graph) -> str:

@@ -1,26 +1,29 @@
 """Concrete subset-problem encodings over graphs and set systems.
 
 Universe convention: vertices for graph problems, set indices for set-system
-problems (the ground set is metadata).  The six kinds the branching engine
-handles come in two shapes, each built by one constructor from data:
+problems (the ground set is metadata).  Each kind is entered in one of three
+tables, and its goal and restrictability follow from the table:
 
-* covering kinds (vertex cover, dominating set, set cover) are closed under
-  supersets.  Each is a list of hitter masks, one per ground element: the
-  elements that cover it (the two endpoints of an edge, N[v], the sets
-  holding x).  S is feasible iff it meets every hitter, and choosing an
-  element keeps all others selectable.
-* packing kinds (independent set, clique, set packing) are closed under
-  subsets.  Each is a tuple of conflict masks, one per element (adj[v], the
-  non-neighbours of v, the other sets meeting set i).  S is feasible iff no
-  member's conflicts meet S, and choosing e keeps ~conflicts[e].
+* _HITTERS: covering kinds (vertex cover, dominating set, set cover) minimize
+  and are closed under supersets.  Each is a list of hitter masks, one per
+  ground element: the elements that cover it (the two endpoints of an edge,
+  N[v], the sets holding x).  S is feasible iff it meets every hitter, and
+  choosing an element keeps all others selectable.
+* _CONFLICTS: packing kinds (independent set, clique, set packing) maximize
+  and are closed under subsets.  Each is a tuple of conflict masks, one per
+  element (adj[v], the non-neighbours of v, the other sets meeting set i).
+  S is feasible iff no member's conflicts meet S, and choosing e keeps
+  ~conflicts[e].
+* _OTHERS: the kinds with no restriction, each with its goal and its own
+  pair of predicates.  Min independent dominating set is packing(adj) and
+  covering(N[v]).  Max minimal vertex cover is its dual: S is a minimal
+  vertex cover iff V - S is a maximal independent set, that is, an
+  independent dominating set.  Feedback vertex set has a DFS cycle test and
+  leaf peeling over bit columns.
 
-Both give a scalar bitmask predicate, a bit-sliced batch predicate and the
-restrict_fn(e) mask from which SubsetProblem.restrict builds I(e).  Min
-independent dominating set is packing(adj) and covering(N[v]).  Max minimal
-vertex cover is its dual: S is a minimal vertex cover iff V - S is a maximal
-independent set, that is, an independent dominating set.  Feedback vertex set
-has its own pair of predicates, a DFS cycle test and leaf peeling over bit
-columns, and no restriction.
+Every kind has a scalar bitmask predicate and a bit-sliced batch predicate;
+the first two tables also give the restrict_fn(e) mask from which
+SubsetProblem.restrict builds I(e).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Callable, Iterable, Optional
 from .core import (
     Goal,
     SubsetProblem,
+    _check_members,
     _chunk_ones,
     dualize,
     iter_bits,
@@ -50,19 +54,6 @@ class ProblemKind(Enum):
     FEEDBACK_VERTEX_SET = "feedback-vertex-set"
     MAX_MINIMAL_VERTEX_COVER = "max-minimal-vertex-cover"
     MIN_INDEPENDENT_DOMINATING_SET = "min-independent-dominating-set"
-
-
-GOALS = {
-    ProblemKind.VERTEX_COVER: Goal.MINIMIZE,
-    ProblemKind.INDEPENDENT_SET: Goal.MAXIMIZE,
-    ProblemKind.CLIQUE: Goal.MAXIMIZE,
-    ProblemKind.DOMINATING_SET: Goal.MINIMIZE,
-    ProblemKind.SET_COVER: Goal.MINIMIZE,
-    ProblemKind.SET_PACKING: Goal.MAXIMIZE,
-    ProblemKind.FEEDBACK_VERTEX_SET: Goal.MINIMIZE,
-    ProblemKind.MAX_MINIMAL_VERTEX_COVER: Goal.MAXIMIZE,
-    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: Goal.MINIMIZE,
-}
 
 
 @dataclass(frozen=True)
@@ -234,36 +225,6 @@ def _keep_all(e: int) -> int:
     return -1
 
 
-def _problem(kind, data, feasible, batch, restrict_fn=None) -> SubsetProblem:
-    if isinstance(data, SetSystem):
-        label, n = f"{kind.value}(n={data.n_ground},m={data.m})", data.m
-    else:
-        label, n = f"{kind.value}(n={data.n})", data.n
-    return SubsetProblem(
-        label=label,
-        universe_size=n,
-        goal=GOALS[kind],
-        feasible_mask=feasible,
-        feasible_batch=batch,
-        restrict_fn=restrict_fn,
-        kind=kind,
-        data=data,
-    )
-
-
-def _covering_problem(kind, data, hitters) -> SubsetProblem:
-    """Feasible sets are closed under supersets, so choosing an element
-    leaves every other one selectable."""
-    return _problem(kind, data, *_covering(hitters), _keep_all)
-
-
-def _packing_problem(kind, data, conflicts: tuple[int, ...]) -> SubsetProblem:
-    """Feasible sets are closed under subsets; choosing e drops its
-    conflicts."""
-    keep = tuple(~c for c in conflicts)
-    return _problem(kind, data, *_packing(conflicts), keep.__getitem__)
-
-
 def _edge_hitters(g: Graph) -> Iterable[int]:
     return ((1 << u) | (1 << v) for u, v in g.edges)
 
@@ -278,15 +239,6 @@ def _set_conflicts(sys: SetSystem) -> tuple[int, ...]:
             c |= holders[x]
         conflicts.append(c & ~(1 << i))
     return tuple(conflicts)
-
-
-def _droppable(g: Graph, cover: int) -> Optional[int]:
-    """The lowest member of the vertex cover whose neighbours are all in
-    it, so that dropping it leaves a cover; None if the cover is minimal."""
-    for v in iter_bits(cover):
-        if not g.adj[v] & ~cover:
-            return v
-    return None
 
 
 def _forest_batch(g: Graph) -> Callable:
@@ -322,50 +274,54 @@ def _forest_batch(g: Graph) -> Callable:
     return batch
 
 
-def _feedback_vertex_set(kind, g: Graph) -> SubsetProblem:
+def _feedback_vertex_set(g: Graph) -> tuple[Callable, Callable]:
     full = (1 << g.n) - 1
-    return _problem(kind, g, lambda m: not has_cycle(g, full & ~m), _forest_batch(g))
+    return lambda m: not has_cycle(g, full & ~m), _forest_batch(g)
 
 
-def _min_independent_dominating_set(kind, g: Graph) -> SubsetProblem:
+def _min_independent_dominating_set(g: Graph) -> tuple[Callable, Callable]:
     independent, independent_batch = _packing(g.adj)
     dominating, dominating_batch = _covering(lambda: g.closed_nbs)
-    return _problem(
-        kind,
-        g,
+    return (
         lambda m: independent(m) and dominating(m),
         lambda ms: independent_batch(ms) & dominating_batch(ms),
     )
 
 
-def _max_minimal_vertex_cover(kind, g: Graph) -> SubsetProblem:
+def _max_minimal_vertex_cover(g: Graph) -> tuple[Callable, Callable]:
     dual = dualize(make_problem(ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, g))
-    return _problem(kind, g, dual.feasible_mask, dual.feasible_batch)
+    return dual.feasible_mask, dual.feasible_batch
 
 
-_BUILDERS = {
-    ProblemKind.VERTEX_COVER: lambda k, g: _covering_problem(k, g, lambda: _edge_hitters(g)),
-    ProblemKind.DOMINATING_SET: lambda k, g: _covering_problem(k, g, lambda: g.closed_nbs),
-    ProblemKind.SET_COVER: lambda k, s: _covering_problem(k, s, lambda: s.holders),
-    ProblemKind.INDEPENDENT_SET: lambda k, g: _packing_problem(k, g, g.adj),
-    ProblemKind.CLIQUE: lambda k, g: _packing_problem(k, g, g.non_neighbours),
-    ProblemKind.SET_PACKING: lambda k, s: _packing_problem(k, s, _set_conflicts(s)),
-    ProblemKind.FEEDBACK_VERTEX_SET: _feedback_vertex_set,
-    ProblemKind.MAX_MINIMAL_VERTEX_COVER: _max_minimal_vertex_cover,
-    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: _min_independent_dominating_set,
+# Each kind is entered in exactly one of these three tables.  Covering kinds:
+# the hitter masks of an instance, built on the first predicate call.
+_HITTERS = {
+    ProblemKind.VERTEX_COVER: _edge_hitters,
+    ProblemKind.DOMINATING_SET: lambda g: g.closed_nbs,
+    ProblemKind.SET_COVER: lambda s: s.holders,
+}
+# Packing kinds: the conflict mask of each element.
+_CONFLICTS = {
+    ProblemKind.INDEPENDENT_SET: lambda g: g.adj,
+    ProblemKind.CLIQUE: lambda g: g.non_neighbours,
+    ProblemKind.SET_PACKING: _set_conflicts,
+}
+# The other kinds: (goal, instance -> scalar and batch predicates); they have
+# no restriction.
+_OTHERS = {
+    ProblemKind.FEEDBACK_VERTEX_SET: (Goal.MINIMIZE, _feedback_vertex_set),
+    ProblemKind.MAX_MINIMAL_VERTEX_COVER: (Goal.MAXIMIZE, _max_minimal_vertex_cover),
+    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: (Goal.MINIMIZE, _min_independent_dominating_set),
 }
 
-RESTRICTABLE = frozenset(
-    {
-        ProblemKind.VERTEX_COVER,
-        ProblemKind.INDEPENDENT_SET,
-        ProblemKind.CLIQUE,
-        ProblemKind.DOMINATING_SET,
-        ProblemKind.SET_COVER,
-        ProblemKind.SET_PACKING,
-    }
-)
-
+# A kind missing from all three tables fails here, at import.
+GOALS = {
+    kind: Goal.MINIMIZE if kind in _HITTERS
+    else Goal.MAXIMIZE if kind in _CONFLICTS
+    else _OTHERS[kind][0]
+    for kind in ProblemKind
+}
+RESTRICTABLE = frozenset(_HITTERS) | frozenset(_CONFLICTS)
 
 # The kinds whose instance is a SetSystem; every other kind reads a Graph.
 SET_KINDS = frozenset({ProblemKind.SET_COVER, ProblemKind.SET_PACKING})
@@ -376,13 +332,43 @@ def make_problem(kind: ProblemKind, data) -> SubsetProblem:
     cls = SetSystem if kind in SET_KINDS else Graph
     if not isinstance(data, cls):
         raise TypeError(f"{kind.value} expects {cls.__name__}, got {type(data).__name__}")
-    return _BUILDERS[kind](kind, data)
+    if kind in _HITTERS:
+        # Closed under supersets: choosing an element keeps every other one.
+        hitters = _HITTERS[kind]
+        feasible, batch = _covering(lambda: hitters(data))
+        restrict_fn = _keep_all
+    elif kind in _CONFLICTS:
+        # Closed under subsets: choosing e drops its conflicts.
+        conflicts = _CONFLICTS[kind](data)
+        feasible, batch = _packing(conflicts)
+        restrict_fn = tuple(~c for c in conflicts).__getitem__
+    else:
+        feasible, batch = _OTHERS[kind][1](data)
+        restrict_fn = None
+    if cls is SetSystem:
+        label, n = f"{kind.value}(n={data.n_ground},m={data.m})", data.m
+    else:
+        label, n = f"{kind.value}(n={data.n})", data.n
+    return SubsetProblem(
+        label=label,
+        universe_size=n,
+        goal=GOALS[kind],
+        feasible_mask=feasible,
+        feasible_batch=batch,
+        restrict_fn=restrict_fn,
+        kind=kind,
+        data=data,
+    )
 
 
 def minimality_certificate(g: Graph, cover: Iterable[int]) -> Optional[int]:
     """None if the cover is inclusion-minimal, else the lowest-index vertex
-    whose removal keeps it a cover."""
-    mask = mask_of(cover)
-    if not _covering(lambda: _edge_hitters(g))[0](mask):
+    whose removal keeps it a cover: one whose neighbours all lie in it."""
+    p = make_problem(ProblemKind.VERTEX_COVER, g)
+    mask = mask_of(_check_members(p, cover))
+    if not p.feasible_mask(mask):
         raise ValueError("solution is not a vertex cover")
-    return _droppable(g, mask)
+    for v in iter_bits(mask):
+        if not g.adj[v] & ~mask:
+            return v
+    return None

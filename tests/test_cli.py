@@ -62,6 +62,11 @@ class TestParseGraph:
         assert parsed.dropped_duplicates == 1
         assert parsed.dropped_self_loops == 1
 
+    def test_repeated_duplicates_and_self_loops_counted(self):
+        parsed = parse_graph("p edge 3 7\ne 2 1\ne 1 2\ne 2 1\ne 3 3\ne 3 3\ne 1 3\ne 2 2\n")
+        assert parsed.graph.edges == frozenset({(0, 1), (0, 2)})
+        assert (parsed.dropped_duplicates, parsed.dropped_self_loops) == (2, 3)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -234,6 +239,22 @@ class TestBranchCommand:
         )
         assert code == 0
         assert json.loads(out)["solution"] == [1, 3]
+
+    def test_search_deeper_than_recursion_limit_exit_2(self, run):
+        # A perfect matching on 600 vertices at k = 300: the first dive nests
+        # one call per chosen vertex, far past a limit 100 frames above here.
+        text = "p edge 600 300\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 600, 2))
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code, out, err = run(["branch", "-", "--k", "300"], text)
+        finally:
+            sys.setrecursionlimit(old)
+        assert (code, out) == (2, "")
+        assert err == f"error: search deeper than the interpreter's recursion limit of {depth + 100}\n"
 
 
 class TestDualCommand:

@@ -158,8 +158,6 @@ class TestFeasibility:
             if kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING):
                 continue
             p = sf.make_problem(kind, g)
-            if p.feasible_batch is None:
-                continue
             for q in (p, sf.dualize(p)):
                 _assert_batch_matches_scalar(q)
 
@@ -316,6 +314,58 @@ class TestRestriction:
         assert_restriction_commutes(sf.make_problem(sf.ProblemKind.SET_PACKING, sys))
 
 
+K = sf.ProblemKind
+COVERING_KINDS = (K.VERTEX_COVER, K.DOMINATING_SET, K.SET_COVER)
+PACKING_KINDS = (K.INDEPENDENT_SET, K.CLIQUE, K.SET_PACKING)
+
+
+def _assert_goal_follows_core(p):
+    """Covering kinds minimize and choosing e keeps every other element;
+    packing kinds maximize and choosing e drops exactly the f with {e, f}
+    infeasible, its conflicts."""
+    covering = p.kind in COVERING_KINDS
+    assert p.kind in COVERING_KINDS + PACKING_KINDS
+    assert p.goal is (sf.Goal.MINIMIZE if covering else sf.Goal.MAXIMIZE)
+    for e in sf.iter_bits(p.alive):
+        others = p.alive & ~(1 << e)
+        if not covering:
+            others = sf.mask_of(f for f in sf.iter_bits(others) if p.feasible_mask(1 << e | 1 << f))
+        assert p.restrict(e).alive == others, (p.label, e)
+
+
+class TestKindTables:
+    def test_goals_restrictable_and_set_kinds_keep_their_values(self):
+        goals = sf.problems.GOALS
+        assert set(goals) == set(sf.ProblemKind)
+        assert goals == {
+            **dict.fromkeys(COVERING_KINDS, sf.Goal.MINIMIZE),
+            **dict.fromkeys(PACKING_KINDS, sf.Goal.MAXIMIZE),
+            K.FEEDBACK_VERTEX_SET: sf.Goal.MINIMIZE,
+            K.MAX_MINIMAL_VERTEX_COVER: sf.Goal.MAXIMIZE,
+            K.MIN_INDEPENDENT_DOMINATING_SET: sf.Goal.MINIMIZE,
+        }
+        assert sf.RESTRICTABLE == frozenset(COVERING_KINDS + PACKING_KINDS)
+        assert sf.problems.SET_KINDS == {K.SET_COVER, K.SET_PACKING}
+
+    def test_every_kind_builds_with_its_goal_and_restrictability(self):
+        g, sys = random_graph(6, 0.5, 21), random_system(6, 6, 3, 21)
+        for kind in sf.ProblemKind:
+            p = sf.make_problem(kind, sys if kind in sf.problems.SET_KINDS else g)
+            assert p.kind is kind and p.goal is sf.problems.GOALS[kind]
+            assert (p.restrict_fn is not None) == (kind in sf.RESTRICTABLE)
+
+    @pytest.mark.parametrize("kind", RESTRICTABLE_GRAPH_KINDS)
+    def test_goal_follows_core_all_graphs_up_to_4(self, kind):
+        for g in all_graphs_upto(4):
+            _assert_goal_follows_core(sf.make_problem(kind, g))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_goal_follows_core_random_set_systems(self, seed):
+        sys = random_system(n_ground=(seed % 6) + 3, m=(seed % 7) + 2, max_size=3, seed=700 + seed)
+        for kind in (K.SET_COVER, K.SET_PACKING):
+            _assert_goal_follows_core(sf.make_problem(kind, sys))
+
+
 class TestMinimalityCertificate:
     def test_path_redundant_vertex(self):
         assert sf.minimality_certificate(PATH3, {0, 1}) == 0
@@ -329,6 +379,18 @@ class TestMinimalityCertificate:
     def test_non_cover_rejected(self):
         with pytest.raises(ValueError):
             sf.minimality_certificate(TRIANGLE, {0})
+
+    @pytest.mark.parametrize("g", [sf.Graph.from_edges(3, []), PATH3])
+    def test_member_outside_universe_rejected(self, g):
+        with pytest.raises(ValueError, match="member 7 outside universe of size 3"):
+            sf.minimality_certificate(g, {0, 7})
+        with pytest.raises(ValueError, match="member -1 outside universe of size 3"):
+            sf.minimality_certificate(g, [-1])
+
+    def test_edgeless_graph(self):
+        g = sf.Graph.from_edges(3, [])
+        assert sf.minimality_certificate(g, set()) is None
+        assert sf.minimality_certificate(g, {2, 1}) == 1
 
 
 class TestDualities:
