@@ -3,9 +3,10 @@ intersectivity verifier.
 
 The engine turns an oracle whose output always meets some optimal solution
 into an exact parameterized solver: at every node it runs the oracle on the
-current sub-instance and branches only on the returned elements.  A node
-whose oracle output is larger than ratio * remaining-budget cannot extend to
-a solution within budget and is pruned.
+current sub-instance and branches only on the returned elements.  A node's
+room is the budget minus its depth, or |incumbent| - 1 minus its depth once
+a minimization holds one; a node whose oracle output is larger than ratio *
+room has no solution that fits and is pruned.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 from .core import (
     BudgetExceeded,
     SubsetProblem,
+    UnsupportedRestriction,
     enumerate_optima,
     Goal,
     DEFAULT_BUDGET,
@@ -99,14 +101,18 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     its `chosen` mask beyond p's own; those form its candidate solution.
     For every restrictable kind that sub-instance depends on the chosen set
     alone, not on the order of choice, so each chosen set is expanded once.
-    Minimization keeps the best solution seen and prunes nodes that cannot
-    beat it or whose oracle output exceeds ratio times the remaining
-    budget; maximization stops at the first feasible set of size budget_k.
-    The search nests one call per chosen element; a search deeper than the
-    interpreter's recursion limit raises ValueError.
+    A node with no room (see the module docstring) is a leaf; minimization
+    keeps the best solution seen and prunes a node whose oracle output
+    exceeds ratio times its room; maximization stops at the first feasible
+    set of size budget_k.  A problem without a restriction operator raises
+    UnsupportedRestriction before the first node.  The search nests one call
+    per chosen element; a search deeper than the interpreter's recursion
+    limit raises ValueError.
     """
     if oracle.goal is not p.goal:
         raise ValueError("oracle goal must match the problem's goal")
+    if p.restrict_fn is None:
+        raise UnsupportedRestriction(f"{p.label} has no restriction operator")
     minimize = p.goal is Goal.MINIMIZE
     k = cfg.budget_k
     nodes = max_depth = max_arity = 0
@@ -126,18 +132,17 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
         own = inst.chosen ^ inherited
         depth = own.bit_count()
         max_depth = max(max_depth, depth)
-        if (minimize or depth == k) and p.feasible_mask(own):
+        room = (k if best is None else best.bit_count() - 1) - depth
+        if (minimize or room == 0) and p.feasible_mask(own):
             if best is None or _rank(own) < _rank(best):
                 best = own
             return
-        if depth == k:
+        if room <= 0:
             return
-        if minimize and best is not None and depth + 1 >= best.bit_count():
-            return  # any solution below here is no better than the incumbent
         sol = sorted(oracle.run(inst))
         if minimize and cfg.prune_enabled:
-            r = oracle.ratio(inst)  # prune if len(sol) > r * (k - depth)
-            if len(sol) * r.denominator > r.numerator * (k - depth):
+            r = oracle.ratio(inst)  # prune if len(sol) > r * room
+            if len(sol) * r.denominator > r.numerator * room:
                 return
         max_arity = max(max_arity, len(sol))
         for e in sol:
@@ -183,13 +188,14 @@ def verify_intersective(
     p: SubsetProblem, oracle: ApproxOracle, budget: int = DEFAULT_BUDGET
 ) -> IntersectivityReport:
     """Check whether the oracle's output meets at least one optimal solution,
-    by enumerating all optima exhaustively.  An output infeasible for p
-    raises approx.InfeasibleOutput: it certifies nothing."""
+    by enumerating all optima exhaustively; an empty optimum counts as met,
+    since the engine accepts it before it runs the oracle.  An output
+    infeasible for p raises approx.InfeasibleOutput: it certifies nothing."""
     sol = run_checked(oracle, p)
     optima = enumerate_optima(p, budget)
     if isinstance(optima, BudgetExceeded):
         return IntersectivityReport(sol, 0, None, Verdict.INCONCLUSIVE)
     for opt in optima:
-        if sol & opt:
+        if sol & opt or not opt:
             return IntersectivityReport(sol, len(optima), opt, Verdict.INTERSECTIVE)
     return IntersectivityReport(sol, len(optima), None, Verdict.NOT_INTERSECTIVE)

@@ -240,6 +240,22 @@ class TestBranchCommand:
         assert code == 0
         assert json.loads(out)["solution"] == [1, 3]
 
+    def test_perfect_matching_at_half_n(self, run):
+        text = "p edge 24 12\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 24, 2))
+        code, out, _ = run(["branch", "-", "--k", "12"], text)
+        rec = json.loads(out)
+        assert code == 0
+        assert (rec["outcome"], rec["value"], rec["nodes_expanded"]) == ("found", 12, 157)
+        assert rec["solution"] == list(range(1, 24, 2))
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_unrestrictable_problem_exit_2(self, run, k):
+        code, out, err = run(
+            ["--problem", "min-independent-dominating-set", "branch", "-", "--k", k], PATH3_DIMACS
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: min-independent-dominating-set(n=3) has no restriction operator\n"
+
     def test_search_deeper_than_recursion_limit_exit_2(self, run):
         # A perfect matching on 600 vertices at k = 300: the first dive nests
         # one call per chosen vertex, far past a limit 100 frames above here.
@@ -326,6 +342,13 @@ class TestCheckIntersectiveCommand:
         assert code == 1
         assert json.loads(out)["outcome"] == "infeasible"
         assert "Traceback" not in err
+
+    def test_edgeless_graph_exit_0(self, run):
+        code, out, _ = run(["check-intersective", "-"], "p edge 4 0\n")
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["verdict"], rec["oracle_solution"], rec["intersecting_optimum"]) == (
+            "intersective", [], [])
 
     def test_budget_exit_3(self, run):
         g = generate_gnp(10, 0.3, 2)

@@ -59,10 +59,20 @@ class TestBranchSolveMin:
         )
         assert rep.outcome is sf.BranchOutcome.NODE_CAP_EXCEEDED
 
-    def test_unsupported_restriction_propagates(self):
-        p = sf.make_problem(sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, TRIANGLE)
-        with pytest.raises(sf.UnsupportedRestriction):
-            sf.branch_solve_min(p, _min_mis_oracle(), sf.BranchConfig(budget_k=1))
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_unrestrictable_problem_refused_before_the_first_node(self, k):
+        # k = 0 needs no restriction, and is refused all the same.
+        def run(q):
+            raise AssertionError("oracle consulted")
+
+        for kind, solve in ((sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, sf.branch_solve_min),
+                            (sf.ProblemKind.MAX_MINIMAL_VERTEX_COVER, sf.branch_solve_max)):
+            p = sf.make_problem(kind, TRIANGLE)
+            oracle = sf.ApproxOracle(name="never", goal=p.goal, run=run,
+                                     ratio=lambda q: Fraction(1))
+            with pytest.raises(sf.UnsupportedRestriction,
+                               match=rf"^{kind.value}\(n=3\) has no restriction operator$"):
+                solve(p, oracle, sf.BranchConfig(budget_k=k))
 
     def test_exactness_all_graphs_up_to_5(self):
         for g in all_graphs_upto(5):
@@ -121,15 +131,6 @@ class TestBranchSolveMin:
         p = vc(g)
         rep = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=6))
         assert rep.max_arity <= len(MATCHING.run(p))
-
-
-def _min_mis_oracle():
-    return sf.ApproxOracle(
-        name="mis-as-min",
-        goal=sf.Goal.MINIMIZE,
-        run=sf.ORACLES["greedy-mis"].run,
-        ratio=lambda p: Fraction(1),
-    )
 
 
 class TestBranchSolveMax:
@@ -283,21 +284,31 @@ class TestBranchOnSubInstances:
                     assert rep.value == k <= opt.value, (kind, sub.chosen, k)
 
 
+def _seeded_problem(kind, n, seed):
+    pk = sf.ProblemKind(kind)
+    data = (generate_setsystem(n, n, 4, seed) if pk is sf.ProblemKind.SET_COVER
+            else generate_gnp(n, 0.5 if pk is sf.ProblemKind.CLIQUE else 0.3, seed))
+    return sf.make_problem(pk, data)
+
+
 # (kind, n, seed, k, prune, outcome, solution, nodes_expanded, max_depth,
 # max_arity) of the engine with each kind's default oracle, at k = opt and
-# at the adjacent NO budget: G(n, p) from generate_gnp (p = 0.5 for clique,
-# 0.3 otherwise) and generate_setsystem(n, n, 4) for set cover.  Speed work
-# must leave the search tree as it is, node for node.
+# at the adjacent NO budget, on _seeded_problem: G(n, p) from generate_gnp
+# (p = 0.5 for clique, 0.3 otherwise) and generate_setsystem(n, n, 4) for set
+# cover.  The pruned rows hold the tree whose ratio prune is bounded by the
+# incumbent (the room of the module docstring), the unpruned rows the tree
+# without it.  A change that only makes the engine faster leaves every row
+# as it is, node for node.
 PINNED_TREES = [
-    ("vertex-cover", 7, 1, 3, True, "found", [0, 4, 5], 22, 3, 6),
+    ("vertex-cover", 7, 1, 3, True, "found", [0, 4, 5], 13, 3, 6),
     ("vertex-cover", 7, 1, 3, False, "found", [0, 4, 5], 30, 3, 6),
     ("vertex-cover", 7, 1, 2, True, "no-instance", None, 1, 0, 0),
     ("vertex-cover", 7, 1, 2, False, "no-instance", None, 22, 2, 6),
-    ("vertex-cover", 10, 2, 4, True, "found", [2, 3, 4, 5], 64, 4, 6),
+    ("vertex-cover", 10, 2, 4, True, "found", [2, 3, 4, 5], 57, 4, 6),
     ("vertex-cover", 10, 2, 4, False, "found", [2, 3, 4, 5], 113, 4, 6),
     ("vertex-cover", 10, 2, 3, True, "no-instance", None, 16, 3, 6),
     ("vertex-cover", 10, 2, 3, False, "no-instance", None, 64, 3, 6),
-    ("vertex-cover", 13, 3, 6, True, "found", [0, 5, 8, 9, 10, 11], 564, 6, 10),
+    ("vertex-cover", 13, 3, 6, True, "found", [0, 5, 8, 9, 10, 11], 166, 6, 10),
     ("vertex-cover", 13, 3, 6, False, "found", [0, 5, 8, 9, 10, 11], 1492, 6, 10),
     ("vertex-cover", 13, 3, 5, True, "no-instance", None, 65, 4, 10),
     ("vertex-cover", 13, 3, 5, False, "no-instance", None, 1282, 5, 10),
@@ -313,11 +324,11 @@ PINNED_TREES = [
     ("dominating-set", 13, 3, 4, False, "found", [0, 4, 5, 8], 21, 4, 4),
     ("dominating-set", 13, 3, 3, True, "no-instance", None, 20, 3, 4),
     ("dominating-set", 13, 3, 3, False, "no-instance", None, 20, 3, 4),
-    ("set-cover", 7, 1, 3, True, "found", [0, 3, 4], 10, 3, 4),
+    ("set-cover", 7, 1, 3, True, "found", [0, 3, 4], 9, 3, 4),
     ("set-cover", 7, 1, 3, False, "found", [0, 3, 4], 14, 3, 4),
     ("set-cover", 7, 1, 2, True, "no-instance", None, 5, 1, 4),
     ("set-cover", 7, 1, 2, False, "no-instance", None, 11, 2, 4),
-    ("set-cover", 10, 2, 4, True, "found", [3, 5, 7, 8], 16, 4, 4),
+    ("set-cover", 10, 2, 4, True, "found", [3, 5, 7, 8], 14, 4, 4),
     ("set-cover", 10, 2, 4, False, "found", [3, 5, 7, 8], 16, 4, 4),
     ("set-cover", 10, 2, 3, True, "no-instance", None, 11, 2, 4),
     ("set-cover", 10, 2, 3, False, "no-instance", None, 15, 3, 4),
@@ -357,15 +368,9 @@ def test_search_tree_pinned(kind):
     for _, n, seed, k, prune, outcome, solution, nodes, depth, arity in (
         row for row in PINNED_TREES if row[0] == kind
     ):
-        pk = sf.ProblemKind(kind)
-        data = (
-            generate_setsystem(n, n, 4, seed)
-            if pk is sf.ProblemKind.SET_COVER
-            else generate_gnp(n, 0.5 if pk is sf.ProblemKind.CLIQUE else 0.3, seed)
-        )
-        p = sf.make_problem(pk, data)
+        p = _seeded_problem(kind, n, seed)
         solve = sf.branch_solve_min if p.goal is sf.Goal.MINIMIZE else sf.branch_solve_max
-        rep = solve(p, sf.DEFAULT_ORACLE[pk], sf.BranchConfig(budget_k=k, prune_enabled=prune))
+        rep = solve(p, sf.DEFAULT_ORACLE[p.kind], sf.BranchConfig(budget_k=k, prune_enabled=prune))
         got = (
             rep.outcome.value,
             None if rep.solution is None else sorted(rep.solution),
@@ -374,6 +379,38 @@ def test_search_tree_pinned(kind):
             rep.max_arity,
         )
         assert got == (outcome, solution, nodes, depth, arity), (n, seed, k, prune)
+
+
+RESTRICTABLE_WITH_ORACLE = sorted(k.value for k in sf.RESTRICTABLE if k in sf.DEFAULT_ORACLE)
+
+
+@pytest.mark.parametrize("kind", RESTRICTABLE_WITH_ORACLE)
+def test_prune_keeps_answers_and_never_adds_nodes(kind):
+    """The ratio prune, bounded by the incumbent, removes only subtrees with
+    no solution that could replace the incumbent: on every budget the pruned
+    and the unpruned search return the same outcome and solution, tie-breaks
+    included, and the pruned one expands no more nodes."""
+    assert len(RESTRICTABLE_WITH_ORACLE) == 5
+    for n in range(5, 12):
+        for seed in range(8):
+            p = _seeded_problem(kind, n, 12_000 + 100 * n + seed)
+            solve = sf.branch_solve_min if p.goal is sf.Goal.MINIMIZE else sf.branch_solve_max
+            for k in range(n + 1):
+                on, off = (solve(p, sf.DEFAULT_ORACLE[p.kind],
+                                 sf.BranchConfig(budget_k=k, prune_enabled=prune))
+                           for prune in (True, False))
+                assert (on.outcome, on.solution) == (off.outcome, off.solution), (n, seed, k)
+                assert on.nodes_expanded <= off.nodes_expanded, (n, seed, k)
+
+
+@pytest.mark.parametrize("n,nodes", [(16, 73), (20, 111), (24, 157)])
+def test_perfect_matching_stops_once_the_incumbent_is_optimal(n, nodes):
+    # The first dive finds a cover of size n/2.  Pruned against the budget
+    # k = n/2 alone, the search would go on to 6,307, 58,027 and 527,347
+    # nodes at these sizes.
+    g = sf.Graph.from_edges(n, [(i, i + 1) for i in range(0, n, 2)])
+    rep = sf.branch_solve_min(vc(g), MATCHING, sf.BranchConfig(budget_k=n // 2))
+    assert (rep.outcome, rep.value, rep.nodes_expanded) == (sf.BranchOutcome.FOUND, n // 2, nodes)
 
 
 def _conforming_max(p, oracle, k):
@@ -422,6 +459,17 @@ class TestVerifyIntersective:
         )
         rep = sf.verify_intersective(p, exact)
         assert rep.verdict is sf.Verdict.INTERSECTIVE
+
+    def test_empty_optimum_is_met(self, atlas):
+        # On an edgeless graph the only vertex cover of least size is the
+        # empty set, which the engine accepts before running any oracle.
+        edgeless = [g for g in atlas if not g.edges]
+        assert [g.n for g in edgeless] == list(range(1, 8))
+        for g in edgeless:
+            rep = sf.verify_intersective(vc(g), MATCHING)
+            assert rep.verdict is sf.Verdict.INTERSECTIVE
+            assert (rep.oracle_solution, rep.optima_checked, rep.intersecting_optimum) == (
+                frozenset(), 1, frozenset())
 
     def test_budget_overflow_is_inconclusive(self):
         g = random_graph(10, 0.3, 12)
