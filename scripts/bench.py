@@ -6,6 +6,8 @@ restriction I(e), the scalar predicate on a feasible and an infeasible mask,
 `run` and `ratio` of each default oracle, and the prune test.  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
+`packing_upper_bound` is timed per packing kind (`bound.*`): independent set
+and clique on G(50, 0.1), set packing on the 16-set system.
 Brute force: `brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each
 graph kind and for its dual.  Cost per node: the criterion-02 instance list
 (500 G(n, p) vertex covers at k = opt and opt - 1), a small seeded list per
@@ -96,6 +98,12 @@ def layers(sf) -> dict:
     oracle.run(wide)  # builds what a set system caches on first use
     out[f"run.{oracle.name}.wide"] = _median_us(lambda: oracle.run(wide), 50)
     out[f"ratio.{oracle.name}.wide"] = _median_us(lambda: oracle.ratio(wide), 50)
+    # A tree given by --src from before the packing bound has none to time.
+    bound = getattr(sf, "packing_upper_bound", None)
+    if bound:
+        for kind, data in ((K.INDEPENDENT_SET, g), (K.CLIQUE, g), (K.SET_PACKING, s)):
+            p = sf.make_problem(kind, data)
+            out[f"bound.{kind.value}"] = _median_us(lambda: bound(p), 2_000)
     # The engine's prune test once the oracle has run: |sol| > ratio * (k - depth).
     sol, r, k, depth = cover.bit_count(), sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc), 29, 3
     out["prune_test"] = _median_us(

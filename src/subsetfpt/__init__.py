@@ -37,6 +37,7 @@ from .problems import (
     SetSystem,
     make_problem,
     minimality_certificate,
+    packing_upper_bound,
 )
 from .approx import (
     ApproxOracle,
@@ -63,7 +64,6 @@ from .dualschema import (
     SchemaConfig,
     SchemaOutcome,
     SchemaPath,
-    built_in_upper_bound,
     dual_approx,
     threshold_max,
     threshold_min,

@@ -41,6 +41,11 @@ class ApproxOracle:
     run: Callable[[SubsetProblem], frozenset[int]]
     ratio: Callable[[SubsetProblem], Fraction]
 
+    def check_goal(self, p: SubsetProblem) -> None:
+        """Both engines refuse an oracle for the other goal."""
+        if self.goal is not p.goal:
+            raise ValueError("oracle goal must match the problem's goal")
+
 
 class InfeasibleOutput(ValueError):
     """An oracle returned a set that is not feasible for the problem it ran on."""

@@ -26,7 +26,6 @@ from .core import (
     Infeasible,
     InfeasibleInstance,
     SubsetProblem,
-    UnsupportedRestriction,
     brute_force_optimum,
     dualize,
 )
@@ -39,6 +38,7 @@ from .intersective import (
     Verdict,
     branch_solve_max,
     branch_solve_min,
+    check_branchable,
     verify_intersective,
 )
 from .io import (
@@ -50,7 +50,7 @@ from .io import (
     render_graph,
     render_setsystem,
 )
-from .problems import GOALS, RESTRICTABLE, SET_KINDS, Goal, ProblemKind, make_problem
+from .problems import GOALS, SET_KINDS, Goal, ProblemKind, make_problem
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -233,41 +233,43 @@ def cmd_gen(args, seed: int) -> int:
 
 def cmd_experiment(args, kind, fmt, seed: int) -> int:
     """One record per (instance, run); aggregate row at the end.  The flags
-    are checked once, before the first instance; only an infeasible instance
-    or an oracle output infeasible for it is a row error.  Any other error
-    depends on the flags alone and is raised by the first instance before
-    its row is written."""
+    are checked once, before any row and even with --count 0, by the checks
+    of the command a row runs, on the first instance; only an infeasible
+    instance or an oracle output infeasible for it is a row error."""
     ratios: list[Fraction] = []
     verdicts: dict[str, int] = {}
     agree = 0
     rows = 0
     errors = 0
     oracle = None if args.run == "solve" else _oracle(args, kind)
-    if args.run in ("dual", "branch") and oracle.goal is not GOALS[kind]:
-        raise ValueError("oracle goal must match the problem's goal")
-    if args.run == "branch" and kind not in RESTRICTABLE:
-        raise UnsupportedRestriction(f"{kind.value} has no restriction operator")
+    p = make_problem(kind, _generate(args, kind in SET_KINDS, seed))
     if args.run == "dual":
         cfg = SchemaConfig(epsilon=_epsilon(args.epsilon), brute_cap=args.brute_cap)
+        oracle.check_goal(p)
     elif args.run == "branch":
         cfg = BranchConfig(budget_k=0, node_cap=args.node_cap)
+        check_branchable(p, oracle)
     for i in range(args.count):
-        inst_seed = seed + i
-        p = make_problem(kind, _generate(args, kind in SET_KINDS, inst_seed))
+        if i:
+            p = make_problem(kind, _generate(args, kind in SET_KINDS, seed + i))
         rec = {"command": f"experiment/{args.run}", "problem": kind.value,
-               "index": i, "seed": inst_seed, "n": p.universe_size}
+               "index": i, "seed": seed + i, "n": p.universe_size}
         rows += 1
         try:
             if args.run == "dual":
                 out = dual_approx(p, oracle, cfg)
                 rec.update(path=out.path.value, dual_value=out.dual_value)
-                opt = brute_force_optimum(dualize(p), budget=args.brute_cap)
-                if isinstance(opt, EvaluatedSolution) and out.dual_value is not None:
-                    if opt.value == 0:
+                if out.exact:  # the brute path: its answer is the dual optimum
+                    opt = out.dual_value
+                else:
+                    res = brute_force_optimum(dualize(p), budget=args.brute_cap)
+                    opt = res.value if isinstance(res, EvaluatedSolution) else None
+                if opt is not None:
+                    if opt == 0:
                         achieved = Fraction(1) if out.dual_value == 0 else None
                     else:
-                        achieved = Fraction(out.dual_value, opt.value)
-                    rec.update(opt=opt.value, achieved_ratio=None if achieved is None else str(achieved))
+                        achieved = Fraction(out.dual_value, opt)
+                    rec.update(opt=opt, achieved_ratio=None if achieved is None else str(achieved))
                     if achieved is not None:
                         ratios.append(achieved)
             elif args.run == "check-intersective":

@@ -27,6 +27,9 @@ _CHUNK_BITS = 20
 class UnsupportedRestriction(ValueError):
     """Raised when a problem kind has no sub-instance operator."""
 
+    def __init__(self, p: "SubsetProblem"):
+        super().__init__(f"{p.label} has no restriction operator")
+
 
 class InfeasibleInstance(Exception):
     """Raised by oracles when the instance admits no feasible solution."""
@@ -100,7 +103,7 @@ class SubsetProblem:
         """I(e): the sub-instance whose solutions S' are exactly those with
         S' + {e} feasible here."""
         if self.restrict_fn is None:
-            raise UnsupportedRestriction(f"{self.label} has no restriction operator")
+            raise UnsupportedRestriction(self)
         if not (self.alive >> e) & 1:
             raise ValueError(f"element {e} is not selectable in {self.label}")
         root = self.root or self

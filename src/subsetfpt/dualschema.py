@@ -6,7 +6,8 @@ already a (1 -/+ epsilon)-approximation of the dual problem (the instance is
 large relative to the optimum), or the instance is small enough for
 exhaustive search.  The dispatch thresholds are exact rationals; the unknown
 optimum k is replaced by an observable surrogate that only strengthens the
-test, so the ratio guarantee is preserved.
+test, so the ratio guarantee is preserved: k' for a minimization primal,
+else the lesser of ceil(k'/rho) and problems.packing_upper_bound.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .core import (
     brute_force_optimum,
     complement,
     dualize,
-    iter_bits,
 )
-from .approx import ApproxOracle, matching_vertex_cover, run_checked
-from .problems import Graph, ProblemKind
+from .approx import ApproxOracle, run_checked
+from .problems import packing_upper_bound
 
 
 class SchemaPath(Enum):
@@ -56,11 +56,13 @@ class SchemaConfig:
 @dataclass
 class SchemaOutcome:
     path: SchemaPath
-    dual_solution: Optional[frozenset[int]]
-    dual_value: Optional[int]
-    guarantee: Optional[Fraction]  # >= 1-eps bound (max dual) / <= 1+eps (min dual); 1 on brute path
-    exact: bool
     diagnostics: dict
+    # The answer, None past the budget.  guarantee bounds the ratio to the
+    # optimum: >= 1-eps (max dual) / <= 1+eps (min dual); 1 on brute path.
+    dual_solution: Optional[frozenset[int]] = None
+    dual_value: Optional[int] = None
+    guarantee: Optional[Fraction] = None
+    exact: bool = False
 
 
 def _threshold(rho: Fraction, epsilon: Fraction, goal: Goal) -> tuple[int, int]:
@@ -106,8 +108,7 @@ def dual_approx(
 
     p is the primal problem; the returned solution solves dualize(p).
     """
-    if oracle.goal is not p.goal:
-        raise ValueError("oracle goal must match the primal problem's goal")
+    oracle.check_goal(p)
     n = p.universe_size
     eps = cfg.epsilon
     sol = run_checked(oracle, p)
@@ -118,62 +119,22 @@ def dual_approx(
         # k' >= k, so n >= c*k' implies the true condition n >= c*k.
         surrogate_k = k_prime
     else:
-        # k' >= rho*k bounds k from above; so does the kind's own bound.
-        bound = built_in_upper_bound(p)
+        # k' >= rho*k bounds k from above; so does the packing bound.
         k_over_rho = -(-k_prime * rho.denominator // rho.numerator)  # ceil(k'/rho)
-        surrogate_k = min(n, k_over_rho, n if bound is None else bound)
+        surrogate_k = min(k_over_rho, packing_upper_bound(p))
     take_approx = n * den >= num * surrogate_k  # n >= c * surrogate_k
     diag: dict = {"n": n, "k_prime": k_prime, "rho": str(rho), "epsilon": str(eps),
                   "threshold": str(Fraction(num, den)), "surrogate_k": surrogate_k,
                   "dual_parameter": n - k_prime}
 
     if take_approx and not cfg.force_brute:
-        dual_sol = complement(p, sol)
         guarantee = 1 - eps if p.goal is Goal.MINIMIZE else 1 + eps
-        return SchemaOutcome(
-            path=SchemaPath.APPROX,
-            dual_solution=dual_sol,
-            dual_value=n - k_prime,
-            guarantee=guarantee,
-            exact=False,
-            diagnostics=diag,
-        )
+        return SchemaOutcome(SchemaPath.APPROX, diag, complement(p, sol), n - k_prime, guarantee)
     if n <= cfg.brute_cap:
         res = brute_force_optimum(dualize(p), budget=cfg.brute_cap)
         if isinstance(res, Infeasible):
             raise ValueError("dual instance is infeasible")
         assert isinstance(res, EvaluatedSolution)
-        return SchemaOutcome(
-            path=SchemaPath.BRUTE,
-            dual_solution=res.members,
-            dual_value=res.value,
-            guarantee=Fraction(1),
-            exact=True,
-            diagnostics=diag,
-        )
-    return SchemaOutcome(
-        path=SchemaPath.BUDGET_EXCEEDED,
-        dual_solution=None,
-        dual_value=None,
-        guarantee=None,
-        exact=False,
-        diagnostics=diag,
-    )
-
-
-def built_in_upper_bound(p: SubsetProblem) -> Optional[int]:
-    """Cheap combinatorial upper bound on the primal optimum, for the
-    maximization dispatch test."""
-    if p.kind is ProblemKind.INDEPENDENT_SET and isinstance(p.data, Graph):
-        # alpha(G) = n - tau(G) <= n - (size of a maximal matching)
-        return p.data.n - len(matching_vertex_cover(p.data)) // 2
-    if p.kind is ProblemKind.CLIQUE and isinstance(p.data, Graph):
-        g = p.data
-        alive = (1 << g.n) - 1
-        degeneracy = 0
-        while alive:
-            v = min(iter_bits(alive), key=lambda u: (g.adj[u] & alive).bit_count())
-            degeneracy = max(degeneracy, (g.adj[v] & alive).bit_count())
-            alive &= ~(1 << v)
-        return degeneracy + 1
-    return None
+        return SchemaOutcome(SchemaPath.BRUTE, diag, res.members, res.value, Fraction(1),
+                             exact=True)
+    return SchemaOutcome(SchemaPath.BUDGET_EXCEEDED, diag)

@@ -89,6 +89,13 @@ def branch_solve_max(
     return _branch(p, oracle, cfg)
 
 
+def check_branchable(p: SubsetProblem, oracle: ApproxOracle) -> None:
+    """The engine's refusals, raised before its first node."""
+    oracle.check_goal(p)
+    if p.restrict_fn is None:
+        raise UnsupportedRestriction(p)
+
+
 def _rank(chosen: int) -> tuple[int, tuple[int, ...]]:
     return chosen.bit_count(), tuple(iter_bits(chosen))
 
@@ -104,15 +111,12 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     A node with no room (see the module docstring) is a leaf; minimization
     keeps the best solution seen and prunes a node whose oracle output
     exceeds ratio times its room; maximization stops at the first feasible
-    set of size budget_k.  A problem without a restriction operator raises
-    UnsupportedRestriction before the first node.  The search nests one call
-    per chosen element; a search deeper than the interpreter's recursion
-    limit raises ValueError.
+    set of size budget_k.  An oracle for the other goal or a problem without
+    a restriction operator is refused before the first node.  The search
+    nests one call per chosen element; a search deeper than the
+    interpreter's recursion limit raises ValueError.
     """
-    if oracle.goal is not p.goal:
-        raise ValueError("oracle goal must match the problem's goal")
-    if p.restrict_fn is None:
-        raise UnsupportedRestriction(f"{p.label} has no restriction operator")
+    check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
     k = cfg.budget_k
     nodes = max_depth = max_arity = 0

@@ -361,6 +361,29 @@ def make_problem(kind: ProblemKind, data) -> SubsetProblem:
     )
 
 
+def packing_upper_bound(p: SubsetProblem) -> int:
+    """Upper bound on the optimum of p, a packing kind or a sub-instance of
+    one: a greedy partition of the alive elements into cliques of the
+    conflict graph, each grown from the one with the fewest alive conflicts
+    by the lowest one that conflicts with all its members.  A packing holds
+    one element of a clique at most.  Other kinds get |alive|."""
+    alive = p.alive
+    if p.kind not in _CONFLICTS:
+        return alive.bit_count()
+    conflicts = _CONFLICTS[p.kind](p.data)
+    cliques = 0
+    while alive:
+        e = min(iter_bits(alive), key=lambda f: (conflicts[f] & alive).bit_count())
+        common = conflicts[e] & alive
+        alive ^= 1 << e
+        while common:
+            low = common & -common
+            alive ^= low
+            common &= conflicts[low.bit_length() - 1]
+        cliques += 1
+    return cliques
+
+
 def minimality_certificate(g: Graph, cover: Iterable[int]) -> Optional[int]:
     """None if the cover is inclusion-minimal, else the lowest-index vertex
     whose removal keeps it a cover: one whose neighbours all lie in it."""

@@ -448,24 +448,43 @@ class TestExperimentCommand:
         assert agg["agreements"] == 4
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags,single",
         [
-            ["--run", "branch", "--oracle", "nope"],
-            ["--run", "check-intersective", "--oracle", "nope"],
-            ["--run", "branch", "--oracle", "greedy-mis"],  # goal does not match
-            ["--run", "dual", "--epsilon", "2"],
-            ["--run", "dual", "--brute-cap", "0"],
-            ["--run", "branch", "--node-cap", "0"],
-            ["--problem", "min-independent-dominating-set", "--run", "branch"],
+            (["--run", "branch", "--oracle", "nope"], ["branch", "-", "--k", "1", "--oracle", "nope"]),
+            (["--run", "check-intersective", "--oracle", "nope"],
+             ["check-intersective", "-", "--oracle", "nope"]),
+            (["--run", "branch", "--oracle", "greedy-mis"],  # goal does not match
+             ["branch", "-", "--k", "1", "--oracle", "greedy-mis"]),
+            (["--run", "dual", "--oracle", "greedy-mis"],
+             ["dual", "-", "--epsilon", "1/4", "--oracle", "greedy-mis"]),
+            (["--run", "dual", "--epsilon", "2"], ["dual", "-", "--epsilon", "2"]),
+            (["--run", "dual", "--brute-cap", "0"], ["dual", "-", "--epsilon", "1/4", "--brute-cap", "0"]),
+            (["--run", "branch", "--node-cap", "0"], ["branch", "-", "--k", "1", "--node-cap", "0"]),
+            (["--problem", "min-independent-dominating-set", "--run", "branch"],
+             ["--problem", "min-independent-dominating-set", "branch", "-", "--k", "1"]),
         ],
-        ids=["oracle", "oracle-check", "oracle-goal", "epsilon", "brute-cap", "node-cap",
-             "no-restriction"],
+        ids=["oracle", "oracle-check", "oracle-goal", "oracle-goal-dual", "epsilon", "brute-cap",
+             "node-cap", "no-restriction"],
     )
-    def test_invalid_flag_is_one_error_line(self, run, flags):
-        code, out, err = run(["experiment", "--count", "2", "--n", "6"] + flags)
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    def test_invalid_flag_is_one_error_line(self, run, flags, single):
+        # Refused before any row, even with no rows, in the words of the
+        # command a row runs on an instance of the same size.
+        _, _, expected = run(single, PATH3_DIMACS)
+        for count in ("0", "2"):
+            code, out, err = run(["experiment", "--count", count, "--n", "3"] + flags)
+            assert (code, out) == (2, "")
+            assert err == expected and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("p,path,opt", [("0.1", "brute", 7), ("0.05", "approx", 9)])
+    def test_dual_row_runs_one_exhaustive_search(self, run, monkeypatch, p, path, opt):
+        # A brute-path row's answer is already the optimum the row compares against.
+        calls = []
+        optima = sf.core._optima
+        monkeypatch.setattr(sf.core, "_optima", lambda *a, **kw: calls.append(a) or optima(*a, **kw))
+        code, out, _ = run(["--seed", "11", "experiment", "--run", "dual", "--count", "1",
+                            "--n", "12", "--p", p, "--epsilon", "1"])
+        row = json.loads(out.splitlines()[0])
+        assert (code, row["path"], row["opt"], len(calls)) == (0, path, opt, 1)
 
 
 DETERMINISM_CASES = [

@@ -5,10 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import subsetfpt as sf
-from conftest import random_graph, random_system
+from conftest import atlas_upto, random_graph, random_system
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
+C5 = sf.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
 F = Fraction
 
@@ -79,6 +80,16 @@ class TestSchemaConfig:
             sf.SchemaConfig(epsilon=F(1, 2), brute_cap=0)
 
 
+def maximal_packing(p):
+    """The sets, in index order, that meet none taken before them."""
+    taken, used = [], 0
+    for i, s in enumerate(p.data.sets):
+        if not s & used:
+            taken.append(i)
+            used |= s
+    return frozenset(taken)
+
+
 def exact_oracle(goal):
     def run(p):
         res = sf.brute_force_optimum(p)
@@ -111,15 +122,17 @@ class TestDualApprox:
         d = sf.dualize(p)
         assert sf.is_feasible(d, out.dual_solution)
 
-    def test_max_triangle_falls_to_brute(self):
-        # greedy MIS on the triangle gives k' = 1 with ratio 1/3; the
-        # surrogate upper bound is 3, the threshold is 7/3, and 3 < 7 so the
-        # schema must search the dual (vertex cover) exhaustively
-        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, TRIANGLE)
+    def test_max_c5_falls_to_brute(self):
+        # greedy MIS on C5 gives k' = 2 with ratio 1/3; the packing bound is
+        # 3 (two edges and a vertex), below ceil(2 / (1/3)) = 6, the threshold
+        # is 7/3, and 5 < 7/3 * 3 so the schema must search the dual (vertex
+        # cover) exhaustively
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, C5)
         out = sf.dual_approx(p, sf.ORACLES["greedy-mis"], sf.SchemaConfig(F(1, 2)))
+        assert (out.diagnostics["k_prime"], out.diagnostics["surrogate_k"]) == (2, 3)
         assert out.path is sf.SchemaPath.BRUTE
         assert out.exact
-        assert out.dual_value == 2
+        assert out.dual_value == 3
         assert out.guarantee == 1
 
     def test_set_cover_approx_path_construction(self):
@@ -156,14 +169,15 @@ class TestDualApprox:
         assert out.dual_solution is None and out.dual_value is None
 
     def test_upper_hint_can_enable_approx_path(self):
-        # k'/rho alone is too pessimistic; the clique's built-in bound
-        # (degeneracy + 1 = 2, which is omega) flips the dispatch
+        # k'/rho alone is too pessimistic; the packing bound (the centre,
+        # then the five pairwise non-adjacent leaves: 2, which is omega)
+        # flips the dispatch
         g = sf.Graph.from_edges(
             6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
         )  # star: alpha = 5
         p = sf.make_problem(sf.ProblemKind.CLIQUE, g)
         oracle = sf.ORACLES["greedy-clique"]
-        assert sf.built_in_upper_bound(p) == 2
+        assert sf.packing_upper_bound(p) == 2
         # omega = 2; threshold_max(1/6, 1) = 11/6, and 6 >= 11/6 * 2
         out = sf.dual_approx(p, oracle, sf.SchemaConfig(F(1)))
         assert out.path is sf.SchemaPath.APPROX
@@ -182,11 +196,11 @@ class TestDualApprox:
     @pytest.mark.parametrize("seed", range(5))
     def test_clique_bound_takes_approx_path_on_larger_graphs(self, seed):
         # Above brute_cap, k'/rho alone exceeds n/threshold and the schema
-        # gave up; the degeneracy bound brings the surrogate down.
+        # gave up; the packing bound brings the surrogate down.
         p = sf.make_problem(sf.ProblemKind.CLIQUE, random_graph(24, 0.3, seed))
         out = sf.dual_approx(p, sf.ORACLES["greedy-clique"], sf.SchemaConfig(F(1, 2)))
         assert out.path is sf.SchemaPath.APPROX
-        assert out.diagnostics["surrogate_k"] <= sf.built_in_upper_bound(p)
+        assert out.diagnostics["surrogate_k"] <= sf.packing_upper_bound(p)
         assert sf.is_feasible(sf.dualize(p), out.dual_solution)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -231,6 +245,23 @@ class TestDualApprox:
         opt = sf.brute_force_optimum(d)
         assert out.dual_value >= (1 - eps) * opt.value
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_set_packing_guarantee_sound(self, seed):
+        # A maximal packing meets every optimal set, and each of its sets
+        # meets at most t disjoint ones: ratio 1/t for sets of size <= t.
+        sys = random_system((seed % 6) + 3, (seed % 8) + 3, 3, 12_000 + seed)
+        p = sf.make_problem(sf.ProblemKind.SET_PACKING, sys)
+        t = max(1, max(map(int.bit_count, sys.sets)))
+        oracle = sf.ApproxOracle(name="maximal-packing", goal=sf.Goal.MAXIMIZE,
+                                 run=maximal_packing, ratio=lambda q: F(1, t))
+        eps = [F(1, 4), F(1, 2), F(1)][seed % 3]
+        out = sf.dual_approx(p, oracle, sf.SchemaConfig(eps))
+        d = sf.dualize(p)
+        opt = sf.brute_force_optimum(d)
+        assert sf.is_feasible(d, out.dual_solution)
+        # dual of a maximization problem is minimized: achieved <= (1+eps)*opt
+        assert out.dual_value <= (1 + eps) * opt.value
+
     @pytest.mark.parametrize("seed", range(30))
     def test_approx_dispatch_is_conservative(self, seed):
         """Whenever the observable test routes to the approximation path, the
@@ -256,26 +287,50 @@ class TestDualApprox:
             assert p.universe_size >= c * k_true
 
 
-class TestBuiltInUpperBound:
+class TestPackingUpperBound:
     def test_independent_set_star(self):
         g = sf.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g)
-        assert sf.built_in_upper_bound(p) == 3  # n - matching = 4 - 1
+        assert sf.packing_upper_bound(p) == 3  # the edge {1, 0}, then 2 and 3
 
     def test_clique_triangle(self):
         p = sf.make_problem(sf.ProblemKind.CLIQUE, TRIANGLE)
-        assert sf.built_in_upper_bound(p) == 3  # degeneracy 2, plus one
+        assert sf.packing_upper_bound(p) == 3  # no conflicts: three singletons
 
-    def test_unsupported_kind_returns_none(self):
+    def test_kind_without_conflicts_gets_alive(self):
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, PATH3)
-        assert sf.built_in_upper_bound(p) is None
+        assert sf.packing_upper_bound(p) == 3
 
     @pytest.mark.parametrize("seed", range(40))
     def test_bound_is_valid(self, seed):
         g = random_graph((seed % 8) + 2, [0.2, 0.5, 0.8][seed % 3], 11_000 + seed)
         for kind in (sf.ProblemKind.INDEPENDENT_SET, sf.ProblemKind.CLIQUE):
             p = sf.make_problem(kind, g)
-            ub = sf.built_in_upper_bound(p)
-            opt = sf.brute_force_optimum(p)
-            assert ub is not None
-            assert ub >= opt.value
+            assert sf.packing_upper_bound(p) >= sf.brute_force_optimum(p).value
+
+    def test_bound_is_valid_on_atlas(self, atlas):
+        for g in atlas_upto(atlas, 6):
+            for kind in (sf.ProblemKind.INDEPENDENT_SET, sf.ProblemKind.CLIQUE):
+                p = sf.make_problem(kind, g)
+                assert sf.packing_upper_bound(p) >= sf.brute_force_optimum(p).value, (kind, g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bound_is_valid_on_set_packing(self, seed):
+        sys = random_system((seed % 7) + 2, (seed % 10) + 1, 4, 13_000 + seed)
+        p = sf.make_problem(sf.ProblemKind.SET_PACKING, sys)
+        assert sf.packing_upper_bound(p) >= sf.brute_force_optimum(p).value
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bound_is_valid_two_levels_deep(self, seed):
+        # The bound reads alive: each sub-instance's optimum is what it can
+        # add to its chosen elements.
+        g = random_graph(7, [0.3, 0.6][seed % 2], 14_000 + seed)
+        sys = random_system(6, 7, 3, 14_000 + seed)
+        for p in (sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g),
+                  sf.make_problem(sf.ProblemKind.CLIQUE, g),
+                  sf.make_problem(sf.ProblemKind.SET_PACKING, sys)):
+            for e in sf.iter_bits(p.alive):
+                q = p.restrict(e)
+                subs = [q] + [q.restrict(f) for f in sf.iter_bits(q.alive)]
+                for r in subs:
+                    assert sf.packing_upper_bound(r) >= sf.brute_force_optimum(r).value
