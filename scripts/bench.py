@@ -7,7 +7,10 @@ restriction I(e), the scalar predicate on a feasible and an infeasible mask,
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
 `packing_upper_bound` is timed per packing kind (`bound.*`): independent set
-and clique on G(50, 0.1), set packing on the 16-set system.
+and clique on G(50, 0.1), set packing on the 16-set system.  The scalar
+predicate of feedback vertex set is timed on G(20, 0.15), seed 70000, on an
+optimal solution (`feasible_mask.feedback-vertex-set.feasible`) and on the
+empty mask, where the graph keeps a cycle (`...cyclic`).
 Brute force: `brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each
 graph kind and for its dual.  Cost per node: the criterion-02 instance list
 (500 G(n, p) vertex covers at k = opt and opt - 1), a small seeded list per
@@ -104,6 +107,9 @@ def layers(sf) -> dict:
         for kind, data in ((K.INDEPENDENT_SET, g), (K.CLIQUE, g), (K.SET_PACKING, s)):
             p = sf.make_problem(kind, data)
             out[f"bound.{kind.value}"] = _median_us(lambda: bound(p), 2_000)
+    fvs = sf.make_problem(K.FEEDBACK_VERTEX_SET, generate_gnp(20, 0.15, 70000))
+    for name, m in (("feasible", sf.mask_of(sf.brute_force_optimum(fvs).members)), ("cyclic", 0)):
+        out[f"feasible_mask.feedback-vertex-set.{name}"] = _median_us(lambda: fvs.feasible_mask(m), 20_000)
     # The engine's prune test once the oracle has run: |sol| > ratio * (k - depth).
     sol, r, k, depth = cover.bit_count(), sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc), 29, 3
     out["prune_test"] = _median_us(

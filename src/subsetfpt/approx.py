@@ -13,7 +13,7 @@ adjacency masks and greedy-clique on the non-neighbour masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable
@@ -38,13 +38,21 @@ class ApproxOracle:
 
     name: str
     goal: Goal
+    reads: type = field(default=object, kw_only=True)  # the class of p.data run reads; object: any
     run: Callable[[SubsetProblem], frozenset[int]]
     ratio: Callable[[SubsetProblem], Fraction]
 
     def check_goal(self, p: SubsetProblem) -> None:
-        """Both engines refuse an oracle for the other goal."""
+        """Both engines refuse an oracle for the other goal or instance type."""
         if self.goal is not p.goal:
             raise ValueError("oracle goal must match the problem's goal")
+        self.check_instance(p)
+
+    def check_instance(self, p: SubsetProblem) -> None:
+        """Refuse an instance that is not of the class run reads."""
+        if not isinstance(p.data, self.reads):
+            need = {Graph: "a graph instance", SetSystem: "a set system"}[self.reads]
+            raise TypeError(f"oracle needs {need}, got {type(p.data).__name__}")
 
 
 class InfeasibleOutput(ValueError):
@@ -52,8 +60,9 @@ class InfeasibleOutput(ValueError):
 
 
 def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
-    """oracle.run(p), refused unless it is feasible for p: an oracle can be
-    named for a kind it does not solve (greedy-mis on clique)."""
+    """oracle.run(p), refused on an instance type it does not read or for an
+    output infeasible for p, as from an oracle named for another kind."""
+    oracle.check_instance(p)
     sol = frozenset(oracle.run(p))
     if not is_feasible(p, sol):
         raise InfeasibleOutput(f"oracle {oracle.name} returned a set infeasible for {p.label}")
@@ -217,27 +226,15 @@ def greedy_clique(g: Graph, alive: int = -1) -> frozenset[int]:
     return _greedy_packing(g.non_neighbours, alive)
 
 
-def _graph_of(p: SubsetProblem) -> Graph:
-    if not isinstance(p.data, Graph):
-        raise TypeError(f"oracle needs a graph instance, got {type(p.data).__name__}")
-    return p.data
-
-
-def _sys_of(p: SubsetProblem) -> SetSystem:
-    if not isinstance(p.data, SetSystem):
-        raise TypeError(f"oracle needs a set system, got {type(p.data).__name__}")
-    return p.data
-
-
 def _max_degree(p: SubsetProblem) -> int:
     """Maximum degree of the subgraph induced by the selectable vertices."""
-    g = _graph_of(p)
-    return max(((g.adj[v] & p.alive).bit_count() for v in iter_bits(p.alive)), default=0)
+    adj = p.data.adj
+    return max(((adj[v] & p.alive).bit_count() for v in iter_bits(p.alive)), default=0)
 
 
 def _max_residual_size(p: SubsetProblem) -> int:
     """Largest number of ground elements one set adds to the chosen sets."""
-    sys = _sys_of(p)
+    sys = p.data
     target = _residual(sys.sets, sys.n_ground, p.chosen)
     if _is_wide(sys.m, sys.n_ground):
         return _top_gain(_gain_planes(sys.holders, target))[1]
@@ -249,28 +246,32 @@ _TWO = Fraction(2)
 MATCHING_VC = ApproxOracle(
     name="matching-vc",
     goal=Goal.MINIMIZE,
-    run=lambda p: matching_vertex_cover(_graph_of(p), p.alive),
+    reads=Graph,
+    run=lambda p: matching_vertex_cover(p.data, p.alive),
     ratio=lambda p: _TWO,
 )
 
 GREEDY_SET_COVER = ApproxOracle(
     name="greedy-set-cover",
     goal=Goal.MINIMIZE,
-    run=lambda p: greedy_set_cover(_sys_of(p), p.chosen),
+    reads=SetSystem,
+    run=lambda p: greedy_set_cover(p.data, p.chosen),
     ratio=lambda p: harmonic(max(_max_residual_size(p), 1)),
 )
 
 GREEDY_DOMINATING = ApproxOracle(
     name="greedy-dominating",
     goal=Goal.MINIMIZE,
-    run=lambda p: greedy_dominating_set(_graph_of(p), p.chosen),
-    ratio=lambda p: harmonic(_graph_of(p).max_degree() + 1),
+    reads=Graph,
+    run=lambda p: greedy_dominating_set(p.data, p.chosen),
+    ratio=lambda p: harmonic(p.data.max_degree + 1),
 )
 
 GREEDY_MIS = ApproxOracle(
     name="greedy-mis",
     goal=Goal.MAXIMIZE,
-    run=lambda p: greedy_maximal_independent_set(_graph_of(p), p.alive),
+    reads=Graph,
+    run=lambda p: greedy_maximal_independent_set(p.data, p.alive),
     ratio=lambda p: Fraction(1, _max_degree(p) + 1),
 )
 
@@ -280,6 +281,7 @@ GREEDY_MIS = ApproxOracle(
 GREEDY_IDS = ApproxOracle(
     name="greedy-ids",
     goal=Goal.MINIMIZE,
+    reads=Graph,
     run=GREEDY_MIS.run,
     ratio=lambda p: Fraction(_max_degree(p) + 1),
 )
@@ -287,7 +289,8 @@ GREEDY_IDS = ApproxOracle(
 GREEDY_CLIQUE = ApproxOracle(
     name="greedy-clique",
     goal=Goal.MAXIMIZE,
-    run=lambda p: greedy_clique(_graph_of(p), p.alive),
+    reads=Graph,
+    run=lambda p: greedy_clique(p.data, p.alive),
     ratio=lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
 )
 

@@ -249,6 +249,8 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
     elif args.run == "branch":
         cfg = BranchConfig(budget_k=0, node_cap=args.node_cap)
         check_branchable(p, oracle)
+    elif args.run == "check-intersective":
+        oracle.check_instance(p)
     for i in range(args.count):
         if i:
             p = make_problem(kind, _generate(args, kind in SET_KINDS, seed + i))

@@ -18,8 +18,8 @@ tables, and its goal and restrictability follow from the table:
   pair of predicates.  Min independent dominating set is packing(adj) and
   covering(N[v]).  Max minimal vertex cover is its dual: S is a minimal
   vertex cover iff V - S is a maximal independent set, that is, an
-  independent dominating set.  Feedback vertex set has a DFS cycle test and
-  leaf peeling over bit columns.
+  independent dominating set.  Feedback vertex set peels leaves in both
+  predicates: S is feasible iff peeling V - S leaves no 2-core.
 
 Every kind has a scalar bitmask predicate and a bit-sliced batch predicate;
 the first two tables also give the restrict_fn(e) mask from which
@@ -79,12 +79,9 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n=n, edges=frozenset(norm), adj=tuple(adj))
 
-    def max_degree(self) -> int:
-        return self._max_degree
-
     # Built on first use; equality and hashing still compare the fields only.
     @cached_property
-    def _max_degree(self) -> int:
+    def max_degree(self) -> int:
         return max(map(int.bit_count, self.adj), default=0)
 
     @cached_property
@@ -99,13 +96,11 @@ class Graph:
         return tuple(full & ~nb for nb in self.closed_nbs)
 
     def complement(self) -> "Graph":
-        comp = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
-        ]
-        return Graph.from_edges(self.n, comp)
+        """The graph whose adjacency is non_neighbours."""
+        edges = frozenset((u, v) for u, nb in enumerate(self.non_neighbours)
+                          for v in iter_bits(nb) if u < v)
+        return Graph(n=self.n, edges=edges, adj=self.non_neighbours)
+
 
 @dataclass(frozen=True)
 class SetSystem:
@@ -143,28 +138,17 @@ class SetSystem:
                 holders[x] |= 1 << i
         return tuple(holders)
 
-
-def has_cycle(g: Graph, keep: int) -> bool:
-    """Cycle detection on the subgraph induced by the vertex bitmask `keep`
-    (iterative DFS with parent-edge tracking)."""
-    seen = 0
-    for start in iter_bits(keep):
-        if (seen >> start) & 1:
-            continue
-        stack = [(start, -1)]
-        seen |= 1 << start
-        while stack:
-            v, parent = stack.pop()
-            skipped_parent = False
-            for u in iter_bits(g.adj[v] & keep):
-                if u == parent and not skipped_parent:
-                    skipped_parent = True
-                    continue
-                if (seen >> u) & 1:
-                    return True
-                seen |= 1 << u
-                stack.append((u, v))
-    return False
+    @cached_property
+    def conflicts(self) -> tuple[int, ...]:
+        """For each set, the mask of the other sets that meet it."""
+        holders = self.holders
+        conflicts = []
+        for i, s in enumerate(self.sets):
+            c = 0
+            for x in iter_bits(s):
+                c |= holders[x]
+            conflicts.append(c & ~(1 << i))
+        return tuple(conflicts)
 
 
 def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]:
@@ -229,24 +213,26 @@ def _edge_hitters(g: Graph) -> Iterable[int]:
     return ((1 << u) | (1 << v) for u, v in g.edges)
 
 
-def _set_conflicts(sys: SetSystem) -> tuple[int, ...]:
-    """For each set, the mask of the other sets that meet it."""
-    holders = sys.holders
-    conflicts = []
-    for i, s in enumerate(sys.sets):
-        c = 0
-        for x in iter_bits(s):
-            c |= holders[x]
-        conflicts.append(c & ~(1 << i))
-    return tuple(conflicts)
+def _two_core(g: Graph, keep: int) -> int:
+    """What is left of keep after peeling, in rounds, every vertex with
+    fewer than two neighbours left in keep: none iff keep induces a forest."""
+    changed = True
+    while changed:
+        changed = False
+        for v in iter_bits(keep):
+            nb = g.adj[v] & keep
+            if not nb & (nb - 1):
+                keep ^= 1 << v
+                changed = True
+    return keep
 
 
 def _forest_batch(g: Graph) -> Callable:
-    """Batch predicate of feedback vertex set: the kept vertices induce a
-    forest iff peeling vertices with fewer than two kept neighbours leaves
-    none.  kept[v] holds the positions where v is not deleted; a vertex's
-    saturating count of kept neighbours (one, two) drops it where two is
-    unset, until a round changes nothing."""
+    """Batch predicate of feedback vertex set, the bit-sliced twin of
+    _two_core: the kept vertices induce a forest iff peeling vertices with
+    fewer than two kept neighbours leaves none.  kept[v] holds the positions
+    where v is not deleted; a vertex's saturating count of kept neighbours
+    (one, two) drops it where two is unset, until a round changes nothing."""
     nbs = tuple(tuple(iter_bits(a)) for a in g.adj)
 
     def batch(cols: tuple[int, ...]) -> int:
@@ -276,7 +262,7 @@ def _forest_batch(g: Graph) -> Callable:
 
 def _feedback_vertex_set(g: Graph) -> tuple[Callable, Callable]:
     full = (1 << g.n) - 1
-    return lambda m: not has_cycle(g, full & ~m), _forest_batch(g)
+    return lambda m: not _two_core(g, full & ~m), _forest_batch(g)
 
 
 def _min_independent_dominating_set(g: Graph) -> tuple[Callable, Callable]:
@@ -304,7 +290,7 @@ _HITTERS = {
 _CONFLICTS = {
     ProblemKind.INDEPENDENT_SET: lambda g: g.adj,
     ProblemKind.CLIQUE: lambda g: g.non_neighbours,
-    ProblemKind.SET_PACKING: _set_conflicts,
+    ProblemKind.SET_PACKING: lambda s: s.conflicts,
 }
 # The other kinds: (goal, instance -> scalar and batch predicates); they have
 # no restriction.
@@ -373,7 +359,11 @@ def packing_upper_bound(p: SubsetProblem) -> int:
     conflicts = _CONFLICTS[p.kind](p.data)
     cliques = 0
     while alive:
-        e = min(iter_bits(alive), key=lambda f: (conflicts[f] & alive).bit_count())
+        e, best_deg = -1, len(conflicts)
+        for f in iter_bits(alive):
+            deg = (conflicts[f] & alive).bit_count()
+            if deg < best_deg:
+                e, best_deg = f, deg
         common = conflicts[e] & alive
         alive ^= 1 << e
         while common:

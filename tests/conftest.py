@@ -91,7 +91,7 @@ def _sweep_optima(p: sf.SubsetProblem, all_ties: bool):
 
 
 def uf_has_cycle(n, edges):
-    """Union-find cycle detector, independent of the package's DFS check."""
+    """Union-find cycle detector, independent of the package's leaf peeling."""
     parent = list(range(n))
 
     def find(x):

@@ -232,6 +232,12 @@ class TestBranchCommand:
         assert json.loads(out)["outcome"] == "infeasible"
         assert "Traceback" not in err
 
+    def test_oracle_for_the_other_instance_type_exit_2(self, run):
+        # Refused before the first node, though the root of an edgeless
+        # graph is a solution that no oracle call is needed for.
+        code, out, err = run(["branch", "-", "--k", "0", "--oracle", "greedy-set-cover"], "p edge 3 0\n")
+        assert (code, out, err.splitlines()) == (2, "", ["error: oracle needs a set system, got Graph"])
+
     def test_max_problem_dispatches(self, run):
         code, out, _ = run(
             ["--problem", "independent-set", "branch", "-", "--k", "2"],
@@ -379,6 +385,10 @@ class TestGenCommand:
         assert s.n_ground == 5 and s.m == 4
 
 
+# Each run that takes an oracle, with the flags its single command needs.
+ONE_RUN = (("dual", ("--epsilon", "1/4")), ("branch", ("--k", "1")), ("check-intersective", ()))
+
+
 class TestExperimentCommand:
     def test_dual_experiment_has_aggregate(self, run):
         code, out, _ = run(
@@ -462,14 +472,21 @@ class TestExperimentCommand:
             (["--run", "branch", "--node-cap", "0"], ["branch", "-", "--k", "1", "--node-cap", "0"]),
             (["--problem", "min-independent-dominating-set", "--run", "branch"],
              ["--problem", "min-independent-dominating-set", "branch", "-", "--k", "1"]),
+            # an oracle that reads the other instance type
+            *((["--run", r, "--oracle", "greedy-set-cover"], [r, "-", *rest, "--oracle", "greedy-set-cover"])
+              for r, rest in ONE_RUN),
+            *((["--problem", "set-cover", "--run", r, "--oracle", "matching-vc"],
+               ["--problem", "set-cover", r, "-", *rest, "--oracle", "matching-vc"])
+              for r, rest in ONE_RUN),
         ],
         ids=["oracle", "oracle-check", "oracle-goal", "oracle-goal-dual", "epsilon", "brute-cap",
-             "node-cap", "no-restriction"],
+             "node-cap", "no-restriction",
+             *(f"{r}-reads-{t}" for t in ("set-system", "graph") for r, _ in ONE_RUN)],
     )
     def test_invalid_flag_is_one_error_line(self, run, flags, single):
         # Refused before any row, even with no rows, in the words of the
-        # command a row runs on an instance of the same size.
-        _, _, expected = run(single, PATH3_DIMACS)
+        # command a row runs on an instance of the same type.
+        _, _, expected = run(single, S6 if "set-cover" in single else PATH3_DIMACS)
         for count in ("0", "2"):
             code, out, err = run(["experiment", "--count", count, "--n", "3"] + flags)
             assert (code, out) == (2, "")

@@ -287,6 +287,22 @@ class TestDualApprox:
             assert p.universe_size >= c * k_true
 
 
+def _clique_partition_ref(conflicts):
+    """Reference for packing_upper_bound over plain sets, conflicts[e] being
+    the set of elements e conflicts with: start each clique at the element
+    with the fewest remaining conflicts, lowest first on ties, and add every
+    remaining element, in increasing order, that conflicts with all members."""
+    alive, count = set(range(len(conflicts))), 0
+    while alive:
+        clique = {min(alive, key=lambda e: (len(conflicts[e] & alive), e))}
+        for f in sorted(alive - clique):
+            if all(f in conflicts[c] for c in clique):
+                clique.add(f)
+        alive -= clique
+        count += 1
+    return count
+
+
 class TestPackingUpperBound:
     def test_independent_set_star(self):
         g = sf.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -313,6 +329,23 @@ class TestPackingUpperBound:
             for kind in (sf.ProblemKind.INDEPENDENT_SET, sf.ProblemKind.CLIQUE):
                 p = sf.make_problem(kind, g)
                 assert sf.packing_upper_bound(p) >= sf.brute_force_optimum(p).value, (kind, g)
+
+    def test_bound_matches_plain_set_reference(self, atlas):
+        # Pins the picks, lowest id on ties, not only the bound's validity.
+        for g in atlas_upto(atlas, 6):
+            nbs = [{v for e in g.edges if u in e for v in e if v != u} for u in range(g.n)]
+            for kind, conflicts in ((sf.ProblemKind.INDEPENDENT_SET, nbs),
+                                    (sf.ProblemKind.CLIQUE, [set(range(g.n)) - nb - {u}
+                                                             for u, nb in enumerate(nbs)])):
+                p = sf.make_problem(kind, g)
+                assert sf.packing_upper_bound(p) == _clique_partition_ref(conflicts), (kind, g)
+        for seed in range(40):
+            sys = random_system((seed % 7) + 2, (seed % 10) + 1, 4, 13_000 + seed)
+            members = [set(sf.iter_bits(m)) for m in sys.sets]
+            conflicts = [{j for j, t in enumerate(members) if j != i and s & t}
+                         for i, s in enumerate(members)]
+            p = sf.make_problem(sf.ProblemKind.SET_PACKING, sys)
+            assert sf.packing_upper_bound(p) == _clique_partition_ref(conflicts)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_bound_is_valid_on_set_packing(self, seed):

@@ -78,11 +78,18 @@ class TestGraph:
             assert [set(sf.iter_bits(m)) for m in g.closed_nbs] == nbs
             everything = set(range(g.n))
             assert [set(sf.iter_bits(m)) for m in g.non_neighbours] == [everything - nb for nb in nbs]
-            assert g.max_degree() == max((len(nb) - 1 for nb in nbs), default=0)
+            assert g.max_degree == max((len(nb) - 1 for nb in nbs), default=0)
+
+    def test_complement_adjacency_is_non_neighbours(self):
+        for g in all_graphs_upto(6):
+            comp = g.complement()
+            assert comp.adj == g.non_neighbours
+            pairs = itertools.combinations(range(g.n), 2)
+            assert comp == sf.Graph.from_edges(g.n, (e for e in pairs if e not in g.edges))
 
     def test_cached_masks_leave_equality_and_hash_alone(self):
         g, h = random_graph(8, 0.5, 1), random_graph(8, 0.5, 1)
-        assert g.closed_nbs and g.non_neighbours and g.max_degree()  # now cached on g, not on h
+        assert g.closed_nbs and g.non_neighbours and g.max_degree  # now cached on g, not on h
         assert g == h and hash(g) == hash(h)
 
 
@@ -94,6 +101,15 @@ class TestSetSystem:
         assert [set(sf.iter_bits(h)) for h in s.holders] == expected
         assert s.holders is s.holders  # one transpose per set system
         assert s == random_system(12, 3 + 4 * seed, 5, 3000 + seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conflicts_are_the_sets_met(self, seed):
+        s = random_system(12, 3 + 4 * seed, 5, 3100 + seed)
+        expected = [{j for j, t in enumerate(s.sets) if j != i and m & t} for i, m in enumerate(s.sets)]
+        assert [set(sf.iter_bits(c)) for c in s.conflicts] == expected
+        assert s.conflicts is s.conflicts  # one table per set system
+        p = sf.make_problem(sf.ProblemKind.SET_PACKING, s)
+        assert tuple(~c for c in s.conflicts) == tuple(map(p.restrict_fn, range(s.m)))
 
 
 class TestFeasibility:
@@ -418,26 +434,33 @@ class TestDualities:
 
 
 def _assert_forest_batch(g, acyclic):
-    """The FVS batch predicate and its dual's against acyclic[keep], whether
-    g induces a forest on the vertex mask keep: S is a feedback vertex set
-    iff V - S induces one."""
+    """The FVS predicates and their duals', batch and scalar, against
+    acyclic[keep], whether g induces a forest on the vertex mask keep: S is
+    a feedback vertex set iff V - S induces one."""
     n, full = g.n, (1 << g.n) - 1
     p = sf.make_problem(sf.ProblemKind.FEEDBACK_VERTEX_SET, g)
+    d = sf.dualize(p)
+    fvs = [acyclic[full & ~m] for m in range(1 << n)]
     cols = _identity_columns(n)
-    assert _positions(p.feasible_batch(cols), n) == [acyclic[full & ~m] for m in range(1 << n)]
-    assert _positions(sf.dualize(p).feasible_batch(cols), n) == acyclic
+    assert _positions(p.feasible_batch(cols), n) == fvs
+    assert _positions(d.feasible_batch(cols), n) == acyclic
+    assert list(map(p.feasible_mask, range(1 << n))) == fvs
+    assert list(map(d.feasible_mask, range(1 << n))) == acyclic
+
+
+def _induced_acyclic(g, keep):
+    return not uf_has_cycle(g.n, [(u, v) for u, v in sorted(g.edges) if keep >> u & keep >> v & 1])
 
 
 class TestFeedbackVertexSet:
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_batch_matches_has_cycle_all_graphs(self, n):
+    def test_predicates_match_union_find_all_graphs(self, n):
         # all_graphs_upto lists the graphs on n vertices by their edge bits
         # over the pairs in combinations order, so the subgraph that graph b
         # induces on keep is graph b & within[keep] with keep's complement
-        # isolated: one has_cycle call per graph covers every mask.
+        # isolated: one union-find call per graph covers every mask.
         graphs = [g for g in all_graphs_upto(n) if g.n == n]
-        full = (1 << n) - 1
-        acyclic = [not sf.problems.has_cycle(g, full) for g in graphs]
+        acyclic = [not uf_has_cycle(n, sorted(g.edges)) for g in graphs]
         pairs = list(itertools.combinations(range(n), 2))
         within = [sf.mask_of(i for i, (u, v) in enumerate(pairs) if keep >> u & keep >> v & 1)
                   for keep in range(1 << n)]
@@ -446,9 +469,9 @@ class TestFeedbackVertexSet:
             _assert_forest_batch(g, [acyclic[b & w] for w in within])
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_batch_matches_has_cycle_random_graphs(self, seed):
+    def test_predicates_match_union_find_random_graphs(self, seed):
         g = random_graph(7 + seed % 3, [0.2, 0.35, 0.5, 0.7][seed % 4], 1_300 + seed)
-        _assert_forest_batch(g, [not sf.problems.has_cycle(g, keep) for keep in range(1 << g.n)])
+        _assert_forest_batch(g, [_induced_acyclic(g, keep) for keep in range(1 << g.n)])
 
     @pytest.mark.parametrize("chunk", range(10))
     def test_acyclicity_agrees_with_union_find(self, chunk):
@@ -457,7 +480,7 @@ class TestFeedbackVertexSet:
             seed = chunk * 100 + i
             g = random_graph(8, [0.15, 0.3, 0.5][seed % 3], 800 + seed)
             full = (1 << g.n) - 1
-            got = sf.problems.has_cycle(g, full)
+            got = sf.problems._two_core(g, full) != 0
             want = uf_has_cycle(g.n, sorted(g.edges))
             assert got == want
 
