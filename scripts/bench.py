@@ -12,7 +12,10 @@ predicate of feedback vertex set is timed on G(20, 0.15), seed 70000, on an
 optimal solution (`feasible_mask.feedback-vertex-set.feasible`) and on the
 empty mask, where the graph keeps a cycle (`...cyclic`).
 Brute force: `brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each
-graph kind and for its dual.  Cost per node: the criterion-02 instance list
+graph kind and for its dual.  Intersectivity check: `verify_intersective`
+with the default oracle of each kind that has one, the graph kinds on the
+same two graphs and set cover on a 16- and a 20-set system over 20
+elements, seed 70000.  Cost per node: the criterion-02 instance list
 (500 G(n, p) vertex covers at k = opt and opt - 1), a small seeded list per
 restrictable kind with a default oracle at k = opt and the adjacent NO
 budget, and the G(50, 0.1) instance at k = 29 and 28 under a 2,000-node cap.  CLI cold start: `import
@@ -133,6 +136,19 @@ def brute_us(sf) -> dict:
     return out
 
 
+def verify_us(sf) -> dict:
+    from subsetfpt.io import generate_gnp, generate_setsystem
+
+    out = {}
+    for n, number in BRUTE_SIZES:
+        g, s = generate_gnp(n, 0.3, 70000), generate_setsystem(20, n, 4, 70000)
+        for kind, oracle in sf.DEFAULT_ORACLE.items():
+            p = sf.make_problem(kind, s if kind in sf.problems.SET_KINDS else g)
+            sf.verify_intersective(p, oracle)  # fills the caches a first call builds
+            out[p.label] = _median_us(lambda: sf.verify_intersective(p, oracle), number)
+    return out
+
+
 def _criterion_02(sf) -> list:
     from subsetfpt.io import generate_gnp
 
@@ -245,6 +261,7 @@ def main(argv=None) -> int:
         "cold_repeat": COLD_REPEAT,
         "layers_us": {k: round(v, 3) for k, v in layers(sf).items()},
         "brute_us": {k: round(v, 1) for k, v in brute_us(sf).items()},
+        "verify_us": {k: round(v, 1) for k, v in verify_us(sf).items()},
         "us_per_node": {k: round(v, 2) for k, v in us_per_node.items()},
         "nodes": nodes,
         "cold_start_ms": {k: round(v, 1) for k, v in cold_start(src).items()},

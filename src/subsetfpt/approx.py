@@ -43,13 +43,10 @@ class ApproxOracle:
     ratio: Callable[[SubsetProblem], Fraction]
 
     def check_goal(self, p: SubsetProblem) -> None:
-        """Both engines refuse an oracle for the other goal or instance type."""
+        """Refuse a problem of the other goal, or an instance that is not of
+        the class run reads."""
         if self.goal is not p.goal:
             raise ValueError("oracle goal must match the problem's goal")
-        self.check_instance(p)
-
-    def check_instance(self, p: SubsetProblem) -> None:
-        """Refuse an instance that is not of the class run reads."""
         if not isinstance(p.data, self.reads):
             need = {Graph: "a graph instance", SetSystem: "a set system"}[self.reads]
             raise TypeError(f"oracle needs {need}, got {type(p.data).__name__}")
@@ -60,9 +57,9 @@ class InfeasibleOutput(ValueError):
 
 
 def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
-    """oracle.run(p), refused on an instance type it does not read or for an
-    output infeasible for p, as from an oracle named for another kind."""
-    oracle.check_instance(p)
+    """oracle.run(p), refused as by check_goal, which every engine shares, or
+    for an output infeasible for p, as from an oracle named for another kind."""
+    oracle.check_goal(p)
     sol = frozenset(oracle.run(p))
     if not is_feasible(p, sol):
         raise InfeasibleOutput(f"oracle {oracle.name} returned a set infeasible for {p.label}")

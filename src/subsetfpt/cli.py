@@ -245,12 +245,11 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
     p = make_problem(kind, _generate(args, kind in SET_KINDS, seed))
     if args.run == "dual":
         cfg = SchemaConfig(epsilon=_epsilon(args.epsilon), brute_cap=args.brute_cap)
-        oracle.check_goal(p)
     elif args.run == "branch":
         cfg = BranchConfig(budget_k=0, node_cap=args.node_cap)
         check_branchable(p, oracle)
-    elif args.run == "check-intersective":
-        oracle.check_instance(p)
+    if args.run in ("dual", "check-intersective"):
+        oracle.check_goal(p)
     for i in range(args.count):
         if i:
             p = make_problem(kind, _generate(args, kind in SET_KINDS, seed + i))

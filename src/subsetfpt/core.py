@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache, partial
+from bisect import bisect_left
+from functools import cache, lru_cache, partial, reduce
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 DEFAULT_BUDGET = 20
@@ -217,16 +220,17 @@ def _chunk_ones(n: int) -> int:
 
 
 @cache  # one entry per chunk width, at most _CHUNK_BITS + 1 of them
-def _chunk_basis(w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _chunk_basis(w: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """For a chunk of 2^w positions: the column of each position bit b < w
-    (bit s set iff s has bit b), and the popcount layers j = 0..w (bit s set
-    iff s has j bits set)."""
+    (bit s set iff s has bit b), the popcount layers j = 0..w (bit s set
+    iff s has j bits set) and their running unions at_most[j] (bit s set iff
+    s has at most j bits set)."""
     cols, layers = (), (1,)
     for k in range(w):
         half = 1 << k
         cols = tuple(c | c << half for c in cols) + (((1 << half) - 1) << half,)
         layers = tuple(lo | hi << half for lo, hi in zip(layers + (0,), (0,) + layers))
-    return cols, layers
+    return cols, layers, tuple(accumulate(layers, or_))
 
 
 def _set_bits_descending(x: int) -> Iterator[int]:
@@ -239,10 +243,20 @@ def _set_bits_descending(x: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-def _batch_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[int]]]:
-    """(value, optimal masks in lexicographic order), from feasible_batch
-    over all 2^n masks; only the first optimum unless all_ties.  None if
-    infeasible.
+def _optima(p: SubsetProblem, budget: int):
+    """BudgetExceeded, or _chunks(p) once the universe fits the budget."""
+    n = p.universe_size
+    if n > budget:
+        return BudgetExceeded(n, budget)
+    if n > MAX_EXHAUSTIVE:
+        raise ValueError(f"exhaustive search is limited to {MAX_EXHAUSTIVE} elements, got {n}")
+    return _chunks(p)
+
+
+def _chunks(p: SubsetProblem) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """(value, base, at, cols) per chunk of the 2^n masks whose best feasible
+    masks tie or beat all before: `at` marks their positions, base | s is the
+    rank at position s, and cols[e] marks the positions holding element e.
 
     Rank r stands for the mask that holds element i iff bit n-1-i of r is
     set, so of two masks of one size the higher rank is lexicographically
@@ -250,40 +264,27 @@ def _batch_optima(p: SubsetProblem, all_ties: bool) -> Optional[tuple[int, list[
     low w; chunks are scanned from the top down, positions from high to low."""
     n = p.universe_size
     w = min(n, _CHUNK_BITS)
-    low, layers = _chunk_basis(w)
+    low, layers, at_most = _chunk_basis(w)
     tail, ones = low[::-1], _chunk_ones(n)
     minimize = p.goal is Goal.MINIMIZE
-    sizes = range(w + 1) if minimize else range(w, -1, -1)
     best: Optional[int] = None
-    masks: list[int] = []
     for chunk in range((1 << (n - w)) - 1, -1, -1):
-        head = tuple(ones if chunk >> b & 1 else 0 for b in range(n - w - 1, -1, -1))
-        feasible = p.feasible_batch(head + tail) & ones
+        cols = tuple(ones if chunk >> b & 1 else 0 for b in range(n - w - 1, -1, -1)) + tail
+        feasible = p.feasible_batch(cols) & ones
         if not feasible:
             continue
-        for j in sizes:
-            at = feasible & layers[j]
-            if at:
-                break
+        # Bisect for the least size j at which at_most[j] holds some feasible
+        # position (minimize) or all of them (maximize): the best size here.
+        j = bisect_left(range(w + 1), True, key=lambda j: (
+            feasible & at_most[j] != 0 if minimize else feasible & at_most[j] == feasible))
         value = chunk.bit_count() + j
-        if best is None or (value < best if minimize else value > best):
-            best, masks = value, []
-        elif value != best or not all_ties:
-            continue
-        positions = _set_bits_descending(at) if all_ties else (at.bit_length() - 1,)
-        masks += [int(format(chunk << w | s, f"0{n}b")[::-1], 2) for s in positions]
-    return None if best is None else (best, masks)
+        if best is None or (value <= best if minimize else value >= best):
+            best = value
+            yield value, chunk << w, feasible & layers[j], cols
 
 
-def _optima(p: SubsetProblem, budget: int, all_ties: bool):
-    n = p.universe_size
-    if n > budget:
-        return BudgetExceeded(n, budget)
-    if n > MAX_EXHAUSTIVE:
-        raise ValueError(
-            f"exhaustive search is limited to {MAX_EXHAUSTIVE} elements, got {n}"
-        )
-    return _batch_optima(p, all_ties)
+def _members_of_rank(n: int, r: int) -> frozenset[int]:
+    return members_of(int(format(r, f"0{n}b")[::-1], 2))
 
 
 def brute_force_optimum(
@@ -296,13 +297,16 @@ def brute_force_optimum(
     caller allows, so callers never rely on exhaustive search by accident,
     and raises ValueError above MAX_EXHAUSTIVE elements whatever the budget.
     """
-    hit = _optima(p, budget, all_ties=False)
-    if hit is None:
+    chunks = _optima(p, budget)
+    if isinstance(chunks, BudgetExceeded):
+        return chunks
+    first = None
+    for value, base, at, _ in chunks:
+        if first is None or value != first[0]:
+            first = value, base | at.bit_length() - 1
+    if first is None:
         return Infeasible()
-    if isinstance(hit, BudgetExceeded):
-        return hit
-    value, (mask,) = hit
-    return EvaluatedSolution(members_of(mask), value, optimal=True)
+    return EvaluatedSolution(_members_of_rank(p.universe_size, first[1]), first[0], optimal=True)
 
 
 def enumerate_optima(
@@ -310,9 +314,34 @@ def enumerate_optima(
 ) -> list[frozenset[int]] | BudgetExceeded:
     """All optimal solutions in (cardinality, lexicographic) order; empty
     list iff the instance is infeasible."""
-    hit = _optima(p, budget, all_ties=True)
-    if hit is None:
-        return []
-    if isinstance(hit, BudgetExceeded):
-        return hit
-    return [members_of(m) for m in hit[1]]
+    chunks = _optima(p, budget)
+    if isinstance(chunks, BudgetExceeded):
+        return chunks
+    best, ranks = None, []
+    for value, base, at, _ in chunks:
+        if value != best:
+            best, ranks = value, []
+        ranks += [base | s for s in _set_bits_descending(at)]
+    return [_members_of_rank(p.universe_size, r) for r in ranks]
+
+
+def optima_meeting(
+    p: SubsetProblem, meet: int, budget: int = DEFAULT_BUDGET
+) -> tuple[int, Optional[frozenset[int]]] | BudgetExceeded:
+    """(number of optima, the first optimum in (cardinality, lexicographic)
+    order that meets the mask `meet`, else None), counted and located in the
+    scan with none listed.  The empty optimum counts as met.  (0, None) iff
+    the instance is infeasible."""
+    chunks = _optima(p, budget)
+    if isinstance(chunks, BudgetExceeded):
+        return chunks
+    best, count, first = None, 0, None
+    for value, base, at, cols in chunks:
+        if value != best:
+            best, count, first = value, 0, None
+        count += at.bit_count()
+        if first is None:
+            hits = at if not value else at & reduce(or_, (cols[e] for e in iter_bits(meet)), 0)
+            if hits:
+                first = base | hits.bit_length() - 1
+    return count, None if first is None else _members_of_rank(p.universe_size, first)

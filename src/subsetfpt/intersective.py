@@ -20,11 +20,12 @@ from .core import (
     BudgetExceeded,
     SubsetProblem,
     UnsupportedRestriction,
-    enumerate_optima,
     Goal,
     DEFAULT_BUDGET,
     iter_bits,
+    mask_of,
     members_of,
+    optima_meeting,
 )
 from .approx import ApproxOracle, run_checked
 
@@ -183,8 +184,8 @@ class Verdict(Enum):
 @dataclass
 class IntersectivityReport:
     oracle_solution: frozenset[int]
-    optima_checked: int
-    intersecting_optimum: Optional[frozenset[int]]
+    optima_checked: int  # the number of optima, all of them checked
+    intersecting_optimum: Optional[frozenset[int]]  # the first one met
     verdict: Verdict
 
 
@@ -192,14 +193,13 @@ def verify_intersective(
     p: SubsetProblem, oracle: ApproxOracle, budget: int = DEFAULT_BUDGET
 ) -> IntersectivityReport:
     """Check whether the oracle's output meets at least one optimal solution,
-    by enumerating all optima exhaustively; an empty optimum counts as met,
-    since the engine accepts it before it runs the oracle.  An output
-    infeasible for p raises approx.InfeasibleOutput: it certifies nothing."""
+    by one exhaustive scan that counts the optima and locates the first met;
+    an empty optimum counts as met, since the engine accepts it before it
+    runs the oracle.  An output infeasible for p raises InfeasibleOutput."""
     sol = run_checked(oracle, p)
-    optima = enumerate_optima(p, budget)
-    if isinstance(optima, BudgetExceeded):
+    hit = optima_meeting(p, mask_of(sol), budget)
+    if isinstance(hit, BudgetExceeded):
         return IntersectivityReport(sol, 0, None, Verdict.INCONCLUSIVE)
-    for opt in optima:
-        if sol & opt or not opt:
-            return IntersectivityReport(sol, len(optima), opt, Verdict.INTERSECTIVE)
-    return IntersectivityReport(sol, len(optima), None, Verdict.NOT_INTERSECTIVE)
+    count, opt = hit
+    verdict = Verdict.NOT_INTERSECTIVE if opt is None else Verdict.INTERSECTIVE
+    return IntersectivityReport(sol, count, opt, verdict)

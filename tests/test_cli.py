@@ -370,6 +370,18 @@ class TestCheckIntersectiveCommand:
             2, "", ["error: oracle greedy-mis returned a set infeasible for clique(n=10)"])
 
 
+@pytest.mark.parametrize("argv,stdin_text", [
+    (["approx", "-", "--oracle", "greedy-mis"], PATH3_DIMACS),
+    (["check-intersective", "-", "--oracle", "greedy-mis"], "p edge 3 0\n"),
+], ids=["approx", "check-intersective"])
+def test_oracle_for_the_other_goal_exit_2(run, argv, stdin_text):
+    # A maximization oracle on vertex cover: no ratio of the wrong kind and
+    # no verdict, the branch command's refusal instead.
+    code, out, err = run(argv, stdin_text)
+    assert (code, out, err.splitlines()) == (
+        2, "", ["error: oracle goal must match the problem's goal"])
+
+
 class TestGenCommand:
     def test_gnp_output_parses(self, run):
         code, out, _ = run(["--seed", "7", "gen", "--model", "gnp", "--n", "6"])
@@ -467,6 +479,8 @@ class TestExperimentCommand:
              ["branch", "-", "--k", "1", "--oracle", "greedy-mis"]),
             (["--run", "dual", "--oracle", "greedy-mis"],
              ["dual", "-", "--epsilon", "1/4", "--oracle", "greedy-mis"]),
+            (["--run", "check-intersective", "--oracle", "greedy-mis"],
+             ["check-intersective", "-", "--oracle", "greedy-mis"]),
             (["--run", "dual", "--epsilon", "2"], ["dual", "-", "--epsilon", "2"]),
             (["--run", "dual", "--brute-cap", "0"], ["dual", "-", "--epsilon", "1/4", "--brute-cap", "0"]),
             (["--run", "branch", "--node-cap", "0"], ["branch", "-", "--k", "1", "--node-cap", "0"]),
@@ -479,7 +493,8 @@ class TestExperimentCommand:
                ["--problem", "set-cover", r, "-", *rest, "--oracle", "matching-vc"])
               for r, rest in ONE_RUN),
         ],
-        ids=["oracle", "oracle-check", "oracle-goal", "oracle-goal-dual", "epsilon", "brute-cap",
+        ids=["oracle", "oracle-check", "oracle-goal", "oracle-goal-dual", "oracle-goal-check",
+             "epsilon", "brute-cap",
              "node-cap", "no-restriction",
              *(f"{r}-reads-{t}" for t in ("set-system", "graph") for r, _ in ONE_RUN)],
     )

@@ -197,6 +197,31 @@ class TestSubInstanceScan:
                     _assert_scan_matches_sweep(child.restrict(f))
 
 
+class TestLayerSearch:
+    """The scan bisects for a chunk's best size; walking the popcount
+    layers one by one finds the same layer."""
+
+    @pytest.mark.parametrize("w", range(9))
+    @pytest.mark.parametrize("goal", list(sf.Goal))
+    def test_bisection_matches_linear_walk(self, w, goal):
+        import random
+
+        from subsetfpt import core
+
+        low, layers, _ = core._chunk_basis(w)
+        rng = random.Random(700 + w)
+        sizes = range(w + 1) if goal is sf.Goal.MINIMIZE else range(w, -1, -1)
+        for _ in range(50):
+            # One to three positions, on top of a dense random mask or not.
+            picks = rng.sample(range(1 << w), rng.randint(1, min(3, 1 << w)))
+            feasible = sum(1 << s for s in picks) | rng.choice([0, rng.getrandbits(1 << w)])
+            # A problem whose one chunk has these feasible positions.
+            p = sf.SubsetProblem("fixed", w, goal, feasible_mask=None,
+                                 feasible_batch=lambda cols: feasible)
+            j = next(j for j in sizes if feasible & layers[j])
+            assert list(core._chunks(p)) == [(j, 0, feasible & layers[j], low[::-1])]
+
+
 class TestComplement:
     def test_examples(self):
         p = vc(sf.Graph.from_edges(5, []))

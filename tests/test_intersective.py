@@ -482,3 +482,92 @@ class TestVerifyIntersective:
         p = sf.make_problem(sf.ProblemKind.CLIQUE, generate_gnp(10, 0.3, 3))
         with pytest.raises(ValueError, match="greedy-mis.*clique"):
             sf.verify_intersective(p, MIS)
+
+
+def _verify_by_listing(p, oracle, budget=sf.DEFAULT_BUDGET):
+    """Reference for verify_intersective: (verdict, optima_checked,
+    intersecting_optimum) from the full list of optima."""
+    sol = sf.approx.run_checked(oracle, p)
+    optima = sf.enumerate_optima(p, budget)
+    if isinstance(optima, sf.BudgetExceeded):
+        return sf.Verdict.INCONCLUSIVE, 0, None
+    for opt in optima:
+        if sol & opt or not opt:
+            return sf.Verdict.INTERSECTIVE, len(optima), opt
+    return sf.Verdict.NOT_INTERSECTIVE, len(optima), None
+
+
+def _assert_check_matches_listing(p, oracle, budget=sf.DEFAULT_BUDGET):
+    rep = sf.verify_intersective(p, oracle, budget)
+    want = _verify_by_listing(p, oracle, budget)
+    assert (rep.verdict, rep.optima_checked, rep.intersecting_optimum) == want, p.label
+    return rep
+
+
+# Returns the empty set, feasible for both packing kinds and never an optimum
+# on a graph with a vertex: not intersective, whatever the optima are.
+NOTHING = sf.ApproxOracle(name="nothing", goal=sf.Goal.MAXIMIZE, reads=sf.Graph,
+                          run=lambda p: frozenset(), ratio=lambda p: Fraction(1))
+
+
+@pytest.mark.parametrize("chunk_bits", [3, 20])
+class TestCheckMatchesListing:
+    """verify_intersective counts the optima and locates the first one met
+    in the scan; listing them all gives the same report."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_oracles(self, chunk_bits, seed, monkeypatch):
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        n = 5 + seed
+        g, system = random_graph(n, 0.35, 600 + seed), random_system(n, n, 3, 600 + seed)
+        verdicts = set()
+        for kind, oracle in sf.DEFAULT_ORACLE.items():
+            p = sf.make_problem(kind, system if kind in sf.problems.SET_KINDS else g)
+            try:
+                verdicts.add(_assert_check_matches_listing(p, oracle).verdict)
+            except sf.InfeasibleInstance:
+                with pytest.raises(sf.InfeasibleInstance):
+                    _verify_by_listing(p, oracle)
+        assert verdicts <= {sf.Verdict.INTERSECTIVE, sf.Verdict.NOT_INTERSECTIVE}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_intersective_oracle(self, chunk_bits, seed, monkeypatch):
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        g = random_graph(9 + seed, 0.4, 640 + seed)
+        for kind in (sf.ProblemKind.INDEPENDENT_SET, sf.ProblemKind.CLIQUE):
+            rep = _assert_check_matches_listing(sf.make_problem(kind, g), NOTHING)
+            assert rep.verdict is sf.Verdict.NOT_INTERSECTIVE and rep.optima_checked >= 1
+        # The leaves of a star cover it and miss its one optimum, the centre.
+        star = sf.Graph.from_edges(7, [(0, i) for i in range(1, 7)])
+        leaves = sf.ApproxOracle(name="leaves", goal=sf.Goal.MINIMIZE,
+                                 run=lambda p: frozenset(range(1, 7)), ratio=lambda p: Fraction(6))
+        rep = _assert_check_matches_listing(vc(star), leaves)
+        assert (rep.verdict, rep.optima_checked) == (sf.Verdict.NOT_INTERSECTIVE, 1)
+
+    def test_empty_optimum(self, chunk_bits, monkeypatch):
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        rep = _assert_check_matches_listing(vc(sf.Graph.from_edges(6, [])), MATCHING)
+        assert (rep.verdict, rep.optima_checked, rep.intersecting_optimum) == (
+            sf.Verdict.INTERSECTIVE, 1, frozenset())
+
+    def test_over_budget(self, chunk_bits, monkeypatch):
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        rep = _assert_check_matches_listing(vc(random_graph(10, 0.3, 12)), MATCHING, budget=5)
+        assert rep.verdict is sf.Verdict.INCONCLUSIVE
+
+    def test_beyond_max_exhaustive(self, chunk_bits, monkeypatch):
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        p = vc(sf.Graph.from_edges(core.MAX_EXHAUSTIVE + 1, [(0, 1)]))
+        for check in (sf.verify_intersective, _verify_by_listing):
+            with pytest.raises(ValueError, match="limited to 62 elements"):
+                check(p, MATCHING, 100)
