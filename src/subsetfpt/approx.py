@@ -19,7 +19,7 @@ from functools import cache
 from typing import Callable
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, is_feasible, iter_bits
-from .problems import Graph, ProblemKind, SetSystem
+from .problems import Graph, ProblemKind, SetSystem, fewest_conflicts
 
 
 @cache
@@ -177,11 +177,7 @@ def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> frozenset[int]:
     alive &= (1 << len(conflicts)) - 1
     picked = []
     while alive:
-        best, best_deg = -1, len(conflicts)
-        for v in iter_bits(alive):
-            deg = (conflicts[v] & alive).bit_count()
-            if deg < best_deg:
-                best, best_deg = v, deg
+        best = fewest_conflicts(conflicts, alive)
         picked.append(best)
         alive &= ~(conflicts[best] | (1 << best))
     return frozenset(picked)

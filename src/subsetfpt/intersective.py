@@ -11,10 +11,9 @@ room has no solution that fits and is pruned.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     BudgetExceeded,
@@ -113,9 +112,8 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     keeps the best solution seen and prunes a node whose oracle output
     exceeds ratio times its room; maximization stops at the first feasible
     set of size budget_k.  An oracle for the other goal or a problem without
-    a restriction operator is refused before the first node.  The search
-    nests one call per chosen element; a search deeper than the
-    interpreter's recursion limit raises ValueError.
+    a restriction operator is refused before the first node.  Open nodes
+    wait as frames on an explicit stack: a search of any depth answers.
     """
     check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
@@ -127,12 +125,12 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     # p's own chosen elements lie outside p.alive, so p's predicate would
     # reject them: a node's solution is what it chose beyond them.
     inherited = p.chosen
-
-    def visit(inst: SubsetProblem) -> None:
-        nonlocal nodes, max_depth, max_arity, cap_hit, best
-        if nodes >= cfg.node_cap:
-            cap_hit = True
-            return
+    # Each frame is a node and an iterator over its untried branch elements.
+    # A child meets the memo only when it comes up, after its older
+    # siblings' subtrees are done, and is restricted only if it is visited.
+    frames: list[tuple[SubsetProblem, Iterator[int]]] = []
+    inst: Optional[SubsetProblem] = p
+    while inst is not None:
         nodes += 1
         own = inst.chosen ^ inherited
         depth = own.bit_count()
@@ -141,29 +139,28 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
         if (minimize or room == 0) and p.feasible_mask(own):
             if best is None or _rank(own) < _rank(best):
                 best = own
-            return
-        if room <= 0:
-            return
-        sol = sorted(oracle.run(inst))
-        if minimize and cfg.prune_enabled:
-            r = oracle.ratio(inst)  # prune if len(sol) > r * room
-            if len(sol) * r.denominator > r.numerator * room:
-                return
-        max_arity = max(max_arity, len(sol))
-        for e in sol:
-            if not minimize and best is not None:
-                return
-            chosen = inst.chosen | (1 << e)
+            if not minimize:
+                break
+        elif room > 0:
+            sol = oracle.run(inst)
+            r = oracle.ratio(inst) if minimize and cfg.prune_enabled else None
+            if r is None or len(sol) * r.denominator <= r.numerator * room:
+                max_arity = max(max_arity, len(sol))
+                frames.append((inst, iter(sorted(sol))))
+        inst = None
+        while frames and inst is None:
+            parent, untried = frames[-1]
+            e = next(untried, None)
+            if e is None:
+                frames.pop()
+                continue
+            chosen = parent.chosen | (1 << e)
             if chosen not in seen:
                 seen.add(chosen)
-                visit(inst.restrict(e))
-
-    try:
-        visit(p)
-    except RecursionError:
-        raise ValueError(
-            f"search deeper than the interpreter's recursion limit of {sys.getrecursionlimit()}"
-        ) from None
+                if nodes >= cfg.node_cap:
+                    cap_hit = True
+                    break
+                inst = parent.restrict(e)
     # Maximization stops at its first solution, before any node-cap hit.
     if cap_hit:
         outcome = BranchOutcome.NODE_CAP_EXCEEDED

@@ -347,6 +347,16 @@ def make_problem(kind: ProblemKind, data) -> SubsetProblem:
     )
 
 
+def fewest_conflicts(conflicts: tuple[int, ...], alive: int) -> int:
+    """The alive element with the fewest alive conflicts, the lowest on ties."""
+    best, best_deg = -1, len(conflicts)
+    for v in iter_bits(alive):
+        deg = (conflicts[v] & alive).bit_count()
+        if deg < best_deg:
+            best, best_deg = v, deg
+    return best
+
+
 def packing_upper_bound(p: SubsetProblem) -> int:
     """Upper bound on the optimum of p, a packing kind or a sub-instance of
     one: a greedy partition of the alive elements into cliques of the
@@ -359,11 +369,7 @@ def packing_upper_bound(p: SubsetProblem) -> int:
     conflicts = _CONFLICTS[p.kind](p.data)
     cliques = 0
     while alive:
-        e, best_deg = -1, len(conflicts)
-        for f in iter_bits(alive):
-            deg = (conflicts[f] & alive).bit_count()
-            if deg < best_deg:
-                e, best_deg = f, deg
+        e = fewest_conflicts(conflicts, alive)
         common = conflicts[e] & alive
         alive ^= 1 << e
         while common:

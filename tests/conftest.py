@@ -7,8 +7,10 @@ independent route to the same answers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -39,6 +41,22 @@ def all_graphs_upto(max_n):
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
             yield sf.Graph.from_edges(n, edges)
+
+
+@contextlib.contextmanager
+def recursion_limit_near_here(extra=100):
+    """Lower the interpreter's recursion limit to about `extra` frames above
+    the caller, and restore it on exit: a recursive search deeper than that
+    would raise RecursionError."""
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + extra)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def random_graph(n, p, seed):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsetfpt as sf
+from conftest import recursion_limit_near_here
 from subsetfpt.cli import main
 from subsetfpt.problems import SET_KINDS
 from subsetfpt.io import (
@@ -262,21 +263,15 @@ class TestBranchCommand:
         assert (code, out) == (2, "")
         assert err == "error: min-independent-dominating-set(n=3) has no restriction operator\n"
 
-    def test_search_deeper_than_recursion_limit_exit_2(self, run):
-        # A perfect matching on 600 vertices at k = 300: the first dive nests
-        # one call per chosen vertex, far past a limit 100 frames above here.
-        text = "p edge 600 300\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 600, 2))
-        depth, frame = 0, sys._getframe()
-        while frame:
-            depth, frame = depth + 1, frame.f_back
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
-            code, out, err = run(["branch", "-", "--k", "300"], text)
-        finally:
-            sys.setrecursionlimit(old)
-        assert (code, out) == (2, "")
-        assert err == f"error: search deeper than the interpreter's recursion limit of {depth + 100}\n"
+    def test_search_deeper_than_recursion_limit_answers(self, run):
+        # A perfect matching on 300 vertices at k = 150: the first dive chooses
+        # 150 vertices, past a recursion limit 100 frames above here.
+        text = "p edge 300 150\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 300, 2))
+        with recursion_limit_near_here():
+            code, out, _ = run(["branch", "-", "--k", "150"], text)
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["value"], rec["max_depth"]) == (150, 150)
 
 
 class TestDualCommand:

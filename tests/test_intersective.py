@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 import subsetfpt as sf
-from conftest import all_graphs_upto, atlas_upto, random_graph, random_system
+from conftest import (
+    all_graphs_upto,
+    atlas_upto,
+    random_graph,
+    random_system,
+    recursion_limit_near_here,
+)
 from subsetfpt.io import generate_gnp, generate_setsystem
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -403,14 +409,17 @@ def test_prune_keeps_answers_and_never_adds_nodes(kind):
                 assert on.nodes_expanded <= off.nodes_expanded, (n, seed, k)
 
 
-@pytest.mark.parametrize("n,nodes", [(16, 73), (20, 111), (24, 157)])
+@pytest.mark.parametrize("n,nodes", [(16, 73), (20, 111), (24, 157), (300, 22_651)])
 def test_perfect_matching_stops_once_the_incumbent_is_optimal(n, nodes):
-    # The first dive finds a cover of size n/2.  Pruned against the budget
-    # k = n/2 alone, the search would go on to 6,307, 58,027 and 527,347
-    # nodes at these sizes.
+    # The first dive finds a cover of size n/2; the search expands
+    # (n/2)^2 + n/2 + 1 nodes in all.  Pruned against the budget k = n/2 alone, the search would go
+    # on to 6,307, 58,027 and 527,347 nodes at n = 16, 20, 24.  At n = 300
+    # the dive is deeper than a recursion limit 100 frames above here.
     g = sf.Graph.from_edges(n, [(i, i + 1) for i in range(0, n, 2)])
-    rep = sf.branch_solve_min(vc(g), MATCHING, sf.BranchConfig(budget_k=n // 2))
-    assert (rep.outcome, rep.value, rep.nodes_expanded) == (sf.BranchOutcome.FOUND, n // 2, nodes)
+    with recursion_limit_near_here():
+        rep = sf.branch_solve_min(vc(g), MATCHING, sf.BranchConfig(budget_k=n // 2))
+    assert (rep.outcome, rep.value, rep.max_depth) == (sf.BranchOutcome.FOUND, n // 2, n // 2)
+    assert rep.nodes_expanded == nodes
 
 
 def _conforming_max(p, oracle, k):
