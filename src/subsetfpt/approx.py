@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, Optional
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, is_feasible, iter_bits
 from .problems import Graph, ProblemKind, SetSystem, fewest_conflicts
@@ -33,23 +33,23 @@ class ApproxOracle:
     """A named polynomial-time algorithm together with its declared ratio.
 
     run/ratio take the wrapped SubsetProblem so the branching engine can
-    re-invoke the oracle on sub-instances.
+    re-invoke the oracle on sub-instances.  The ratio is proven for kind, so
+    no other kind is accepted; None, for an oracle a caller builds, checks
+    the goal alone.
     """
 
     name: str
     goal: Goal
-    reads: type = field(default=object, kw_only=True)  # the class of p.data run reads; object: any
+    kind: Optional[ProblemKind] = field(default=None, kw_only=True)
     run: Callable[[SubsetProblem], frozenset[int]]
     ratio: Callable[[SubsetProblem], Fraction]
 
     def check_goal(self, p: SubsetProblem) -> None:
-        """Refuse a problem of the other goal, or an instance that is not of
-        the class run reads."""
+        """Refuse a problem of the other goal, or of a kind not the oracle's."""
         if self.goal is not p.goal:
             raise ValueError("oracle goal must match the problem's goal")
-        if not isinstance(p.data, self.reads):
-            need = {Graph: "a graph instance", SetSystem: "a set system"}[self.reads]
-            raise TypeError(f"oracle needs {need}, got {type(p.data).__name__}")
+        if self.kind is not None and p.kind is not self.kind:
+            raise ValueError(f"oracle {self.name} is for {self.kind.value} only")
 
 
 class InfeasibleOutput(ValueError):
@@ -58,7 +58,7 @@ class InfeasibleOutput(ValueError):
 
 def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
     """oracle.run(p), refused as by check_goal, which every engine shares, or
-    for an output infeasible for p, as from an oracle named for another kind."""
+    for an output infeasible for p, as a caller's oracle may return."""
     oracle.check_goal(p)
     sol = frozenset(oracle.run(p))
     if not is_feasible(p, sol):
@@ -239,7 +239,7 @@ _TWO = Fraction(2)
 MATCHING_VC = ApproxOracle(
     name="matching-vc",
     goal=Goal.MINIMIZE,
-    reads=Graph,
+    kind=ProblemKind.VERTEX_COVER,
     run=lambda p: matching_vertex_cover(p.data, p.alive),
     ratio=lambda p: _TWO,
 )
@@ -247,7 +247,7 @@ MATCHING_VC = ApproxOracle(
 GREEDY_SET_COVER = ApproxOracle(
     name="greedy-set-cover",
     goal=Goal.MINIMIZE,
-    reads=SetSystem,
+    kind=ProblemKind.SET_COVER,
     run=lambda p: greedy_set_cover(p.data, p.chosen),
     ratio=lambda p: harmonic(max(_max_residual_size(p), 1)),
 )
@@ -255,7 +255,7 @@ GREEDY_SET_COVER = ApproxOracle(
 GREEDY_DOMINATING = ApproxOracle(
     name="greedy-dominating",
     goal=Goal.MINIMIZE,
-    reads=Graph,
+    kind=ProblemKind.DOMINATING_SET,
     run=lambda p: greedy_dominating_set(p.data, p.chosen),
     ratio=lambda p: harmonic(p.data.max_degree + 1),
 )
@@ -263,7 +263,7 @@ GREEDY_DOMINATING = ApproxOracle(
 GREEDY_MIS = ApproxOracle(
     name="greedy-mis",
     goal=Goal.MAXIMIZE,
-    reads=Graph,
+    kind=ProblemKind.INDEPENDENT_SET,
     run=lambda p: greedy_maximal_independent_set(p.data, p.alive),
     ratio=lambda p: Fraction(1, _max_degree(p) + 1),
 )
@@ -274,7 +274,7 @@ GREEDY_MIS = ApproxOracle(
 GREEDY_IDS = ApproxOracle(
     name="greedy-ids",
     goal=Goal.MINIMIZE,
-    reads=Graph,
+    kind=ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
     run=GREEDY_MIS.run,
     ratio=lambda p: Fraction(_max_degree(p) + 1),
 )
@@ -282,7 +282,7 @@ GREEDY_IDS = ApproxOracle(
 GREEDY_CLIQUE = ApproxOracle(
     name="greedy-clique",
     goal=Goal.MAXIMIZE,
-    reads=Graph,
+    kind=ProblemKind.CLIQUE,
     run=lambda p: greedy_clique(p.data, p.alive),
     ratio=lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
 )
@@ -299,11 +299,4 @@ ORACLES = {
     )
 }
 
-DEFAULT_ORACLE = {
-    ProblemKind.VERTEX_COVER: MATCHING_VC,
-    ProblemKind.SET_COVER: GREEDY_SET_COVER,
-    ProblemKind.DOMINATING_SET: GREEDY_DOMINATING,
-    ProblemKind.INDEPENDENT_SET: GREEDY_MIS,
-    ProblemKind.MIN_INDEPENDENT_DOMINATING_SET: GREEDY_IDS,
-    ProblemKind.CLIQUE: GREEDY_CLIQUE,
-}
+DEFAULT_ORACLE = {o.kind: o for o in ORACLES.values()}

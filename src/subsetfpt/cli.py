@@ -232,10 +232,10 @@ def cmd_gen(args, seed: int) -> int:
 
 
 def cmd_experiment(args, kind, fmt, seed: int) -> int:
-    """One record per (instance, run); aggregate row at the end.  The flags
-    are checked once, before any row and even with --count 0, by the checks
-    of the command a row runs, on the first instance; only an infeasible
-    instance or an oracle output infeasible for it is a row error."""
+    """One record per (instance, run); aggregate row at the end.  The flags,
+    the oracle's kind included, are checked once, before any row and even
+    with --count 0, by the checks of the command a row runs, on the first
+    instance; only an infeasible instance or oracle output is a row error."""
     ratios: list[Fraction] = []
     verdicts: dict[str, int] = {}
     agree = 0

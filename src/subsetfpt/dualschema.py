@@ -19,9 +19,7 @@ from typing import Optional
 
 from .core import (
     DEFAULT_BUDGET,
-    EvaluatedSolution,
     Goal,
-    Infeasible,
     SubsetProblem,
     brute_force_optimum,
     complement,
@@ -130,10 +128,8 @@ def dual_approx(
         guarantee = 1 - eps if p.goal is Goal.MINIMIZE else 1 + eps
         return SchemaOutcome(SchemaPath.APPROX, diag, complement(p, sol), n - k_prime, guarantee)
     if n <= cfg.brute_cap:
+        # sol is feasible, so its complement is dual-feasible; n is within budget.
         res = brute_force_optimum(dualize(p), budget=cfg.brute_cap)
-        if isinstance(res, Infeasible):
-            raise ValueError("dual instance is infeasible")
-        assert isinstance(res, EvaluatedSolution)
         return SchemaOutcome(SchemaPath.BRUTE, diag, res.members, res.value, Fraction(1),
                              exact=True)
     return SchemaOutcome(SchemaPath.BUDGET_EXCEEDED, diag)

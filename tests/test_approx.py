@@ -5,6 +5,7 @@ import pytest
 
 import subsetfpt as sf
 from subsetfpt import approx
+from subsetfpt.problems import RESTRICTABLE, SET_KINDS
 from conftest import all_graphs_upto, closed_neighbourhoods_ref, random_graph, random_system
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -204,17 +205,6 @@ class TestSharedGreedies:
                 assert sf.greedy_dominating_set(g, chosen) == sf.greedy_set_cover(sys, chosen)
 
 
-def _kind_of_oracle(name):
-    return {
-        "matching-vc": sf.ProblemKind.VERTEX_COVER,
-        "greedy-set-cover": sf.ProblemKind.SET_COVER,
-        "greedy-dominating": sf.ProblemKind.DOMINATING_SET,
-        "greedy-mis": sf.ProblemKind.INDEPENDENT_SET,
-        "greedy-ids": sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
-        "greedy-clique": sf.ProblemKind.CLIQUE,
-    }[name]
-
-
 GRAPH_ORACLES = [
     "matching-vc",
     "greedy-dominating",
@@ -227,6 +217,31 @@ GRAPH_ORACLES = [
 @pytest.mark.parametrize("kind", list(sf.DEFAULT_ORACLE))
 def test_default_oracle_matches_goal(kind):
     assert sf.DEFAULT_ORACLE[kind].goal is sf.problems.GOALS[kind]
+
+
+@pytest.mark.parametrize("name", list(sf.ORACLES))
+def test_oracle_runs_on_its_own_kind_only(name):
+    # The ratio is proven for one kind: accepted there and on its
+    # sub-instances, refused on every other kind, even of the same goal and
+    # instance type, and on every dual.
+    oracle = sf.ORACLES[name]
+    sys = sf.SetSystem.from_lists(3, [[0, 1], [1, 2], [2], [0]])
+
+    def assert_refused(p):
+        same_goal = oracle.goal is p.goal
+        msg = f"^oracle {name} is for {oracle.kind.value} only$" if same_goal else "goal must match"
+        with pytest.raises(ValueError, match=msg):
+            oracle.check_goal(p)
+
+    for kind in sf.ProblemKind:
+        p = sf.make_problem(kind, sys if kind in SET_KINDS else PATH3)
+        if kind is oracle.kind:
+            oracle.check_goal(p)
+            if kind in RESTRICTABLE:
+                oracle.check_goal(p.restrict(0))
+        else:
+            assert_refused(p)
+        assert_refused(sf.dualize(p))
 
 
 class TestRatioSoundness:
@@ -248,14 +263,14 @@ class TestRatioSoundness:
     def test_all_graphs_up_to_4(self, name):
         oracle = sf.ORACLES[name]
         for g in all_graphs_upto(4):
-            self._check(oracle, sf.make_problem(_kind_of_oracle(name), g))
+            self._check(oracle, sf.make_problem(oracle.kind, g))
 
     @pytest.mark.parametrize("name", GRAPH_ORACLES)
     @pytest.mark.parametrize("seed", range(100))
     def test_random_graphs(self, name, seed):
         oracle = sf.ORACLES[name]
         g = random_graph((seed % 11) + 2, [0.2, 0.5, 0.8][seed % 3], 1000 + seed)
-        self._check(oracle, sf.make_problem(_kind_of_oracle(name), g))
+        self._check(oracle, sf.make_problem(oracle.kind, g))
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_set_systems(self, seed):
@@ -294,5 +309,5 @@ def test_oracles_are_deterministic():
     g = random_graph(10, 0.5, 4000)
     for name in GRAPH_ORACLES:
         oracle = sf.ORACLES[name]
-        p = sf.make_problem(_kind_of_oracle(name), g)
+        p = sf.make_problem(oracle.kind, g)
         assert oracle.run(p) == oracle.run(p)

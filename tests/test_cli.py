@@ -27,11 +27,11 @@ from subsetfpt.io import (
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 PATH3_DIMACS = "p edge 3 2\ne 1 2\ne 2 3\n"
 UNCOVERABLE_SYS = "3 2\n1\n2\n"
-# greedy-mis has clique's goal, but on this graph it returns 22 independent
-# vertices, which are no clique
+# greedy-mis has clique's goal, but on this graph it would return 22
+# independent vertices, which are no clique: its ratio is not for clique
 G40 = render_graph(generate_gnp(40, 0.05, 3))
 CLIQUE_BY_MIS = ["--problem", "clique", "--oracle", "greedy-mis"]
-INFEASIBLE_OUTPUT = "error: oracle greedy-mis returned a set infeasible for clique(n=40)"
+MIS_FOR_ITS_KIND = "error: oracle greedy-mis is for independent-set only"
 
 
 @pytest.fixture
@@ -201,9 +201,9 @@ class TestApproxCommand:
         code, _, err = run(["approx", "-", "--oracle", "nope"], PATH3_DIMACS)
         assert code == 2 and "unknown oracle" in err
 
-    def test_infeasible_oracle_output_exit_2(self, run):
+    def test_oracle_for_another_kind_exit_2(self, run):
         code, out, err = run(["approx", "-", *CLIQUE_BY_MIS], G40)
-        assert (code, out, err.splitlines()) == (2, "", [INFEASIBLE_OUTPUT])
+        assert (code, out, err.splitlines()) == (2, "", [MIS_FOR_ITS_KIND])
 
 
 class TestBranchCommand:
@@ -237,7 +237,7 @@ class TestBranchCommand:
         # Refused before the first node, though the root of an edgeless
         # graph is a solution that no oracle call is needed for.
         code, out, err = run(["branch", "-", "--k", "0", "--oracle", "greedy-set-cover"], "p edge 3 0\n")
-        assert (code, out, err.splitlines()) == (2, "", ["error: oracle needs a set system, got Graph"])
+        assert (code, out, err.splitlines()) == (2, "", ["error: oracle greedy-set-cover is for set-cover only"])
 
     def test_max_problem_dispatches(self, run):
         code, out, _ = run(
@@ -307,9 +307,9 @@ class TestDualCommand:
         }
         assert "Traceback" not in err
 
-    def test_infeasible_oracle_output_exit_2(self, run):
+    def test_oracle_for_another_kind_exit_2(self, run):
         code, out, err = run(["dual", "-", "--epsilon", "1", *CLIQUE_BY_MIS], G40)
-        assert (code, out, err.splitlines()) == (2, "", [INFEASIBLE_OUTPUT])
+        assert (code, out, err.splitlines()) == (2, "", [MIS_FOR_ITS_KIND])
 
     def test_budget_exceeded_exit_3(self, run):
         g = generate_gnp(12, 0.6, 8)
@@ -358,11 +358,29 @@ class TestCheckIntersectiveCommand:
         )
         assert code == 3
 
-    def test_infeasible_oracle_output_exit_2(self, run):
+    def test_oracle_for_another_kind_exit_2(self, run):
         g10 = render_graph(generate_gnp(10, 0.3, 3))
         code, out, err = run(["check-intersective", "-", *CLIQUE_BY_MIS], g10)
-        assert (code, out, err.splitlines()) == (
-            2, "", ["error: oracle greedy-mis returned a set infeasible for clique(n=10)"])
+        assert (code, out, err.splitlines()) == (2, "", [MIS_FOR_ITS_KIND])
+
+
+K4_DIMACS = "p edge 4 6\n" + "".join(f"e {u} {v}\n" for u in range(1, 5) for v in range(u + 1, 5))
+STAR3_PLUS_3_DIMACS = "p edge 7 3\ne 1 2\ne 1 3\ne 1 4\n"
+
+
+@pytest.mark.parametrize("argv,stdin_text,line", [
+    # solve gives 1, but matching-vc's ratio 2 is false here: the prune answered no-instance
+    (["--problem", "dominating-set", "branch", "-", "--oracle", "matching-vc", "--k", "1"],
+     K4_DIMACS, "error: oracle matching-vc is for vertex-cover only"),
+    (["--problem", "vertex-cover", "branch", "-", "--oracle", "greedy-dominating", "--k", "1"],
+     STAR3_PLUS_3_DIMACS, "error: oracle greedy-dominating is for dominating-set only"),
+    # the dual optimum is 4; this answered 0 with guarantee 1/2
+    (["--problem", "vertex-cover", "dual", "-", "--oracle", "greedy-ids", "--epsilon", "1/2"],
+     "p edge 4 0\n", "error: oracle greedy-ids is for min-independent-dominating-set only"),
+], ids=["branch-dominating-by-matching", "branch-cover-by-dominating", "dual-cover-by-ids"])
+def test_oracle_for_another_kind_of_the_same_goal_exit_2(run, argv, stdin_text, line):
+    code, out, err = run(argv, stdin_text)
+    assert (code, out, err.splitlines()) == (2, "", [line])
 
 
 @pytest.mark.parametrize("argv,stdin_text", [
@@ -433,22 +451,17 @@ class TestExperimentCommand:
         assert "min_ratio" not in agg
         assert Fraction(agg["max_ratio"]) == max(ratios)
 
-    def test_infeasible_oracle_output_is_row_error(self, run):
-        code, out, _ = run(["--seed", "3", "experiment", "--run", "dual", "--count", "2",
-                            "--n", "10", "--p", "0.3", "--epsilon", "1", *CLIQUE_BY_MIS])
-        assert code == 0
-        *rows, agg = map(json.loads, out.splitlines())
-        assert [r["outcome"] for r in rows] == ["error", "error"]
-        assert rows[0]["error"] == "oracle greedy-mis returned a set infeasible for clique(n=10)"
-        assert agg["errors"] == 2
+    def test_oracle_for_another_kind_refused_before_any_row(self, run):
+        for count in ("0", "2"):
+            code, out, err = run(["--seed", "3", "experiment", "--run", "dual", "--count", count,
+                                  "--n", "10", "--p", "0.3", "--epsilon", "1", *CLIQUE_BY_MIS])
+            assert (code, out, err.splitlines()) == (2, "", [MIS_FOR_ITS_KIND])
 
-    def test_infeasible_oracle_output_is_row_error_of_check(self, run):
-        code, out, _ = run(["--seed", "3", "experiment", "--run", "check-intersective",
-                            "--count", "2", "--n", "10", "--p", "0.3", *CLIQUE_BY_MIS])
-        assert code == 0
-        *rows, agg = map(json.loads, out.splitlines())
-        assert [r["outcome"] for r in rows] == ["error", "error"]
-        assert agg["errors"] == 2 and "verdicts" not in agg
+    def test_oracle_for_another_kind_refused_before_any_row_of_check(self, run):
+        for count in ("0", "2"):
+            code, out, err = run(["--seed", "3", "experiment", "--run", "check-intersective",
+                                  "--count", count, "--n", "10", "--p", "0.3", *CLIQUE_BY_MIS])
+            assert (code, out, err.splitlines()) == (2, "", [MIS_FOR_ITS_KIND])
 
     def test_zero_denominator_epsilon_exit_2(self, run):
         code, out, err = run(["experiment", "--run", "dual", "--epsilon", "1/0"])
@@ -575,7 +588,7 @@ PINNED = [
     (["approx", "-"], PATH3_DIMACS, 0, "5cba7a0eccd69c49"),
     (["--format", "text", "approx", "-"], PATH3_DIMACS, 0, "c11a0ac777a230f0"),
     (["--problem", "set-cover", "approx", "-"], UNCOVERABLE_SYS, 1, "761a025644257d5e"),
-    (["--problem", "feedback-vertex-set", "approx", "-", "--oracle", "matching-vc"], G8, 0, "cc591d92eccca1aa"),
+    (["--problem", "feedback-vertex-set", "approx", "-", "--oracle", "matching-vc"], G8, 2, "e3b0c44298fc1c14"),
     (["--problem", "set-cover", "approx", "-"], S6, 0, "d78460289feba691"),
     (["--format", "text", "--problem", "dominating-set", "approx", "-"], G8, 0, "b55e63cd8267801b"),
     (["--problem", "feedback-vertex-set", "approx", "-"], G8, 2, "e3b0c44298fc1c14"),

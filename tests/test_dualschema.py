@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -106,11 +107,13 @@ class TestDualApprox:
             sf.dual_approx(p, sf.ORACLES["matching-vc"], sf.SchemaConfig(F(1, 2)))
 
     def test_infeasible_oracle_output_rejected(self):
-        # greedy-mis has clique's goal; its 22-vertex independent set would
-        # have been complemented into an 18-vertex "dual" answer
+        # greedy-mis with no kind, as a caller may build it, has clique's
+        # goal; its 22-vertex independent set would have been complemented
+        # into an 18-vertex "dual" answer
+        oracle = replace(sf.ORACLES["greedy-mis"], kind=None)
         p = sf.make_problem(sf.ProblemKind.CLIQUE, random_graph(40, 0.05, 3))
-        with pytest.raises(ValueError, match="greedy-mis.*clique"):
-            sf.dual_approx(p, sf.ORACLES["greedy-mis"], sf.SchemaConfig(F(1)))
+        with pytest.raises(sf.approx.InfeasibleOutput, match="greedy-mis.*clique"):
+            sf.dual_approx(p, oracle, sf.SchemaConfig(F(1)))
 
     def test_exact_min_oracle_always_takes_approx_path(self):
         # ratio 1 makes the dispatch threshold 1, so n >= k' always holds
@@ -167,6 +170,15 @@ class TestDualApprox:
         )
         assert out.path is sf.SchemaPath.BUDGET_EXCEEDED
         assert out.dual_solution is None and out.dual_value is None
+
+    def test_brute_path_at_brute_cap_n(self):
+        # n <= brute_cap is the exhaustive search's own budget, so n equal
+        # to the cap still answers exactly
+        g = random_graph(12, 0.6, 77)
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g)
+        out = sf.dual_approx(p, sf.ORACLES["greedy-mis"], sf.SchemaConfig(F(1, 100), brute_cap=12))
+        opt = sf.brute_force_optimum(sf.dualize(p))
+        assert (out.path, out.exact, out.dual_value) == (sf.SchemaPath.BRUTE, True, opt.value)
 
     def test_upper_hint_can_enable_approx_path(self):
         # k'/rho alone is too pessimistic; the packing bound (the centre,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -486,11 +487,12 @@ class TestVerifyIntersective:
         assert rep.verdict is sf.Verdict.INCONCLUSIVE
 
     def test_infeasible_oracle_output_rejected(self):
-        # greedy-mis has clique's goal, but its independent set {2,3,4,6,8,9}
-        # is no clique; it met the optimum {0,6,7} and was certified
+        # greedy-mis with no kind, as a caller may build it, has clique's
+        # goal, but its independent set {2,3,4,6,8,9} is no clique; it met
+        # the optimum {0,6,7} and was certified
         p = sf.make_problem(sf.ProblemKind.CLIQUE, generate_gnp(10, 0.3, 3))
-        with pytest.raises(ValueError, match="greedy-mis.*clique"):
-            sf.verify_intersective(p, MIS)
+        with pytest.raises(sf.approx.InfeasibleOutput, match="greedy-mis.*clique"):
+            sf.verify_intersective(p, replace(MIS, kind=None))
 
 
 def _verify_by_listing(p, oracle, budget=sf.DEFAULT_BUDGET):
@@ -515,7 +517,7 @@ def _assert_check_matches_listing(p, oracle, budget=sf.DEFAULT_BUDGET):
 
 # Returns the empty set, feasible for both packing kinds and never an optimum
 # on a graph with a vertex: not intersective, whatever the optima are.
-NOTHING = sf.ApproxOracle(name="nothing", goal=sf.Goal.MAXIMIZE, reads=sf.Graph,
+NOTHING = sf.ApproxOracle(name="nothing", goal=sf.Goal.MAXIMIZE,
                           run=lambda p: frozenset(), ratio=lambda p: Fraction(1))
 
 
