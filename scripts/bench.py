@@ -7,7 +7,9 @@ restriction I(e), the scalar predicate on a feasible and an infeasible mask,
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
 `packing_upper_bound` is timed per packing kind (`bound.*`): independent set
-and clique on G(50, 0.1), set packing on the 16-set system.  The scalar
+and clique on G(50, 0.1), set packing on the 16-set system.  Building a
+problem (`build.*`, vertex cover and dominating set) is `Graph.from_edges`
+on the edge list of G(50, 0.1) plus `make_problem`.  The scalar
 predicate of feedback vertex set is timed on G(20, 0.15), seed 70000, on an
 optimal solution (`feasible_mask.feedback-vertex-set.feasible`) and on the
 empty mask, where the graph keeps a cycle (`...cyclic`).
@@ -104,12 +106,13 @@ def layers(sf) -> dict:
     oracle.run(wide)  # builds what a set system caches on first use
     out[f"run.{oracle.name}.wide"] = _median_us(lambda: oracle.run(wide), 50)
     out[f"ratio.{oracle.name}.wide"] = _median_us(lambda: oracle.ratio(wide), 50)
-    # A tree given by --src from before the packing bound has none to time.
-    bound = getattr(sf, "packing_upper_bound", None)
-    if bound:
-        for kind, data in ((K.INDEPENDENT_SET, g), (K.CLIQUE, g), (K.SET_PACKING, s)):
-            p = sf.make_problem(kind, data)
-            out[f"bound.{kind.value}"] = _median_us(lambda: bound(p), 2_000)
+    for kind, data in ((K.INDEPENDENT_SET, g), (K.CLIQUE, g), (K.SET_PACKING, s)):
+        p = sf.make_problem(kind, data)
+        out[f"bound.{kind.value}"] = _median_us(lambda: sf.packing_upper_bound(p), 2_000)
+    edges = sorted(g.edges)
+    for kind in (K.VERTEX_COVER, K.DOMINATING_SET):
+        out[f"build.{kind.value}"] = _median_us(
+            lambda: sf.make_problem(kind, sf.Graph.from_edges(g.n, edges)), 2_000)
     fvs = sf.make_problem(K.FEEDBACK_VERTEX_SET, generate_gnp(20, 0.15, 70000))
     for name, m in (("feasible", sf.mask_of(sf.brute_force_optimum(fvs).members)), ("cyclic", 0)):
         out[f"feasible_mask.feedback-vertex-set.{name}"] = _median_us(lambda: fvs.feasible_mask(m), 20_000)

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
@@ -117,6 +118,17 @@ def _branch_solver(p: SubsetProblem):
 
 
 def _epsilon(text: str) -> Fraction:
+    """epsilon as Fraction reads it, once the text shows that its numerator and
+    denominator as written fit the digits an int may print, as the record does:
+    Fraction would first build 10**-exponent, most of a minute for 1e-20000000."""
+    limit = sys.get_int_max_str_digits()
+    for part in text.split("/", 1):
+        try:  # Decimal keeps the exponent as written (a letter for nan and inf)
+            _, digits, exp = Decimal(part).as_tuple()
+        except InvalidOperation:  # no number, or an exponent past 10**18
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        if limit and isinstance(exp, int) and max(len(digits) + exp, len(digits), 1 - exp) > limit:
+            raise ValueError(f"epsilon {text!r} has over {limit} digits in its numerator or denominator")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -125,8 +137,8 @@ def _epsilon(text: str) -> Fraction:
 
 def run_instance_command(body, args, kind: ProblemKind, fmt: str) -> int:
     """The steps every instance subcommand shares: read the instance, build
-    the problem, resolve the oracle (subcommands with --oracle), then let
-    `body(args, p, oracle, rec)` add its fields to the base record and return
+    the problem, resolve and record the oracle (subcommands with --oracle), then
+    let `body(args, p, oracle, rec)` add its fields to the base record and return
     the exit code.  An infeasible instance ends the record with
     `outcome: infeasible` and exit 1.  Exactly one record is emitted."""
     p = make_problem(kind, _read_instance(args.instance, kind))
@@ -134,6 +146,8 @@ def run_instance_command(body, args, kind: ProblemKind, fmt: str) -> int:
     rec = {"command": args.cmd, "problem": kind.value, "n": p.universe_size}
     if kind in SET_KINDS:
         rec.update(n_ground=p.data.n_ground, m=p.data.m)
+    if oracle is not None:
+        rec["oracle"] = oracle.name
     try:
         code = body(args, p, oracle, rec)
     except InfeasibleInstance:
@@ -155,7 +169,6 @@ def cmd_solve(args, p, oracle, rec) -> int:
 
 
 def cmd_approx(args, p, oracle, rec) -> int:
-    rec["oracle"] = oracle.name
     sol = run_checked(oracle, p)
     rec.update(
         outcome="solution",
@@ -170,7 +183,7 @@ def cmd_branch(args, p, oracle, rec) -> int:
     cfg = BranchConfig(
         budget_k=args.k, node_cap=args.node_cap, prune_enabled=not args.no_prune
     )
-    rec.update(oracle=oracle.name, k=args.k)
+    rec["k"] = args.k
     report = _branch_solver(p)(p, oracle, cfg)
     rec.update(
         outcome=report.outcome.value,
@@ -189,7 +202,6 @@ def cmd_dual(args, p, oracle, rec) -> int:
         brute_cap=args.brute_cap,
         force_brute=args.force_brute,
     )
-    rec["oracle"] = oracle.name
     out = dual_approx(p, oracle, cfg)
     rec.update(
         epsilon=str(cfg.epsilon),
@@ -204,7 +216,6 @@ def cmd_dual(args, p, oracle, rec) -> int:
 
 
 def cmd_check_intersective(args, p, oracle, rec) -> int:
-    rec["oracle"] = oracle.name
     report = verify_intersective(p, oracle, budget=args.budget)
     rec.update(
         verdict=report.verdict.value,

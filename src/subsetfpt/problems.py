@@ -23,7 +23,8 @@ tables, and its goal and restrictability follow from the table:
 
 Every kind has a scalar bitmask predicate and a bit-sliced batch predicate;
 the first two tables also give the restrict_fn(e) mask from which
-SubsetProblem.restrict builds I(e).
+SubsetProblem.restrict builds I(e).  A graph stores its adjacency masks
+and derives its edge set, as a set system derives its holders and conflicts.
 """
 
 from __future__ import annotations
@@ -58,28 +59,29 @@ class ProblemKind(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; adjacency as per-vertex neighbor bitmasks."""
+    """Simple undirected graph: stores its adjacency masks, derives its edges."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
     adj: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        norm = set()
+        adj = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range [0,{n})")
-            norm.add((min(u, v), max(u, v)))
-        adj = [0] * n
-        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n=n, edges=frozenset(norm), adj=tuple(adj))
+        return cls(n=n, adj=tuple(adj))
 
     # Built on first use; equality and hashing still compare the fields only.
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Each edge once, as (u, v) with u < v."""
+        return frozenset((u, v) for u, nb in enumerate(self.adj) for v in iter_bits(nb) if u < v)
+
     @cached_property
     def max_degree(self) -> int:
         return max(map(int.bit_count, self.adj), default=0)
@@ -97,9 +99,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         """The graph whose adjacency is non_neighbours."""
-        edges = frozenset((u, v) for u, nb in enumerate(self.non_neighbours)
-                          for v in iter_bits(nb) if u < v)
-        return Graph(n=self.n, edges=edges, adj=self.non_neighbours)
+        return Graph(n=self.n, adj=self.non_neighbours)
 
 
 @dataclass(frozen=True)

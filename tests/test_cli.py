@@ -32,6 +32,13 @@ UNCOVERABLE_SYS = "3 2\n1\n2\n"
 G40 = render_graph(generate_gnp(40, 0.05, 3))
 CLIQUE_BY_MIS = ["--problem", "clique", "--oracle", "greedy-mis"]
 MIS_FOR_ITS_KIND = "error: oracle greedy-mis is for independent-set only"
+# Fraction would build 10**20000000 (most of a minute) before failing.
+HUGE_EPSILONS = ["1e-20000000", "1e-5000"]
+
+
+def too_many_digits(epsilon):
+    limit = sys.get_int_max_str_digits()
+    return f"error: epsilon {epsilon!r} has over {limit} digits in its numerator or denominator"
 
 
 @pytest.fixture
@@ -296,6 +303,16 @@ class TestDualCommand:
         assert out == ""
         assert err.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
 
+    @pytest.mark.parametrize("epsilon", HUGE_EPSILONS)
+    def test_epsilon_past_the_int_digit_limit_exit_2(self, run, epsilon):
+        code, out, err = run(["dual", "-", "--epsilon", epsilon], TRIANGLE_DIMACS)
+        assert (code, out, err.splitlines()) == (2, "", [too_many_digits(epsilon)])
+
+    def test_epsilon_under_the_int_digit_limit_answers(self, run):
+        code, out, _ = run(["dual", "-", "--epsilon", "1e-4000"], TRIANGLE_DIMACS)
+        assert code == 0
+        assert json.loads(out)["epsilon"] == str(Fraction(1, 10**4000))
+
     def test_uncoverable_set_cover_record_names_oracle(self, run):
         code, out, err = run(
             ["--problem", "set-cover", "dual", "-", "--epsilon", "1/2"], UNCOVERABLE_SYS
@@ -468,6 +485,16 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
+
+    @pytest.mark.parametrize("epsilon", HUGE_EPSILONS)
+    def test_epsilon_past_the_int_digit_limit_exit_2(self, run, epsilon):
+        code, out, err = run(["experiment", "--run", "dual", "--epsilon", epsilon])
+        assert (code, out, err.splitlines()) == (2, "", [too_many_digits(epsilon)])
+
+    def test_epsilon_under_the_int_digit_limit_answers(self, run):
+        code, out, _ = run(["experiment", "--run", "dual", "--count", "1", "--n", "6", "--epsilon", "1e-4000"])
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["errors"] == 0
 
     def test_branch_experiment_counts_agreements(self, run):
         code, out, _ = run(

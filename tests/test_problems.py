@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -64,6 +65,21 @@ class TestGraph:
         g = sf.Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edges == frozenset({(0, 1)})
 
+    def test_masks_alone_make_the_graph(self):
+        assert sf.Graph(n=3, adj=(0b110, 0b001, 0b001)) == sf.Graph.from_edges(3, [(1, 0), (0, 2), (0, 1)])
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            # sample order reverses half the pairs; 3n draws repeat some
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+            adj = [0] * n
+            for u, v in pairs:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            g, h = sf.Graph(n=n, adj=tuple(adj)), sf.Graph.from_edges(n, pairs)
+            assert g == h and hash(g) == hash(h)
+            assert g.edges == h.edges == {(min(e), max(e)) for e in pairs}
+
     def test_adjacency_symmetric(self):
         g = random_graph(8, 0.5, 1)
         for u in range(8):
@@ -84,12 +100,13 @@ class TestGraph:
         for g in all_graphs_upto(6):
             comp = g.complement()
             assert comp.adj == g.non_neighbours
-            pairs = itertools.combinations(range(g.n), 2)
-            assert comp == sf.Graph.from_edges(g.n, (e for e in pairs if e not in g.edges))
+            pairs = [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
+            assert comp == sf.Graph.from_edges(g.n, pairs)
+            assert comp.edges == frozenset(pairs)
 
     def test_cached_masks_leave_equality_and_hash_alone(self):
         g, h = random_graph(8, 0.5, 1), random_graph(8, 0.5, 1)
-        assert g.closed_nbs and g.non_neighbours and g.max_degree  # now cached on g, not on h
+        assert g.closed_nbs and g.non_neighbours and g.max_degree and g.edges  # now cached on g, not on h
         assert g == h and hash(g) == hash(h)
 
 
