@@ -6,6 +6,10 @@ restriction I(e), the scalar predicate on a feasible and an infeasible mask,
 `run` and `ratio` of each default oracle, and the prune test.  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
+The covering greedy's lazy scan is timed on two large narrow inputs:
+dominating set on G(600, 0.02) (`run.greedy-dominating.large`) and set
+cover on 300 sets of at most 12 elements over 400
+(`run.greedy-set-cover.square`), both drawn with seed 70000.
 `packing_upper_bound` is timed per packing kind (`bound.*`): independent set
 and clique on G(50, 0.1), set packing on the 16-set system.  Building a
 problem (`build.*`, vertex cover and dominating set) is `Graph.from_edges`
@@ -106,6 +110,12 @@ def layers(sf) -> dict:
     oracle.run(wide)  # builds what a set system caches on first use
     out[f"run.{oracle.name}.wide"] = _median_us(lambda: oracle.run(wide), 50)
     out[f"ratio.{oracle.name}.wide"] = _median_us(lambda: oracle.ratio(wide), 50)
+    large = {"greedy-dominating.large": sf.make_problem(K.DOMINATING_SET, generate_gnp(600, 0.02, 70000)),
+             "greedy-set-cover.square": sf.make_problem(K.SET_COVER, generate_setsystem(400, 300, 12, 70000))}
+    for name, p in large.items():
+        oracle = sf.DEFAULT_ORACLE[p.kind]
+        oracle.run(p)  # builds the masks the data caches on first use
+        out[f"run.{name}"] = _median_us(lambda: oracle.run(p), 20)
     for kind, data in ((K.INDEPENDENT_SET, g), (K.CLIQUE, g), (K.SET_PACKING, s)):
         p = sf.make_problem(kind, data)
         out[f"bound.{kind.value}"] = _median_us(lambda: sf.packing_upper_bound(p), 2_000)

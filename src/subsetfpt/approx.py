@@ -81,15 +81,18 @@ def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
     return target
 
 
-# The covering greedy has two inner scans with the same picks.  The plain
-# scan costs one pass over the m ids per pick; the gain counters cost
-# O(ground * log max gain) big-int operations in all.  The counters take the
-# systems with at least WIDE ids per ground element (set cover with many
-# small sets).  Timed on random covering systems, ground 16-80, sets of up to
-# 8 or ground/5 elements, the counters broke even at 2-3 ids per element for
-# ground >= 48 and at 3-6 for ground 16-32; at 4 they took 0.4-0.9x the
-# scan's time, except 1.2-1.6x on ground 16-24 with sets of up to 8.  On
-# square systems, N[v] among them, they took 0.9-3.2x.
+# The covering greedy has two inner scans with the same picks.  The lazy
+# scan costs one pass over the m ids per pick but recounts only the gains
+# that could still win; the gain counters cost O(ground * log max gain)
+# big-int operations in all.  The counters take the systems with at least
+# WIDE ids per ground element (set cover with many small sets).  Timed
+# against the lazy scan on random covering systems, ground 16-80, sets of up
+# to 8 or ground/5 elements, the counters broke even at 2-4 ids per element
+# for ground >= 48, at 3-6 for ground 24-32 and at 4-8 for ground 16; at 4
+# they took 0.6-1.06x the scan's time, except 1.1-1.25x on ground 24 and
+# 1.6-1.9x on ground 16 with sets of up to 8.  On square systems, N[v] among
+# them, they took 1.5-3.0x; on 30-40 elements with 300-2,000 sets of up to
+# 8, 0.17x.
 WIDE = 4
 
 
@@ -125,13 +128,20 @@ def _top_gain(planes: list[int]) -> tuple[int, int]:
 
 
 def _scan_picks(covers: tuple[int, ...], target: int) -> list[int]:
+    """The picks in order, by a lazy scan (Minoux's accelerated greedy):
+    bound[i] is id i's gain when last computed, and target only loses bits,
+    so an id whose bound is no more than the best gain of the pass so far
+    cannot beat it and is skipped.  At most it ties a lower id, so the picks
+    are those of a full rescan, lowest id on ties."""
+    bound = [target.bit_count()] * len(covers)
     picked = []
     while target:
         best, best_gain = -1, 0
-        for i, s in enumerate(covers):
-            gain = (s & target).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
+        for i in range(len(covers)):
+            if bound[i] > best_gain:
+                gain = bound[i] = (covers[i] & target).bit_count()
+                if gain > best_gain:
+                    best, best_gain = i, gain
         if best < 0:
             raise InfeasibleInstance("ground set not coverable")
         picked.append(best)
@@ -164,7 +174,9 @@ def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: in
 def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int) -> frozenset[int]:
     """The covering core's greedy: take the id whose cover mask holds the most
     uncovered ground elements (lowest id on ties), repeat.  holders is the
-    transpose of covers: for each ground element, the ids covering it."""
+    transpose of covers: for each ground element, the ids covering it.  A
+    wide system takes the gain counters, any other the lazy scan; both pick
+    what a full rescan of every gain on every pick would."""
     target = _residual(covers, len(holders), chosen)
     if _is_wide(len(covers), len(holders)):
         return frozenset(_counter_picks(covers, holders, target))

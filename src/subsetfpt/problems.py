@@ -64,6 +64,12 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
+        if len(self.adj) != self.n:
+            raise ValueError(f"{len(self.adj)} adjacency masks for {self.n} vertices")
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
@@ -111,6 +117,10 @@ class SetSystem:
 
     n_ground: int
     sets: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n_ground < 0:
+            raise ValueError(f"negative ground set size {self.n_ground}")
 
     @classmethod
     def from_lists(cls, n_ground: int, sets: Iterable[Iterable[int]]) -> "SetSystem":

@@ -108,6 +108,23 @@ def _sweep_optima(p: sf.SubsetProblem, all_ties: bool):
     return None
 
 
+def greedy_cover_ref(covers, target):
+    """Reference for the covering greedy's picks, in order, over plain sets:
+    on every pick, recount for every id how much of target its cover still
+    holds, and take the largest count, lowest id on ties.  None if some
+    element of target is in no cover."""
+    left, picked = set(target), []
+    while left:
+        gains = [len(c & left) for c in covers]
+        best = max(gains, default=0)
+        if best == 0:
+            return None
+        i = gains.index(best)
+        picked.append(i)
+        left -= covers[i]
+    return picked
+
+
 def uf_has_cycle(n, edges):
     """Union-find cycle detector, independent of the package's leaf peeling."""
     parent = list(range(n))

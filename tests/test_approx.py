@@ -6,7 +6,13 @@ import pytest
 import subsetfpt as sf
 from subsetfpt import approx
 from subsetfpt.problems import RESTRICTABLE, SET_KINDS
-from conftest import all_graphs_upto, closed_neighbourhoods_ref, random_graph, random_system
+from conftest import (
+    all_graphs_upto,
+    closed_neighbourhoods_ref,
+    greedy_cover_ref,
+    random_graph,
+    random_system,
+)
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -41,9 +47,10 @@ class TestGreedySetCover:
             sf.greedy_set_cover(sf.SetSystem.from_lists(2, [[0]]))
 
 
-def _random_covers(rng, n_ground, m):
+def _random_covers(rng, n_ground, m, size=None):
     """m cover masks over n_ground elements, with empty and repeated sets and
-    sometimes a ground element that no set holds."""
+    sometimes a ground element that no set holds.  With size, each new
+    nonempty set has size elements, so that gains tie often."""
     covers = []
     for _ in range(m):
         roll = rng.random()
@@ -52,8 +59,8 @@ def _random_covers(rng, n_ground, m):
         elif roll < 0.2 and covers:
             covers.append(rng.choice(covers))
         else:
-            size = rng.randint(1, max(1, n_ground // 3))
-            covers.append(sum(1 << x for x in rng.sample(range(n_ground), size)))
+            k = size or rng.randint(1, max(1, n_ground // 3))
+            covers.append(sum(1 << x for x in rng.sample(range(n_ground), k)))
     if rng.random() < 0.8:  # cover every element, so most systems are coverable
         for x in range(n_ground):
             if not any((c >> x) & 1 for c in covers):
@@ -128,6 +135,59 @@ class TestGainCounters:
         assert len(expected) > 1
         with pytest.raises(AssertionError):
             sf.greedy_set_cover(random_system(10, 39, 3, 7))
+
+
+class TestPickSequence:
+    """The covering greedy picks what a plain recount of every gain on every
+    pick picks, in the same order and lowest id on ties, and raises where
+    that finds an element no cover holds, on narrow and wide systems alike."""
+
+    # (ground, ids, cover size), on both sides of WIDE.
+    SHAPES = [(1, 1, 1), (4, 3, 2), (6, 6, 2), (8, 12, 3), (8, 32, 2), (12, 60, 4), (20, 40, 7), (30, 120, 3)]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_picks_match_reference(self, seed):
+        rng = random.Random(500 + seed)
+        infeasible, wide, tied = set(), set(), False
+        for n_ground, m, size in self.SHAPES:
+            tied_covers = _random_covers(rng, n_ground, m, size)
+            gone = ~(1 << rng.randrange(n_ground))  # no set holds this element
+            for covers in (tied_covers, tuple(c & gone for c in tied_covers),
+                           _random_covers(rng, n_ground, m)):
+                holders = _transpose(covers, n_ground)
+                for chosen in (0, rng.getrandbits(m) & rng.getrandbits(m), (1 << m) - 1):
+                    target = approx._residual(covers, n_ground, chosen)
+                    expected = greedy_cover_ref([set(sf.iter_bits(c)) for c in covers], set(sf.iter_bits(target)))
+                    infeasible.add(expected is None)
+                    wide.add(approx._is_wide(m, n_ground))
+                    gains = [(c & target).bit_count() for c in covers]
+                    tied |= gains.count(max(gains)) > 1 and max(gains) > 0
+                    if expected is None:
+                        for run in (lambda: approx._scan_picks(covers, target),
+                                    lambda: approx._counter_picks(covers, holders, target),
+                                    lambda: approx._greedy_cover(covers, holders, chosen)):
+                            with pytest.raises(sf.InfeasibleInstance):
+                                run()
+                        continue
+                    assert not set(sf.iter_bits(chosen)) & set(expected)
+                    assert approx._scan_picks(covers, target) == expected
+                    assert approx._counter_picks(covers, holders, target) == expected
+                    assert approx._greedy_cover(covers, holders, chosen) == frozenset(expected)
+        assert infeasible == wide == {True, False} and tied
+
+    def test_greedy_dominating_on_all_graphs_up_to_6(self):
+        for g in all_graphs_upto(6):
+            expected = greedy_cover_ref(closed_neighbourhoods_ref(g), set(range(g.n)))
+            assert approx._scan_picks(g.closed_nbs, (1 << g.n) - 1) == expected
+            assert sf.greedy_dominating_set(g) == frozenset(expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_greedy_dominating_on_gnp_600(self, seed):
+        g = random_graph(600, 0.02, 70000 + seed)
+        expected = greedy_cover_ref(closed_neighbourhoods_ref(g), set(range(g.n)))
+        assert approx._scan_picks(g.closed_nbs, (1 << g.n) - 1) == expected
+        p = sf.make_problem(sf.ProblemKind.DOMINATING_SET, g)
+        assert sf.ORACLES["greedy-dominating"].run(p) == frozenset(expected)
 
 
 class TestMatchingVertexCover:

@@ -61,6 +61,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             sf.Graph.from_edges(2, [(0, 2)])
 
+    def test_rejects_negative_count_and_wrong_mask_count(self):
+        with pytest.raises(ValueError, match="negative vertex count -1"):
+            sf.Graph.from_edges(-1, [])
+        for adj in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match=f"{len(adj)} adjacency masks for 2 vertices"):
+                sf.Graph(n=2, adj=adj)
+        assert sf.Graph(n=0, adj=()) == sf.Graph.from_edges(0, [])
+
     def test_duplicate_edges_collapse(self):
         g = sf.Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edges == frozenset({(0, 1)})
@@ -111,6 +119,11 @@ class TestGraph:
 
 
 class TestSetSystem:
+    def test_rejects_negative_ground(self):
+        with pytest.raises(ValueError, match="negative ground set size -2"):
+            sf.SetSystem.from_lists(-2, [[], []])
+        assert sf.SetSystem.from_lists(0, [[], []]).sets == (0, 0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_holders_are_the_transpose(self, seed):
         s = random_system(12, 3 + 4 * seed, 5, 3000 + seed)
