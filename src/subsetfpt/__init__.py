@@ -24,7 +24,6 @@ from .core import (
     brute_force_optimum,
     complement,
     dualize,
-    enumerate_optima,
     is_feasible,
     iter_bits,
     mask_of,
@@ -36,7 +35,6 @@ from .problems import (
     RESTRICTABLE,
     SetSystem,
     make_problem,
-    minimality_certificate,
     packing_upper_bound,
 )
 from .approx import (

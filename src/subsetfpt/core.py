@@ -144,7 +144,6 @@ def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> in
 class EvaluatedSolution:
     members: frozenset[int]
     value: int
-    optimal: bool = False
 
 
 @dataclass(frozen=True)
@@ -233,16 +232,6 @@ def _chunk_basis(w: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
     return cols, layers, tuple(accumulate(layers, or_))
 
 
-def _set_bits_descending(x: int) -> Iterator[int]:
-    """The positions of the set bits of x >= 0, highest first, in one pass."""
-    digits = bin(x)
-    top = len(digits) - 1
-    i = digits.find("1", 2)
-    while i >= 0:
-        yield top - i
-        i = digits.find("1", i + 1)
-
-
 def _optima(p: SubsetProblem, budget: int):
     """BudgetExceeded, or _chunks(p) once the universe fits the budget."""
     n = p.universe_size
@@ -306,23 +295,7 @@ def brute_force_optimum(
             first = value, base | at.bit_length() - 1
     if first is None:
         return Infeasible()
-    return EvaluatedSolution(_members_of_rank(p.universe_size, first[1]), first[0], optimal=True)
-
-
-def enumerate_optima(
-    p: SubsetProblem, budget: int = DEFAULT_BUDGET
-) -> list[frozenset[int]] | BudgetExceeded:
-    """All optimal solutions in (cardinality, lexicographic) order; empty
-    list iff the instance is infeasible."""
-    chunks = _optima(p, budget)
-    if isinstance(chunks, BudgetExceeded):
-        return chunks
-    best, ranks = None, []
-    for value, base, at, _ in chunks:
-        if value != best:
-            best, ranks = value, []
-        ranks += [base | s for s in _set_bits_descending(at)]
-    return [_members_of_rank(p.universe_size, r) for r in ranks]
+    return EvaluatedSolution(_members_of_rank(p.universe_size, first[1]), first[0])
 
 
 def optima_meeting(

@@ -32,16 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .core import (
     Goal,
     SubsetProblem,
-    _check_members,
     _chunk_ones,
     dualize,
     iter_bits,
-    mask_of,
 )
 
 
@@ -69,6 +67,9 @@ class Graph:
             raise ValueError(f"negative vertex count {self.n}")
         if len(self.adj) != self.n:
             raise ValueError(f"{len(self.adj)} adjacency masks for {self.n} vertices")
+        for v, a in enumerate(self.adj):
+            if a >> self.n or a >> v & 1:  # a >> n is nonzero for a < 0 too
+                raise ValueError(f"vertex {v} lists {a:#b}, not a set of other vertices in [0,{self.n})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -121,6 +122,9 @@ class SetSystem:
     def __post_init__(self):
         if self.n_ground < 0:
             raise ValueError(f"negative ground set size {self.n_ground}")
+        for i, m in enumerate(self.sets):
+            if m >> self.n_ground:  # nonzero for m < 0 too
+                raise ValueError(f"set {i} is {m:#b}, not a subset of [0,{self.n_ground})")
 
     @classmethod
     def from_lists(cls, n_ground: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
@@ -389,15 +393,3 @@ def packing_upper_bound(p: SubsetProblem) -> int:
         cliques += 1
     return cliques
 
-
-def minimality_certificate(g: Graph, cover: Iterable[int]) -> Optional[int]:
-    """None if the cover is inclusion-minimal, else the lowest-index vertex
-    whose removal keeps it a cover: one whose neighbours all lie in it."""
-    p = make_problem(ProblemKind.VERTEX_COVER, g)
-    mask = mask_of(_check_members(p, cover))
-    if not p.feasible_mask(mask):
-        raise ValueError("solution is not a vertex cover")
-    for v in iter_bits(mask):
-        if not g.adj[v] & ~mask:
-            return v
-    return None

@@ -7,6 +7,7 @@ import subsetfpt as sf
 from subsetfpt import approx
 from subsetfpt.problems import RESTRICTABLE, SET_KINDS
 from conftest import (
+    _sweep_optima,
     all_graphs_upto,
     closed_neighbourhoods_ref,
     greedy_cover_ref,
@@ -351,8 +352,8 @@ class TestMatchingIntersectivity:
             if not g.edges:
                 continue
             p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, g)
-            out = sf.matching_vertex_cover(g)
-            optima = sf.enumerate_optima(p)
+            out = sf.mask_of(sf.matching_vertex_cover(g))
+            _, optima = _sweep_optima(p, all_ties=True)
             assert any(out & o for o in optima), sorted(g.edges)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -360,9 +361,10 @@ class TestMatchingIntersectivity:
         g = random_graph(8, 0.4, 3000 + seed)
         if not g.edges:
             return
-        out = sf.matching_vertex_cover(g)
+        out = sf.mask_of(sf.matching_vertex_cover(g))
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, g)
-        assert any(out & o for o in sf.enumerate_optima(p))
+        _, optima = _sweep_optima(p, all_ties=True)
+        assert any(out & o for o in optima)
 
 
 def test_oracles_are_deterministic():

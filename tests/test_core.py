@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import subsetfpt as sf
 from conftest import _sweep_optima, ref_optimum
+from subsetfpt.core import optima_meeting
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -34,13 +35,20 @@ class TestIsFeasible:
     def test_out_of_range_member_rejected(self):
         with pytest.raises(ValueError):
             sf.is_feasible(vc(TRIANGLE), {3})
+        for check in (sf.is_feasible, sf.complement):
+            with pytest.raises(ValueError, match="member 7 outside universe of size 3"):
+                check(vc(PATH3), {0, 7})
+            with pytest.raises(ValueError, match="member -1 outside universe of size 3"):
+                check(vc(PATH3), [-1])
 
 
 class TestBruteForce:
     def test_min_vertex_cover_triangle(self):
-        res = sf.brute_force_optimum(vc(TRIANGLE))
+        p = vc(TRIANGLE)
+        res = sf.brute_force_optimum(p)
         assert isinstance(res, sf.EvaluatedSolution)
-        assert res.value == 2 and res.optimal
+        value, (mask,) = _sweep_optima(p, all_ties=False)
+        assert (res.members, res.value) == (sf.members_of(mask), value) == (frozenset({0, 1}), 2)
 
     def test_max_independent_set_path(self):
         res = sf.brute_force_optimum(mis(PATH3))
@@ -81,7 +89,7 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="62"):
             sf.brute_force_optimum(p, budget=100)
         with pytest.raises(ValueError, match="62"):
-            sf.enumerate_optima(p, budget=100)
+            optima_meeting(p, 0, budget=100)
         assert isinstance(sf.brute_force_optimum(p, budget=69), sf.BudgetExceeded)
 
     def test_tie_break_smallest_lexicographic(self):
@@ -99,8 +107,7 @@ class TestBruteForce:
             sf.make_problem(sf.ProblemKind.SET_COVER, random_system(80, 15, 10, seed)),
         ):
             value, (mask,) = _sweep_optima(p, all_ties=False)
-            assert sf.brute_force_optimum(p) == sf.EvaluatedSolution(
-                sf.members_of(mask), value, optimal=True)
+            assert sf.brute_force_optimum(p) == sf.EvaluatedSolution(sf.members_of(mask), value)
 
     def test_problem_without_batch_predicate_is_refused(self):
         with pytest.raises(TypeError, match="feasible_batch"):
@@ -112,61 +119,74 @@ class TestBruteForce:
         assert sf.brute_force_optimum(p) == sf.brute_force_optimum(p)
 
 
-class TestEnumerateOptima:
+class TestOptimaMeeting:
+    """optima_meeting counts the optima and locates the first one, in
+    (cardinality, lexicographic) order, that meets a mask."""
+
     def test_triangle_vertex_cover_optima(self):
-        assert sf.enumerate_optima(vc(TRIANGLE)) == [
-            frozenset({0, 1}),
-            frozenset({0, 2}),
-            frozenset({1, 2}),
-        ]
+        # The optima are {0, 1}, {0, 2} and {1, 2}.
+        p = vc(TRIANGLE)
+        assert optima_meeting(p, 0b100) == (3, frozenset({0, 2}))
+        assert optima_meeting(p, 0b001) == (3, frozenset({0, 1}))
+        assert optima_meeting(p, 0) == (3, None)
 
     def test_dominating_path_unique(self):
         p = sf.make_problem(sf.ProblemKind.DOMINATING_SET, PATH3)
-        assert sf.enumerate_optima(p) == [frozenset({1})]
+        assert optima_meeting(p, 0b111) == (1, frozenset({1}))
+        assert optima_meeting(p, 0b101) == (1, None)
 
     def test_single_vertex_independent_set(self):
         p = mis(sf.Graph.from_edges(1, []))
-        assert sf.enumerate_optima(p) == [frozenset({0})]
+        assert optima_meeting(p, 0b1) == (1, frozenset({0}))
 
     def test_empty_iff_infeasible(self):
         sys = sf.SetSystem.from_lists(2, [[0]])
         p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
-        assert sf.enumerate_optima(p) == []
+        assert optima_meeting(p, 0b1) == (0, None)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_sweep(self, seed):
         from conftest import random_graph
 
-        g = random_graph(14, 0.3, 100 + seed)
-        p = vc(g)
-        _, masks = _sweep_optima(p, all_ties=True)
-        assert sf.enumerate_optima(p) == [sf.members_of(m) for m in masks]
+        _assert_scan_matches_sweep(vc(random_graph(14, 0.3, 100 + seed)))
 
 
 def _assert_scan_matches_sweep(q):
-    """brute_force_optimum and enumerate_optima give the reference sweep's
-    optimum and ties."""
+    """brute_force_optimum gives the reference sweep's first optimum, and
+    optima_meeting its number of ties and the first tie that meets no
+    element, each single element and all of them."""
     hit = _sweep_optima(q, all_ties=True)
-    if hit is None:
-        assert sf.brute_force_optimum(q) == sf.Infeasible()
-        assert sf.enumerate_optima(q) == []
-        return
-    value, (mask,) = _sweep_optima(q, all_ties=False)
-    assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(
-        sf.members_of(mask), value, optimal=True), q.label
-    assert sf.enumerate_optima(q) == [sf.members_of(m) for m in hit[1]], q.label
+    value, ties = hit or (None, [])
+    assert sf.brute_force_optimum(q) == (
+        sf.Infeasible() if hit is None else sf.EvaluatedSolution(sf.members_of(ties[0]), value)
+    ), q.label
+    n = q.universe_size
+    for meet in (0, *(1 << e for e in range(n)), (1 << n) - 1):
+        # The empty optimum counts as met.
+        first = next((m for m in ties if m & meet or not m), None)
+        want = len(ties), None if first is None else sf.members_of(first)
+        assert optima_meeting(q, meet) == want, (q.label, meet)
 
 
 class TestChunkedScan:
-    """Brute force over several chunks, each narrower than the universe,
-    gives the sweep's optimum and ties on every kind."""
+    """The scan over several chunks, each narrower than the universe, or
+    over one gives the sweep's optimum and ties on every kind."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chunks_match_sweep(self, seed, monkeypatch):
-        from conftest import random_graph, random_system
         from subsetfpt import core
 
         monkeypatch.setattr(core, "_CHUNK_BITS", 3)
+        self._check_every_kind(seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_chunk_matches_sweep(self, seed):
+        self._check_every_kind(seed)
+
+    @staticmethod
+    def _check_every_kind(seed):
+        from conftest import random_graph, random_system
+
         g, sys = random_graph(8, 0.4, 500 + seed), random_system(7, 8, 3, 500 + seed)
         kinds = list(sf.ProblemKind)
         assert len(kinds) == 9

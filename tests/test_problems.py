@@ -69,6 +69,26 @@ class TestGraph:
                 sf.Graph(n=2, adj=adj)
         assert sf.Graph(n=0, adj=()) == sf.Graph.from_edges(0, [])
 
+    def test_rejects_negative_mask(self):
+        # Unrefused, it hangs brute-force dominating set: iter_bits of a
+        # negative mask does not end.
+        with pytest.raises(ValueError, match=r"vertex 0 lists -0b1, not a set of other vertices in \[0,2\)"):
+            sf.Graph(n=2, adj=(-1, 0))
+
+    def test_rejects_mask_bit_outside_range(self):
+        # Unrefused, it makes brute-force vertex cover raise IndexError.
+        with pytest.raises(ValueError, match=r"vertex 0 lists 0b100, not a set of other vertices in \[0,2\)"):
+            sf.Graph(n=2, adj=(0b100, 0))
+
+    def test_rejects_vertex_listing_itself(self):
+        # The batch predicate skips a self-loop and the scalar one does not:
+        # unrefused, brute-force independent set answers {0}, which
+        # is_feasible calls infeasible.
+        with pytest.raises(ValueError, match=r"vertex 0 lists 0b1, not a set of other vertices in \[0,1\)"):
+            sf.Graph(n=1, adj=(1,))
+        with pytest.raises(ValueError, match=r"vertex 1 lists 0b10, not a set of other vertices in \[0,2\)"):
+            sf.Graph(n=2, adj=(0, 0b10))
+
     def test_duplicate_edges_collapse(self):
         g = sf.Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edges == frozenset({(0, 1)})
@@ -123,6 +143,13 @@ class TestSetSystem:
         with pytest.raises(ValueError, match="negative ground set size -2"):
             sf.SetSystem.from_lists(-2, [[], []])
         assert sf.SetSystem.from_lists(0, [[], []]).sets == (0, 0)
+
+    def test_rejects_mask_bit_outside_ground(self):
+        # Unrefused, it makes brute force raise IndexError on both set kinds.
+        with pytest.raises(ValueError, match=r"set 0 is 0b100, not a subset of \[0,2\)"):
+            sf.SetSystem(n_ground=2, sets=(0b100, 0b11))
+        with pytest.raises(ValueError, match=r"set 1 is -0b1, not a subset of \[0,2\)"):
+            sf.SetSystem(n_ground=2, sets=(0b11, -1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_holders_are_the_transpose(self, seed):
@@ -410,33 +437,6 @@ class TestKindTables:
         sys = random_system(n_ground=(seed % 6) + 3, m=(seed % 7) + 2, max_size=3, seed=700 + seed)
         for kind in (K.SET_COVER, K.SET_PACKING):
             _assert_goal_follows_core(sf.make_problem(kind, sys))
-
-
-class TestMinimalityCertificate:
-    def test_path_redundant_vertex(self):
-        assert sf.minimality_certificate(PATH3, {0, 1}) == 0
-
-    def test_path_minimal(self):
-        assert sf.minimality_certificate(PATH3, {1}) is None
-
-    def test_triangle_two_vertices_minimal(self):
-        assert sf.minimality_certificate(TRIANGLE, {0, 1}) is None
-
-    def test_non_cover_rejected(self):
-        with pytest.raises(ValueError):
-            sf.minimality_certificate(TRIANGLE, {0})
-
-    @pytest.mark.parametrize("g", [sf.Graph.from_edges(3, []), PATH3])
-    def test_member_outside_universe_rejected(self, g):
-        with pytest.raises(ValueError, match="member 7 outside universe of size 3"):
-            sf.minimality_certificate(g, {0, 7})
-        with pytest.raises(ValueError, match="member -1 outside universe of size 3"):
-            sf.minimality_certificate(g, [-1])
-
-    def test_edgeless_graph(self):
-        g = sf.Graph.from_edges(3, [])
-        assert sf.minimality_certificate(g, set()) is None
-        assert sf.minimality_certificate(g, {2, 1}) == 1
 
 
 class TestDualities:
