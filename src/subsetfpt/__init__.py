@@ -17,7 +17,6 @@ from .core import (
     DEFAULT_BUDGET,
     EvaluatedSolution,
     Goal,
-    Infeasible,
     InfeasibleInstance,
     SubsetProblem,
     UnsupportedRestriction,

@@ -24,7 +24,6 @@ from .core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     EvaluatedSolution,
-    Infeasible,
     InfeasibleInstance,
     SubsetProblem,
     brute_force_optimum,
@@ -162,8 +161,6 @@ def cmd_solve(args, p, oracle, rec) -> int:
     if isinstance(res, BudgetExceeded):
         rec.update(outcome="budget-exceeded", budget=args.budget)
         return EXIT_BUDGET
-    if isinstance(res, Infeasible):
-        raise InfeasibleInstance
     rec.update(outcome="optimal", value=res.value, solution=_solution_1based(res.members))
     return EXIT_OK
 
@@ -302,8 +299,6 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
                 res = brute_force_optimum(p, budget=args.budget)
                 if isinstance(res, EvaluatedSolution):
                     rec.update(outcome="optimal", value=res.value)
-                elif isinstance(res, Infeasible):
-                    rec.update(outcome="infeasible")
                 else:
                     rec.update(outcome="budget-exceeded")
         except (InfeasibleInstance, InfeasibleOutput) as exc:

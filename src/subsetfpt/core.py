@@ -35,7 +35,7 @@ class UnsupportedRestriction(ValueError):
 
 
 class InfeasibleInstance(Exception):
-    """Raised by oracles when the instance admits no feasible solution."""
+    """Raised when the instance admits no feasible solution."""
 
 
 class Goal(Enum):
@@ -147,11 +147,6 @@ class EvaluatedSolution:
 
 
 @dataclass(frozen=True)
-class Infeasible:
-    """No subset of the universe is feasible."""
-
-
-@dataclass(frozen=True)
 class BudgetExceeded:
     universe_size: int
     budget: int
@@ -250,7 +245,8 @@ def _chunks(p: SubsetProblem) -> Iterator[tuple[int, int, int, tuple[int, ...]]]
     Rank r stands for the mask that holds element i iff bit n-1-i of r is
     set, so of two masks of one size the higher rank is lexicographically
     smaller.  A chunk fixes the high n-w rank bits and its positions are the
-    low w; chunks are scanned from the top down, positions from high to low."""
+    low w; chunks are scanned from the top down, positions from high to low.
+    Raises InfeasibleInstance once all are scanned if no mask is feasible."""
     n = p.universe_size
     w = min(n, _CHUNK_BITS)
     low, layers, at_most = _chunk_basis(w)
@@ -270,6 +266,8 @@ def _chunks(p: SubsetProblem) -> Iterator[tuple[int, int, int, tuple[int, ...]]]
         if best is None or (value <= best if minimize else value >= best):
             best = value
             yield value, chunk << w, feasible & layers[j], cols
+    if best is None:
+        raise InfeasibleInstance(f"no subset is feasible for {p.label}")
 
 
 def _members_of_rank(n: int, r: int) -> frozenset[int]:
@@ -278,13 +276,14 @@ def _members_of_rank(n: int, r: int) -> frozenset[int]:
 
 def brute_force_optimum(
     p: SubsetProblem, budget: int = DEFAULT_BUDGET
-) -> EvaluatedSolution | Infeasible | BudgetExceeded:
+) -> EvaluatedSolution | BudgetExceeded:
     """Exact optimum by enumerating all 2^n subsets.
 
     Ties among optima break to the (cardinality, lexicographic)-smallest
     solution.  Returns BudgetExceeded when the universe is larger than the
     caller allows, so callers never rely on exhaustive search by accident,
-    and raises ValueError above MAX_EXHAUSTIVE elements whatever the budget.
+    raises InfeasibleInstance when no subset is feasible, and raises
+    ValueError above MAX_EXHAUSTIVE elements whatever the budget.
     """
     chunks = _optima(p, budget)
     if isinstance(chunks, BudgetExceeded):
@@ -293,8 +292,6 @@ def brute_force_optimum(
     for value, base, at, _ in chunks:
         if first is None or value != first[0]:
             first = value, base | at.bit_length() - 1
-    if first is None:
-        return Infeasible()
     return EvaluatedSolution(_members_of_rank(p.universe_size, first[1]), first[0])
 
 
@@ -303,8 +300,8 @@ def optima_meeting(
 ) -> tuple[int, Optional[frozenset[int]]] | BudgetExceeded:
     """(number of optima, the first optimum in (cardinality, lexicographic)
     order that meets the mask `meet`, else None), counted and located in the
-    scan with none listed.  The empty optimum counts as met.  (0, None) iff
-    the instance is infeasible."""
+    scan with none listed.  The empty optimum counts as met.  Raises
+    InfeasibleInstance when no subset is feasible."""
     chunks = _optima(p, budget)
     if isinstance(chunks, BudgetExceeded):
         return chunks

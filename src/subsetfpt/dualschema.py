@@ -19,6 +19,7 @@ from typing import Optional
 
 from .core import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     Goal,
     SubsetProblem,
     brute_force_optimum,
@@ -127,9 +128,8 @@ def dual_approx(
     if take_approx and not cfg.force_brute:
         guarantee = 1 - eps if p.goal is Goal.MINIMIZE else 1 + eps
         return SchemaOutcome(SchemaPath.APPROX, diag, complement(p, sol), n - k_prime, guarantee)
-    if n <= cfg.brute_cap:
-        # sol is feasible, so its complement is dual-feasible; n is within budget.
-        res = brute_force_optimum(dualize(p), budget=cfg.brute_cap)
-        return SchemaOutcome(SchemaPath.BRUTE, diag, res.members, res.value, Fraction(1),
-                             exact=True)
-    return SchemaOutcome(SchemaPath.BUDGET_EXCEEDED, diag)
+    # sol is feasible, so its complement is dual-feasible: within budget, an optimum exists.
+    res = brute_force_optimum(dualize(p), budget=cfg.brute_cap)
+    if isinstance(res, BudgetExceeded):
+        return SchemaOutcome(SchemaPath.BUDGET_EXCEEDED, diag)
+    return SchemaOutcome(SchemaPath.BRUTE, diag, res.members, res.value, Fraction(1), exact=True)

@@ -57,7 +57,8 @@ class ProblemKind(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: stores its adjacency masks, derives its edges."""
+    """Simple undirected graph: stores its adjacency masks, derives its edges.
+    The masks must be symmetric: v in adj[u] iff u in adj[v]."""
 
     n: int
     adj: tuple[int, ...]
@@ -67,12 +68,19 @@ class Graph:
             raise ValueError(f"negative vertex count {self.n}")
         if len(self.adj) != self.n:
             raise ValueError(f"{len(self.adj)} adjacency masks for {self.n} vertices")
+        listed_by = [0] * self.n  # listed_by[v]: the vertices u < v whose adj[u] holds v
         for v, a in enumerate(self.adj):
             if a >> self.n or a >> v & 1:  # a >> n is nonzero for a < 0 too
                 raise ValueError(f"vertex {v} lists {a:#b}, not a set of other vertices in [0,{self.n})")
+            if a & (1 << v) - 1 != listed_by[v]:
+                raise ValueError(f"adjacency is not symmetric at vertex {v}")
+            for d in iter_bits(a >> v):  # each pair v < v + d once
+                listed_by[v + d] |= 1 << v
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -81,7 +89,9 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) outside vertex range [0,{n})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n=n, adj=tuple(adj))
+        g = object.__new__(cls)  # skips __post_init__: these masks are valid by construction
+        g.__dict__.update(n=n, adj=tuple(adj))
+        return g
 
     # Built on first use; equality and hashing still compare the fields only.
     @cached_property
@@ -103,10 +113,6 @@ class Graph:
         """The vertices neither v nor adjacent to v, for each vertex v."""
         full = (1 << self.n) - 1
         return tuple(full & ~nb for nb in self.closed_nbs)
-
-    def complement(self) -> "Graph":
-        """The graph whose adjacency is non_neighbours."""
-        return Graph(n=self.n, adj=self.non_neighbours)
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ class TestSharedGreedies:
 
     def test_clique_is_mis_of_complement(self):
         for g in all_graphs_upto(5):
-            comp = g.complement()
+            comp = sf.Graph(n=g.n, adj=g.non_neighbours)
             for alive in [-1, *range(1 << g.n)]:
                 assert sf.greedy_clique(g, alive) == sf.greedy_maximal_independent_set(comp, alive)
 

@@ -73,10 +73,11 @@ class TestBruteForce:
         res = sf.brute_force_optimum(p)
         assert res.value == 2
 
-    def test_infeasible_is_first_class(self):
+    def test_infeasible_raises(self):
         sys = sf.SetSystem.from_lists(3, [[0], [1]])  # element 2 uncoverable
         p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
-        assert isinstance(sf.brute_force_optimum(p), sf.Infeasible)
+        with pytest.raises(sf.InfeasibleInstance):
+            sf.brute_force_optimum(p)
 
     def test_budget_exceeded(self):
         p = vc(sf.Graph.from_edges(25, []))
@@ -139,10 +140,11 @@ class TestOptimaMeeting:
         p = mis(sf.Graph.from_edges(1, []))
         assert optima_meeting(p, 0b1) == (1, frozenset({0}))
 
-    def test_empty_iff_infeasible(self):
+    def test_infeasible_raises(self):
         sys = sf.SetSystem.from_lists(2, [[0]])
         p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
-        assert optima_meeting(p, 0b1) == (0, None)
+        with pytest.raises(sf.InfeasibleInstance):
+            optima_meeting(p, 0b1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_sweep(self, seed):
@@ -154,14 +156,21 @@ class TestOptimaMeeting:
 def _assert_scan_matches_sweep(q):
     """brute_force_optimum gives the reference sweep's first optimum, and
     optima_meeting its number of ties and the first tie that meets no
-    element, each single element and all of them."""
+    element, each single element and all of them; both raise
+    InfeasibleInstance exactly when the sweep finds no feasible mask."""
     hit = _sweep_optima(q, all_ties=True)
-    value, ties = hit or (None, [])
-    assert sf.brute_force_optimum(q) == (
-        sf.Infeasible() if hit is None else sf.EvaluatedSolution(sf.members_of(ties[0]), value)
-    ), q.label
     n = q.universe_size
-    for meet in (0, *(1 << e for e in range(n)), (1 << n) - 1):
+    meets = (0, *(1 << e for e in range(n)), (1 << n) - 1)
+    if hit is None:
+        with pytest.raises(sf.InfeasibleInstance):
+            sf.brute_force_optimum(q)
+        for meet in meets:
+            with pytest.raises(sf.InfeasibleInstance):
+                optima_meeting(q, meet)
+        return
+    value, ties = hit
+    assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(sf.members_of(ties[0]), value), q.label
+    for meet in meets:
         # The empty optimum counts as met.
         first = next((m for m in ties if m & meet or not m), None)
         want = len(ties), None if first is None else sf.members_of(first)
@@ -194,6 +203,12 @@ class TestChunkedScan:
             p = sf.make_problem(kind, sys if kind in sf.problems.SET_KINDS else g)
             for q in (p, sf.dualize(p)):
                 _assert_scan_matches_sweep(q)
+        # Ground element 7 is in no set: no family covers it, and no
+        # complement of one does.
+        p = sf.make_problem(sf.ProblemKind.SET_COVER, sf.SetSystem(n_ground=8, sets=sys.sets))
+        for q in (p, sf.dualize(p)):
+            assert _sweep_optima(q, all_ties=False) is None
+            _assert_scan_matches_sweep(q)
 
 
 class TestSubInstanceScan:

@@ -160,16 +160,16 @@ class TestDualApprox:
         assert out.path is sf.SchemaPath.BRUTE
         assert out.dual_value == 1
 
-    def test_budget_exceeded(self):
-        g = random_graph(12, 0.6, 77)
-        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g)
-        out = sf.dual_approx(
-            p,
-            sf.ORACLES["greedy-mis"],
-            sf.SchemaConfig(F(1, 100), brute_cap=5),
-        )
-        assert out.path is sf.SchemaPath.BUDGET_EXCEEDED
-        assert out.dual_solution is None and out.dual_value is None
+    @pytest.mark.parametrize("force_brute", [False, True])
+    def test_budget_exceeded(self, force_brute):
+        # n = 12 is past brute_cap = 5, and the approximation test fails:
+        # 12 < 809/9 * 4.  Brute force refuses the universe itself.
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, random_graph(12, 0.6, 77))
+        cfg = sf.SchemaConfig(F(1, 100), brute_cap=5, force_brute=force_brute)
+        out = sf.dual_approx(p, sf.ORACLES["greedy-mis"], cfg)
+        assert out == sf.SchemaOutcome(sf.SchemaPath.BUDGET_EXCEEDED, {
+            "n": 12, "k_prime": 3, "rho": "1/9", "epsilon": "1/100", "threshold": "809/9",
+            "surrogate_k": 4, "dual_parameter": 9})
 
     def test_brute_path_at_brute_cap_n(self):
         # n <= brute_cap is the exhaustive search's own budget, so n equal
@@ -249,9 +249,13 @@ class TestDualApprox:
     def test_set_cover_guarantee_sound(self, seed):
         sys = random_system((seed % 6) + 2, (seed % 8) + 2, 3, 9900 + seed)
         p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
-        if isinstance(sf.brute_force_optimum(p), sf.Infeasible):
-            return
         eps = F(1, 3)
+        try:
+            sf.brute_force_optimum(p)
+        except sf.InfeasibleInstance:
+            with pytest.raises(sf.InfeasibleInstance):
+                sf.dual_approx(p, sf.ORACLES["greedy-set-cover"], sf.SchemaConfig(eps))
+            return
         out = sf.dual_approx(p, sf.ORACLES["greedy-set-cover"], sf.SchemaConfig(eps))
         d = sf.dualize(p)
         opt = sf.brute_force_optimum(d)

@@ -108,6 +108,25 @@ class TestGraph:
             assert g == h and hash(g) == hash(h)
             assert g.edges == h.edges == {(min(e), max(e)) for e in pairs}
 
+    def test_rejects_asymmetric_masks(self):
+        # Unrefused, vertex 0 lists 1 and vertex 1 lists nobody: the edge set
+        # is from_edges(3, [(0, 1)])'s, yet brute-force dominating set
+        # answered {1, 2}, against {0, 2} on that graph.
+        for adj in ((0b10, 0, 0), (0, 0b1, 0)):
+            with pytest.raises(ValueError, match="adjacency is not symmetric at vertex 1"):
+                sf.Graph(n=3, adj=adj)
+        real = sf.make_problem(sf.ProblemKind.DOMINATING_SET, sf.Graph.from_edges(3, [(0, 1)]))
+        assert sf.brute_force_optimum(real).members == {0, 2}
+
+    def test_masks_round_trip_and_one_bit_flip_is_refused(self, atlas):
+        for g in atlas_upto(atlas, 6):
+            assert sf.Graph(n=g.n, adj=g.adj) == g
+            for v, u in itertools.permutations(range(g.n), 2):
+                adj = list(g.adj)
+                adj[v] ^= 1 << u
+                with pytest.raises(ValueError, match="adjacency is not symmetric"):
+                    sf.Graph(n=g.n, adj=tuple(adj))
+
     def test_adjacency_symmetric(self):
         g = random_graph(8, 0.5, 1)
         for u in range(8):
@@ -126,8 +145,7 @@ class TestGraph:
 
     def test_complement_adjacency_is_non_neighbours(self):
         for g in all_graphs_upto(6):
-            comp = g.complement()
-            assert comp.adj == g.non_neighbours
+            comp = sf.Graph(n=g.n, adj=g.non_neighbours)
             pairs = [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
             assert comp == sf.Graph.from_edges(g.n, pairs)
             assert comp.edges == frozenset(pairs)
@@ -458,7 +476,7 @@ class TestDualities:
         g = random_graph((seed % 8) + 2, 0.5, 700 + seed)
         clq = sf.brute_force_optimum(sf.make_problem(sf.ProblemKind.CLIQUE, g))
         ind = sf.brute_force_optimum(
-            sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g.complement())
+            sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, sf.Graph(n=g.n, adj=g.non_neighbours))
         )
         assert clq.value == ind.value
 
