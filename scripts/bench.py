@@ -2,8 +2,10 @@
 """Layer-by-layer timings of subsetfpt and the branching engine's cost per node.
 
 Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
-restriction I(e), the scalar predicate on a feasible and an infeasible mask,
-`run` and `ratio` of each default oracle, and the prune test.  The set-cover
+restriction I(e), I(e) followed by the first call of its predicate, which
+builds it (`restrict+feasible_mask.vertex-cover`), the scalar predicate on
+a feasible and an infeasible mask, `run` and `ratio` of each default
+oracle, and the prune test on the integer terms of a ratio already read.  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
 The covering greedy's lazy scan is timed on two large narrow inputs:
@@ -96,6 +98,9 @@ def layers(sf) -> dict:
     cover = sf.mask_of(sf.DEFAULT_ORACLE[K.VERTEX_COVER].run(vc))
     out = {
         "restrict.vertex-cover": _median_us(lambda: vc.restrict(0), 20_000),
+        # A sub-instance builds its predicate on first read: the two together.
+        "restrict+feasible_mask.vertex-cover": _median_us(
+            lambda: vc.restrict(0).feasible_mask(0), 20_000),
         "restrict.independent-set": _median_us(
             lambda: probs[K.INDEPENDENT_SET].restrict(0), 20_000),
         "feasible_mask.feasible": _median_us(lambda: vc.feasible_mask(cover), 20_000),
@@ -126,10 +131,11 @@ def layers(sf) -> dict:
     fvs = sf.make_problem(K.FEEDBACK_VERTEX_SET, generate_gnp(20, 0.15, 70000))
     for name, m in (("feasible", sf.mask_of(sf.brute_force_optimum(fvs).members)), ("cyclic", 0)):
         out[f"feasible_mask.feedback-vertex-set.{name}"] = _median_us(lambda: fvs.feasible_mask(m), 20_000)
-    # The engine's prune test once the oracle has run: |sol| > ratio * (k - depth).
-    sol, r, k, depth = cover.bit_count(), sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc), 29, 3
-    out["prune_test"] = _median_us(
-        lambda: sol * r.denominator > r.numerator * (k - depth), 200_000)
+    # The engine's prune test once the oracle has run, on the terms of a
+    # ratio it has already read: |sol| * den > num * room.
+    r = sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc)
+    sol, num, den, room = cover.bit_count(), r.numerator, r.denominator, 29 - 3
+    out["prune_test"] = _median_us(lambda: sol * den > num * room, 200_000)
     return out
 
 

@@ -64,6 +64,43 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _sub_feasible(root_feasible, alive: int, chosen: int, mask: int) -> bool:
+    return not mask & ~alive and root_feasible(mask | chosen)
+
+
+def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> int:
+    """_sub_feasible over bit columns: the chosen columns are all ones, and
+    a position holding any element outside alive is infeasible."""
+    ones = _chunk_ones(len(cols))
+    outside = 0
+    for e in iter_bits(~alive & ((1 << len(cols)) - 1)):
+        outside |= cols[e]
+    fixed = tuple(ones if chosen >> e & 1 else c for e, c in enumerate(cols))
+    return root_batch(fixed) & ~outside
+
+
+class _SubPredicate:
+    """A sub-instance's feasible_mask or feasible_batch, built from its
+    root's on first read and kept in the instance __dict__, as
+    cached_property does.  Read on the class it raises, so the field has no
+    default.  A __getattr__ hook would slow every other attribute read."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        # Through __dict__: an object being unpickled has no fields yet.
+        root = None if obj is None else obj.__dict__.get("root")
+        if root is None:
+            raise AttributeError(f"{self.name} is built only for a sub-instance")
+        pred = obj.__dict__[self.name] = partial(
+            self.build, getattr(root, self.name), obj.alive, obj.chosen)
+        return pred
+
+
 @dataclass(frozen=True)
 class SubsetProblem:
     """Uniform contract for problems whose solutions are subsets of a universe.
@@ -81,7 +118,9 @@ class SubsetProblem:
     A sub-instance is its root instance plus two masks in root numbering:
     `alive`, the elements still selectable, and `chosen`, the elements
     already picked.  Its feasible sets are the S within alive for which
-    S | chosen is feasible at the root.  On the kinds that have a
+    S | chosen is feasible at the root.  Its feasible_mask and
+    feasible_batch are built from the root's on first read, so a search
+    node that only feeds the oracle builds neither.  On the kinds that have a
     sub-instance operator, restrict_fn(e) is the mask of elements that can
     still join a solution holding e; other kinds leave it as None.
     """
@@ -89,8 +128,9 @@ class SubsetProblem:
     label: str
     universe_size: int
     goal: Goal
-    feasible_mask: Callable[[int], bool]
-    feasible_batch: Callable[[tuple[int, ...]], int]
+    # Required of a root; restrict leaves both to _SubPredicate.
+    feasible_mask: Callable[[int], bool] = _SubPredicate(_sub_feasible)
+    feasible_batch: Callable[[tuple[int, ...]], int] = _SubPredicate(_sub_batch)
     restrict_fn: Optional[Callable[[int], int]] = None
     kind: object = None
     data: object = None
@@ -110,34 +150,17 @@ class SubsetProblem:
         if not (self.alive >> e) & 1:
             raise ValueError(f"element {e} is not selectable in {self.label}")
         root = self.root or self
-        alive = self.alive & self.restrict_fn(e) & ~(1 << e)
-        chosen = self.chosen | (1 << e)
         # Built by hand: dataclasses.replace would cost most of a search node,
         # and keyword arguments to update() would cost a dict of their own.
+        # The two predicates are left to _SubPredicate.
         child = object.__new__(SubsetProblem)
         fields = child.__dict__
         fields.update(root.__dict__)
-        fields["feasible_mask"] = partial(_sub_feasible, root.feasible_mask, alive, chosen)
-        fields["feasible_batch"] = partial(_sub_batch, root.feasible_batch, alive, chosen)
-        fields["alive"] = alive
-        fields["chosen"] = chosen
+        del fields["feasible_mask"], fields["feasible_batch"]
+        fields["alive"] = self.alive & self.restrict_fn(e) & ~(1 << e)
+        fields["chosen"] = self.chosen | (1 << e)
         fields["root"] = root
         return child
-
-
-def _sub_feasible(root_feasible, alive: int, chosen: int, mask: int) -> bool:
-    return not mask & ~alive and root_feasible(mask | chosen)
-
-
-def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> int:
-    """_sub_feasible over bit columns: the chosen columns are all ones, and
-    a position holding any element outside alive is infeasible."""
-    ones = _chunk_ones(len(cols))
-    outside = 0
-    for e in iter_bits(~alive & ((1 << len(cols)) - 1)):
-        outside |= cols[e]
-    fixed = tuple(ones if chosen >> e & 1 else c for e, c in enumerate(cols))
-    return root_batch(fixed) & ~outside
 
 
 @dataclass(frozen=True)

@@ -114,53 +114,68 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     set of size budget_k.  An oracle for the other goal or a problem without
     a restriction operator is refused before the first node.  Open nodes
     wait as frames on an explicit stack: a search of any depth answers.
+    Every node's solution is tested with p's own predicate, so the
+    predicates of a sub-instance, built on first read, are never built for
+    the nodes that only feed the oracle.
     """
     check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
-    k = cfg.budget_k
+    run, feasible, cap = oracle.run, p.feasible_mask, cfg.node_cap
+    ratio = oracle.ratio if minimize and cfg.prune_enabled else None
+    r = num = den = None  # the last ratio read, and its two terms
+    # The deepest a solution may lie: the budget, then |incumbent| - 1.
+    limit = cfg.budget_k
     nodes = max_depth = max_arity = 0
     cap_hit = False
     best: Optional[int] = None  # the incumbent, as a solution of p
     seen: set[int] = set()
     # p's own chosen elements lie outside p.alive, so p's predicate would
     # reject them: a node's solution is what it chose beyond them.
-    inherited = p.chosen
-    # Each frame is a node and an iterator over its untried branch elements.
-    # A child meets the memo only when it comes up, after its older
-    # siblings' subtrees are done, and is restricted only if it is visited.
-    frames: list[tuple[SubsetProblem, Iterator[int]]] = []
-    inst: Optional[SubsetProblem] = p
-    while inst is not None:
+    inherited = chosen = p.chosen
+    # Each frame is an expanded node, its chosen mask and an iterator over
+    # its untried branch elements; the open frames are the ancestors of the
+    # current node, so their number is its depth.  A child meets the memo
+    # only when it comes up, after its older siblings' subtrees are done,
+    # and is restricted only if it is visited.
+    frames: list[tuple[SubsetProblem, int, Iterator[int]]] = []
+    inst = p
+    while True:
         nodes += 1
-        own = inst.chosen ^ inherited
-        depth = own.bit_count()
-        max_depth = max(max_depth, depth)
-        room = (k if best is None else best.bit_count() - 1) - depth
-        if (minimize or room == 0) and p.feasible_mask(own):
+        own = chosen ^ inherited
+        depth = len(frames)
+        if depth > max_depth:
+            max_depth = depth
+        room = limit - depth
+        if (minimize or room == 0) and feasible(own):
             if best is None or _rank(own) < _rank(best):
-                best = own
+                best, limit = own, depth - 1
             if not minimize:
                 break
         elif room > 0:
-            sol = oracle.run(inst)
-            r = oracle.ratio(inst) if minimize and cfg.prune_enabled else None
-            if r is None or len(sol) * r.denominator <= r.numerator * room:
-                max_arity = max(max_arity, len(sol))
-                frames.append((inst, iter(sorted(sol))))
-        inst = None
-        while frames and inst is None:
-            parent, untried = frames[-1]
-            e = next(untried, None)
-            if e is None:
+            sol = run(inst)
+            if ratio is not None and (q := ratio(inst)) is not r:
+                r, num, den = q, q.numerator, q.denominator
+            if ratio is None or len(sol) * den <= num * room:
+                if len(sol) > max_arity:
+                    max_arity = len(sol)
+                frames.append((inst, chosen, iter(sorted(sol))))
+        while frames:
+            parent, parent_chosen, untried = frames[-1]
+            for e in untried:
+                chosen = parent_chosen | 1 << e
+                if chosen not in seen:
+                    break
+            else:
                 frames.pop()
                 continue
-            chosen = parent.chosen | (1 << e)
-            if chosen not in seen:
-                seen.add(chosen)
-                if nodes >= cfg.node_cap:
-                    cap_hit = True
-                    break
-                inst = parent.restrict(e)
+            seen.add(chosen)
+            break
+        else:
+            break
+        if nodes >= cap:
+            cap_hit = True
+            break
+        inst = parent.restrict(e)
     # Maximization stops at its first solution, before any node-cap hit.
     if cap_hit:
         outcome = BranchOutcome.NODE_CAP_EXCEEDED

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -387,6 +388,43 @@ def test_search_tree_pinned(kind):
             rep.max_arity,
         )
         assert got == (outcome, solution, nodes, depth, arity), (n, seed, k, prune)
+
+
+# kind: (rows, sum of nodes_expanded, sha256 prefix of the rows) over
+# _seeded_problem at n = 8..12 and seeds 0..3, k = opt and the adjacent NO
+# budget, pruned and unpruned.  A row is (outcome, sorted solution,
+# max_depth, max_arity), so the hash pins answers and tie-breaks and the sum
+# pins how many nodes the trees expand.
+PINNED_TREE_SUMS = {
+    "clique": (80, 776, "31019a708999f59b"),
+    "dominating-set": (80, 1322, "302d3a3a668fe0fc"),
+    "independent-set": (80, 2842, "7cbd8ec7d6903954"),
+    "set-cover": (80, 1689, "bcbbfd1723a354ac"),
+    "vertex-cover": (80, 11241, "89020e8a036d30d7"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_TREE_SUMS))
+def test_search_trees_pinned_in_sum(kind):
+    nodes, rows = 0, []
+    for n in range(8, 13):
+        for seed in range(4):
+            p = _seeded_problem(kind, n, seed)
+            opt = sf.brute_force_optimum(p).value
+            minimize = p.goal is sf.Goal.MINIMIZE
+            solve = sf.branch_solve_min if minimize else sf.branch_solve_max
+            for k in (opt, opt - 1 if minimize else opt + 1):
+                if k < 0:
+                    continue
+                for prune in (True, False):
+                    rep = solve(p, sf.DEFAULT_ORACLE[p.kind],
+                                sf.BranchConfig(budget_k=k, prune_enabled=prune))
+                    nodes += rep.nodes_expanded
+                    rows.append((rep.outcome.value,
+                                 None if rep.solution is None else sorted(rep.solution),
+                                 rep.max_depth, rep.max_arity))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert (len(rows), nodes, digest) == PINNED_TREE_SUMS[kind]
 
 
 RESTRICTABLE_WITH_ORACLE = sorted(k.value for k in sf.RESTRICTABLE if k in sf.DEFAULT_ORACLE)

@@ -374,10 +374,35 @@ class TestRestriction:
         grandchild = child.restrict(min(sf.iter_bits(child.alive)))
         for sub in (child, grandchild):
             assert type(sub) is sf.SubsetProblem and sub.root is p
-            assert vars(sub).keys() == vars(p).keys()
+            # The two predicates are built on first read.
+            assert vars(sub).keys() == vars(p).keys() - {"feasible_mask", "feasible_batch"}
             for name in shared:
                 assert getattr(sub, name) is getattr(p, name), (kind, name)
             _assert_batch_matches_scalar(sub)
+            assert vars(sub).keys() == vars(p).keys()
+
+    @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
+    def test_sub_instance_predicates_built_on_first_read(self, kind):
+        set_kind = kind in sf.problems.SET_KINDS
+        p = sf.make_problem(kind, random_system(6, 6, 3, 78) if set_kind else random_graph(6, 0.5, 78))
+        n = p.universe_size
+        for e in sf.iter_bits(p.alive):
+            child = p.restrict(e)
+            for sub in [child] + [child.restrict(f) for f in sf.iter_bits(child.alive)]:
+                # The eager semantics: S within alive with S | chosen feasible at p.
+                want = [not m & ~sub.alive and p.feasible_mask(m | sub.chosen) for m in range(1 << n)]
+                assert [sub.feasible_mask(m) for m in range(1 << n)] == want, (kind, sub.chosen)
+                assert _positions(sub.feasible_batch(_identity_columns(n)), n) == want
+                assert sub.feasible_mask is sub.feasible_mask
+                assert sub.feasible_batch is sub.feasible_batch
+        fresh = p.restrict(min(sf.iter_bits(p.alive)))
+        assert fresh == fresh
+        copy = dataclasses.replace(fresh)
+        assert copy.alive == fresh.alive and copy.chosen == fresh.chosen and copy.root is p
+        assert copy.feasible_mask is fresh.feasible_mask
+        for obj in (fresh, p):
+            with pytest.raises(AttributeError):
+                getattr(obj, "nope")
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
