@@ -5,7 +5,11 @@ Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
 restriction I(e), I(e) followed by the first call of its predicate, which
 builds it (`restrict+feasible_mask.vertex-cover`), the scalar predicate on
 a feasible and an infeasible mask, `run` and `ratio` of each default
-oracle, and the prune test on the integer terms of a ratio already read.  The set-cover
+oracle, one search node at depth 2 of each restrictable kind with a
+default oracle (`node.<kind>`: restrict from the depth-1 instance I(0) on
+the lowest element it keeps, then `run` and `ratio` there), the oracle
+alone on that depth-2 sub-instance (`run.<oracle>.sub`), and the prune
+test on the integer terms of a ratio already read.  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
 The covering greedy's lazy scan is timed on two large narrow inputs:
@@ -110,6 +114,21 @@ def layers(sf) -> dict:
         oracle = sf.DEFAULT_ORACLE[kind]
         out[f"run.{oracle.name}"] = _median_us(lambda: oracle.run(p), 2_000)
         out[f"ratio.{oracle.name}"] = _median_us(lambda: oracle.ratio(p), 2_000)
+    for kind, p in probs.items():
+        if kind not in sf.RESTRICTABLE:
+            continue
+        # A search node at depth 2: restrict to it, then run and ratio there.
+        oracle, parent = sf.DEFAULT_ORACLE[kind], p.restrict(0)
+        f = min(sf.iter_bits(parent.alive))
+        sub = parent.restrict(f)
+
+        def node():
+            q = parent.restrict(f)
+            oracle.run(q)
+            oracle.ratio(q)
+
+        out[f"node.{kind.value}"] = _median_us(node, 2_000)
+        out[f"run.{oracle.name}.sub"] = _median_us(lambda: oracle.run(sub), 2_000)
     wide = sf.make_problem(K.SET_COVER, generate_setsystem(35, 2_000, 8, 70000))
     oracle = sf.DEFAULT_ORACLE[K.SET_COVER]
     oracle.run(wide)  # builds what a set system caches on first use

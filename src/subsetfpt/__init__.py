@@ -18,6 +18,7 @@ from .core import (
     EvaluatedSolution,
     Goal,
     InfeasibleInstance,
+    SubInstance,
     SubsetProblem,
     UnsupportedRestriction,
     brute_force_optimum,

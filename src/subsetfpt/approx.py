@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, is_feasible, iter_bits
 from .problems import Graph, ProblemKind, SetSystem, fewest_conflicts
@@ -33,15 +33,18 @@ class ApproxOracle:
     """A named polynomial-time algorithm together with its declared ratio.
 
     run/ratio take the wrapped SubsetProblem so the branching engine can
-    re-invoke the oracle on sub-instances.  The ratio is proven for kind, so
-    no other kind is accepted; None, for an oracle a caller builds, checks
-    the goal alone.
+    re-invoke the oracle on sub-instances.  run returns a sized collection
+    of distinct ids: the engine reads only its len() and sorted(), and
+    run_checked makes a frozenset of it for every other engine.  The built-in
+    oracles return their greedy's list of picks.  The ratio is proven for
+    kind, so no other kind is accepted; None, for an oracle a caller builds,
+    checks the goal alone.
     """
 
     name: str
     goal: Goal
     kind: Optional[ProblemKind] = field(default=None, kw_only=True)
-    run: Callable[[SubsetProblem], frozenset[int]]
+    run: Callable[[SubsetProblem], Collection[int]]
     ratio: Callable[[SubsetProblem], Fraction]
 
     def check_goal(self, p: SubsetProblem) -> None:
@@ -76,8 +79,10 @@ def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
 def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
     """The ground elements that the covers of the chosen ids leave uncovered."""
     target = (1 << n_ground) - 1
-    for i in iter_bits(chosen):
-        target &= ~covers[i]
+    while chosen:
+        low = chosen & -chosen
+        chosen ^= low
+        target &= ~covers[low.bit_length() - 1]
     return target
 
 
@@ -171,19 +176,19 @@ def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: in
     return picked
 
 
-def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int) -> frozenset[int]:
+def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int) -> list[int]:
     """The covering core's greedy: take the id whose cover mask holds the most
     uncovered ground elements (lowest id on ties), repeat.  holders is the
     transpose of covers: for each ground element, the ids covering it.  A
     wide system takes the gain counters, any other the lazy scan; both pick
-    what a full rescan of every gain on every pick would."""
+    what a full rescan of every gain on every pick would, in pick order."""
     target = _residual(covers, len(holders), chosen)
     if _is_wide(len(covers), len(holders)):
-        return frozenset(_counter_picks(covers, holders, target))
-    return frozenset(_scan_picks(covers, target))
+        return _counter_picks(covers, holders, target)
+    return _scan_picks(covers, target)
 
 
-def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> frozenset[int]:
+def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> list[int]:
     """The packing core's greedy: take the alive element with the fewest alive
     conflicts (lowest id on ties), drop it and its conflicts, repeat."""
     alive &= (1 << len(conflicts)) - 1
@@ -192,43 +197,48 @@ def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> frozenset[int]:
         best = fewest_conflicts(conflicts, alive)
         picked.append(best)
         alive &= ~(conflicts[best] | (1 << best))
-    return frozenset(picked)
+    return picked
 
 
-def greedy_set_cover(sys: SetSystem, chosen: int = 0) -> frozenset[int]:
-    return _greedy_cover(sys.sets, sys.holders, chosen)
-
-
-def greedy_dominating_set(g: Graph, chosen: int = 0) -> frozenset[int]:
-    # N[v] is symmetric, so closed_nbs is its own transpose.
-    return _greedy_cover(g.closed_nbs, g.closed_nbs, chosen)
-
-
-def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
+def _matching_cover(adj: tuple[int, ...], alive: int) -> list[int]:
     """Both endpoints of a lexicographically-greedy maximal matching."""
-    rest = alive & ((1 << g.n) - 1)  # free vertices not yet passed
+    rest = alive & ((1 << len(adj)) - 1)  # free vertices not yet passed
     cover = []
     while rest:
         low = rest & -rest
         rest ^= low
         u = low.bit_length() - 1
         # the lowest-index free neighbour above u, as a sorted edge scan finds
-        free = g.adj[u] & rest
+        free = adj[u] & rest
         if free:
             nb = free & -free
             rest ^= nb
             cover += (u, nb.bit_length() - 1)
-    return frozenset(cover)
+    return cover
+
+
+def greedy_set_cover(sys: SetSystem, chosen: int = 0) -> frozenset[int]:
+    return frozenset(_greedy_cover(sys.sets, sys.holders, chosen))
+
+
+def greedy_dominating_set(g: Graph, chosen: int = 0) -> frozenset[int]:
+    # N[v] is symmetric, so closed_nbs is its own transpose.
+    return frozenset(_greedy_cover(g.closed_nbs, g.closed_nbs, chosen))
+
+
+def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
+    """Both endpoints of a lexicographically-greedy maximal matching."""
+    return frozenset(_matching_cover(g.adj, alive))
 
 
 def greedy_maximal_independent_set(g: Graph, alive: int = -1) -> frozenset[int]:
     """A maximal independent set, hence also an independent dominating set."""
-    return _greedy_packing(g.adj, alive)
+    return frozenset(_greedy_packing(g.adj, alive))
 
 
 def greedy_clique(g: Graph, alive: int = -1) -> frozenset[int]:
     """Grow a clique by the candidate with the most candidate neighbours."""
-    return _greedy_packing(g.non_neighbours, alive)
+    return frozenset(_greedy_packing(g.non_neighbours, alive))
 
 
 def _max_degree(p: SubsetProblem) -> int:
@@ -252,7 +262,7 @@ MATCHING_VC = ApproxOracle(
     name="matching-vc",
     goal=Goal.MINIMIZE,
     kind=ProblemKind.VERTEX_COVER,
-    run=lambda p: matching_vertex_cover(p.data, p.alive),
+    run=lambda p: _matching_cover(p.data.adj, p.alive),
     ratio=lambda p: _TWO,
 )
 
@@ -260,7 +270,7 @@ GREEDY_SET_COVER = ApproxOracle(
     name="greedy-set-cover",
     goal=Goal.MINIMIZE,
     kind=ProblemKind.SET_COVER,
-    run=lambda p: greedy_set_cover(p.data, p.chosen),
+    run=lambda p: _greedy_cover(p.data.sets, p.data.holders, p.chosen),
     ratio=lambda p: harmonic(max(_max_residual_size(p), 1)),
 )
 
@@ -268,7 +278,7 @@ GREEDY_DOMINATING = ApproxOracle(
     name="greedy-dominating",
     goal=Goal.MINIMIZE,
     kind=ProblemKind.DOMINATING_SET,
-    run=lambda p: greedy_dominating_set(p.data, p.chosen),
+    run=lambda p: _greedy_cover(p.data.closed_nbs, p.data.closed_nbs, p.chosen),
     ratio=lambda p: harmonic(p.data.max_degree + 1),
 )
 
@@ -276,7 +286,7 @@ GREEDY_MIS = ApproxOracle(
     name="greedy-mis",
     goal=Goal.MAXIMIZE,
     kind=ProblemKind.INDEPENDENT_SET,
-    run=lambda p: greedy_maximal_independent_set(p.data, p.alive),
+    run=lambda p: _greedy_packing(p.data.adj, p.alive),
     ratio=lambda p: Fraction(1, _max_degree(p) + 1),
 )
 
@@ -295,7 +305,7 @@ GREEDY_CLIQUE = ApproxOracle(
     name="greedy-clique",
     goal=Goal.MAXIMIZE,
     kind=ProblemKind.CLIQUE,
-    run=lambda p: greedy_clique(p.data, p.alive),
+    run=lambda p: _greedy_packing(p.data.non_neighbours, p.alive),
     ratio=lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
 )
 

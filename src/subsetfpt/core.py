@@ -12,12 +12,12 @@ lexicographic on the sorted member tuple) so ties break deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from bisect import bisect_left
 from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate
-from operator import or_
+from operator import attrgetter, or_
 from typing import Callable, Iterable, Iterator, Optional
 
 DEFAULT_BUDGET = 20
@@ -79,28 +79,6 @@ def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> in
     return root_batch(fixed) & ~outside
 
 
-class _SubPredicate:
-    """A sub-instance's feasible_mask or feasible_batch, built from its
-    root's on first read and kept in the instance __dict__, as
-    cached_property does.  Read on the class it raises, so the field has no
-    default.  A __getattr__ hook would slow every other attribute read."""
-
-    def __init__(self, build: Callable):
-        self.build = build
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        # Through __dict__: an object being unpickled has no fields yet.
-        root = None if obj is None else obj.__dict__.get("root")
-        if root is None:
-            raise AttributeError(f"{self.name} is built only for a sub-instance")
-        pred = obj.__dict__[self.name] = partial(
-            self.build, getattr(root, self.name), obj.alive, obj.chosen)
-        return pred
-
-
 @dataclass(frozen=True)
 class SubsetProblem:
     """Uniform contract for problems whose solutions are subsets of a universe.
@@ -115,52 +93,96 @@ class SubsetProblem:
     that mask is feasible.  Bits at or above the chunk width are don't-care
     on both sides.
 
-    A sub-instance is its root instance plus two masks in root numbering:
-    `alive`, the elements still selectable, and `chosen`, the elements
-    already picked.  Its feasible sets are the S within alive for which
-    S | chosen is feasible at the root.  Its feasible_mask and
-    feasible_batch are built from the root's on first read, so a search
-    node that only feeds the oracle builds neither.  On the kinds that have a
-    sub-instance operator, restrict_fn(e) is the mask of elements that can
-    still join a solution holding e; other kinds leave it as None.
+    This is a root instance: `alive`, the elements still selectable, is the
+    whole universe and `chosen`, the elements already picked, is empty.
+    Both are derived, never passed, since nothing could tie passed masks to
+    the predicates.  On the kinds that have a sub-instance operator,
+    restrict_fn(e) is the mask of elements that can still join a solution
+    holding e, and restrict(e) returns a SubInstance; other kinds leave
+    restrict_fn as None.  Every function of the package that takes a
+    SubsetProblem takes a SubInstance too.
     """
 
     label: str
     universe_size: int
     goal: Goal
-    # Required of a root; restrict leaves both to _SubPredicate.
-    feasible_mask: Callable[[int], bool] = _SubPredicate(_sub_feasible)
-    feasible_batch: Callable[[tuple[int, ...]], int] = _SubPredicate(_sub_batch)
+    feasible_mask: Callable[[int], bool]
+    feasible_batch: Callable[[tuple[int, ...]], int]
     restrict_fn: Optional[Callable[[int], int]] = None
     kind: object = None
     data: object = None
-    alive: Optional[int] = None  # None: the whole universe
-    chosen: int = 0
-    root: Optional["SubsetProblem"] = None  # None for a root instance
+    alive: int = field(init=False)
+    chosen: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.alive is None:
-            object.__setattr__(self, "alive", (1 << self.universe_size) - 1)
+        object.__setattr__(self, "alive", (1 << self.universe_size) - 1)
 
-    def restrict(self, e: int) -> "SubsetProblem":
+    def restrict(self, e: int) -> "SubInstance":
         """I(e): the sub-instance whose solutions S' are exactly those with
         S' + {e} feasible here."""
         if self.restrict_fn is None:
             raise UnsupportedRestriction(self)
-        if not (self.alive >> e) & 1:
-            raise ValueError(f"element {e} is not selectable in {self.label}")
-        root = self.root or self
-        # Built by hand: dataclasses.replace would cost most of a search node,
-        # and keyword arguments to update() would cost a dict of their own.
-        # The two predicates are left to _SubPredicate.
-        child = object.__new__(SubsetProblem)
-        fields = child.__dict__
-        fields.update(root.__dict__)
-        del fields["feasible_mask"], fields["feasible_batch"]
-        fields["alive"] = self.alive & self.restrict_fn(e) & ~(1 << e)
-        fields["chosen"] = self.chosen | (1 << e)
-        fields["root"] = root
-        return child
+        return _child(self, self.alive, 0, e)
+
+
+class SubInstance:
+    """A read-only view of a sub-instance: its root SubsetProblem plus two
+    masks in root numbering, `alive`, the elements still selectable, and
+    `chosen`, the elements already picked.  Its feasible sets are the S
+    within alive for which S | chosen is feasible at the root.
+
+    label, universe_size, goal and kind are read through root.  data and
+    restrict_fn are the root's, held in slots of their own because a search
+    node's oracle and restrict read them.  feasible_mask and feasible_batch
+    are built from the root's on first read and then kept, so a search node
+    that only feeds the oracle builds neither.  restrict fills the slots,
+    the two predicates fill their own on first read, and nothing else may
+    write them; a frozen __setattr__ is left out because its stores would
+    cost what the slots save.
+    """
+
+    __slots__ = ("root", "data", "restrict_fn", "alive", "chosen", "_feasible_mask", "_feasible_batch")
+
+    label = property(attrgetter("root.label"))
+    universe_size = property(attrgetter("root.universe_size"))
+    goal = property(attrgetter("root.goal"))
+    kind = property(attrgetter("root.kind"))
+
+    @property
+    def feasible_mask(self) -> Callable[[int], bool]:
+        try:
+            return self._feasible_mask
+        except AttributeError:
+            pred = self._feasible_mask = partial(
+                _sub_feasible, self.root.feasible_mask, self.alive, self.chosen)
+            return pred
+
+    @property
+    def feasible_batch(self) -> Callable[[tuple[int, ...]], int]:
+        try:
+            return self._feasible_batch
+        except AttributeError:
+            pred = self._feasible_batch = partial(
+                _sub_batch, self.root.feasible_batch, self.alive, self.chosen)
+            return pred
+
+    def restrict(self, e: int) -> "SubInstance":
+        """I(e) of this sub-instance, in root numbering."""
+        return _child(self.root, self.alive, self.chosen, e)
+
+
+def _child(root: SubsetProblem, alive: int, chosen: int, e: int) -> SubInstance:
+    """I(e) of root's sub-instance with masks alive and chosen, by plain
+    slot stores: building it is a fair share of a search node's cost."""
+    if not alive >> e & 1:
+        raise ValueError(f"element {e} is not selectable in {root.label}")
+    child = object.__new__(SubInstance)
+    child.root = root
+    child.data = root.data
+    child.restrict_fn = fn = root.restrict_fn
+    child.alive = alive & fn(e) & ~(1 << e)
+    child.chosen = chosen | 1 << e
+    return child
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 from .core import (
     BudgetExceeded,
+    SubInstance,
     SubsetProblem,
     UnsupportedRestriction,
     Goal,
@@ -137,7 +138,7 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     # current node, so their number is its depth.  A child meets the memo
     # only when it comes up, after its older siblings' subtrees are done,
     # and is restricted only if it is visited.
-    frames: list[tuple[SubsetProblem, int, Iterator[int]]] = []
+    frames: list[tuple[SubsetProblem | SubInstance, int, Iterator[int]]] = []
     inst = p
     while True:
         nodes += 1

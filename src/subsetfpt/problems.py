@@ -370,7 +370,11 @@ def make_problem(kind: ProblemKind, data) -> SubsetProblem:
 def fewest_conflicts(conflicts: tuple[int, ...], alive: int) -> int:
     """The alive element with the fewest alive conflicts, the lowest on ties."""
     best, best_deg = -1, len(conflicts)
-    for v in iter_bits(alive):
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
         deg = (conflicts[v] & alive).bit_count()
         if deg < best_deg:
             best, best_deg = v, deg

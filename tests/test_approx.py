@@ -9,6 +9,7 @@ from subsetfpt.problems import RESTRICTABLE, SET_KINDS
 from conftest import (
     _sweep_optima,
     all_graphs_upto,
+    atlas_upto,
     closed_neighbourhoods_ref,
     greedy_cover_ref,
     random_graph,
@@ -173,7 +174,7 @@ class TestPickSequence:
                     assert not set(sf.iter_bits(chosen)) & set(expected)
                     assert approx._scan_picks(covers, target) == expected
                     assert approx._counter_picks(covers, holders, target) == expected
-                    assert approx._greedy_cover(covers, holders, chosen) == frozenset(expected)
+                    assert approx._greedy_cover(covers, holders, chosen) == expected
         assert infeasible == wide == {True, False} and tied
 
     def test_greedy_dominating_on_all_graphs_up_to_6(self):
@@ -188,7 +189,7 @@ class TestPickSequence:
         expected = greedy_cover_ref(closed_neighbourhoods_ref(g), set(range(g.n)))
         assert approx._scan_picks(g.closed_nbs, (1 << g.n) - 1) == expected
         p = sf.make_problem(sf.ProblemKind.DOMINATING_SET, g)
-        assert sf.ORACLES["greedy-dominating"].run(p) == frozenset(expected)
+        assert sf.ORACLES["greedy-dominating"].run(p) == expected
 
 
 class TestMatchingVertexCover:
@@ -264,6 +265,58 @@ class TestSharedGreedies:
             sys = sf.SetSystem.from_lists(g.n, closed_neighbourhoods_ref(g))
             for chosen in range(1 << g.n):
                 assert sf.greedy_dominating_set(g, chosen) == sf.greedy_set_cover(sys, chosen)
+
+
+def _with_subs(p):
+    """p and, if restrictable, its sub-instances of depth 1 and 2."""
+    yield p
+    if p.restrict_fn is None:
+        return
+    for e in sf.iter_bits(p.alive):
+        child = p.restrict(e)
+        yield child
+        for f in sf.iter_bits(child.alive):
+            yield child.restrict(f)
+
+
+# The public function of each built-in oracle, on its instance and masks.
+PUBLIC = {
+    "matching-vc": lambda p: sf.matching_vertex_cover(p.data, p.alive),
+    "greedy-set-cover": lambda p: sf.greedy_set_cover(p.data, p.chosen),
+    "greedy-dominating": lambda p: sf.greedy_dominating_set(p.data, p.chosen),
+    "greedy-mis": lambda p: sf.greedy_maximal_independent_set(p.data, p.alive),
+    "greedy-ids": lambda p: sf.greedy_maximal_independent_set(p.data, p.alive),
+    "greedy-clique": lambda p: sf.greedy_clique(p.data, p.alive),
+}
+
+
+@pytest.mark.parametrize("name", list(sf.ORACLES))
+def test_oracle_output_contract(name, atlas):
+    """run returns distinct ids, within alive on the packing kinds and
+    outside chosen on the covering kinds, whose set is the public
+    function's answer, on roots and sub-instances alike."""
+    oracle = sf.ORACLES[name]
+    if oracle.kind in SET_KINDS:
+        datas = [random_system(6, 3 + seed % 5, 3, 900 + seed) for seed in range(40)]
+    else:
+        datas = atlas_upto(atlas, 6)
+    covering = oracle.goal is sf.Goal.MINIMIZE and oracle.kind in RESTRICTABLE
+    depths = set()
+    for data in datas:
+        for p in _with_subs(sf.make_problem(oracle.kind, data)):
+            try:
+                expected = PUBLIC[name](p)
+            except sf.InfeasibleInstance:
+                with pytest.raises(sf.InfeasibleInstance):
+                    oracle.run(p)
+                continue
+            out = oracle.run(p)
+            assert len(set(out)) == len(out), (p.label, p.chosen)
+            mask = sf.mask_of(out)
+            assert not (mask & p.chosen if covering else mask & ~p.alive), (p.label, p.chosen)
+            assert frozenset(out) == expected, (p.label, p.chosen)
+            depths.add(p.chosen.bit_count())
+    assert depths == ({0, 1, 2} if oracle.kind in RESTRICTABLE else {0})
 
 
 GRAPH_ORACLES = [

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,27 @@ class TestIsFeasible:
                 check(vc(PATH3), {0, 7})
             with pytest.raises(ValueError, match="member -1 outside universe of size 3"):
                 check(vc(PATH3), [-1])
+
+
+class TestRoot:
+    def test_root_takes_no_masks(self):
+        # A root's masks are derived: the whole universe alive, nothing chosen.
+        p = mis(PATH3)
+        assert (p.alive, p.chosen) == (0b111, 0) and not hasattr(p, "root")
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(p, alive=0b11000)
+        for name in ("alive", "chosen", "root"):
+            with pytest.raises(TypeError, match=name):
+                sf.SubsetProblem(label="bare", universe_size=3, goal=sf.Goal.MAXIMIZE,
+                                 feasible_mask=p.feasible_mask, feasible_batch=p.feasible_batch,
+                                 **{name: 0})
+        # A replaced root derives its masks again, and the engines agree on it.
+        q = dataclasses.replace(p, label="renamed")
+        assert (q.alive, q.chosen) == (0b111, 0)
+        assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(frozenset({0, 2}), 2)
+        rep = sf.branch_solve_max(q, sf.ORACLES["greedy-mis"], sf.BranchConfig(budget_k=2))
+        assert (rep.outcome, rep.solution) == (sf.BranchOutcome.FOUND, frozenset({0, 2}))
+        assert sf.ORACLES["greedy-mis"].ratio(q) == Fraction(1, 3)
 
 
 class TestBruteForce:

@@ -293,6 +293,70 @@ class TestBranchOnSubInstances:
                     assert rep.value == k <= opt.value, (kind, sub.chosen, k)
 
 
+def _exhaustive(goal):
+    """An oracle that branches on every selectable element, so the search it
+    drives is exhaustive and exact from any node, with the prune off."""
+    return sf.ApproxOracle(name="every-alive", goal=goal, run=lambda p: list(sf.iter_bits(p.alive)),
+                           ratio=lambda p: Fraction(1))
+
+
+def _check_engines_on(sub):
+    """Brute force, is_feasible, dualize then brute force, verify_intersective
+    and both engines started at sub, against the reference sweep on sub."""
+    ref = _sweep_optima(sub, all_ties=True)
+    if ref is None:
+        for q in (sub, sf.dualize(sub)):
+            with pytest.raises(sf.InfeasibleInstance):
+                sf.brute_force_optimum(q)
+        return
+    value, optima = ref
+    assert sf.brute_force_optimum(sub) == sf.EvaluatedSolution(sf.members_of(optima[0]), value)
+    assert sf.is_feasible(sub, sf.members_of(optima[0]))
+    assert sf.is_feasible(sub, sf.members_of(sub.chosen)) is (sub.chosen == 0)  # chosen lies outside alive
+    dual = sf.dualize(sub)
+    dual_value, (dual_first,) = _sweep_optima(dual, all_ties=False)
+    assert dual_value == sub.universe_size - value
+    assert sf.brute_force_optimum(dual) == sf.EvaluatedSolution(sf.members_of(dual_first), dual_value)
+    oracle = sf.DEFAULT_ORACLE.get(sub.kind)
+    if oracle is not None:
+        rep = sf.verify_intersective(sub, oracle)
+        assert (rep.verdict, rep.optima_checked, rep.intersecting_optimum) == _verify_by_listing(sub, oracle)
+    minimize = sub.goal is sf.Goal.MINIMIZE
+    solve = sf.branch_solve_min if minimize else sf.branch_solve_max
+    no = value - 1 if minimize else value + 1
+    for o in (_exhaustive(sub.goal), oracle):
+        if o is None:
+            continue
+        for k in (value, no):
+            if k < 0:
+                continue
+            # The exhaustive oracle's ratio is no bound, so it runs unpruned.
+            rep = solve(sub, o, sf.BranchConfig(budget_k=k, prune_enabled=o.kind is not None))
+            if k == no:
+                assert rep.outcome is sf.BranchOutcome.NO_INSTANCE, (sub.label, sub.chosen, o.name, k)
+            elif rep.outcome is sf.BranchOutcome.FOUND or o.kind is None:
+                assert rep.outcome is sf.BranchOutcome.FOUND, (sub.label, sub.chosen, o.name, k)
+                assert rep.value == value and sub.feasible_mask(sf.mask_of(rep.solution))
+
+
+@pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
+def test_every_engine_accepts_a_sub_instance(kind, atlas):
+    if kind in sf.problems.SET_KINDS:
+        datas = [random_system(5, 3 + seed % 4, 3, 1_300 + seed) for seed in range(16)]
+    else:
+        datas = atlas_upto(atlas, 5)
+    depths = set()
+    for data in datas:
+        p = sf.make_problem(kind, data)
+        for e in sf.iter_bits(p.alive):
+            child = p.restrict(e)
+            for sub in [child] + [child.restrict(f) for f in sf.iter_bits(child.alive) if f > e]:
+                assert type(sub) is sf.SubInstance
+                _check_engines_on(sub)
+                depths.add(sub.chosen.bit_count())
+    assert depths == {1, 2}
+
+
 def _seeded_problem(kind, n, seed):
     pk = sf.ProblemKind(kind)
     data = (generate_setsystem(n, n, 4, seed) if pk is sf.ProblemKind.SET_COVER

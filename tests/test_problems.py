@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -36,6 +37,10 @@ def _identity_columns(n):
 def _positions(got, n):
     """A batch result as one bool per position; higher bits are don't-care."""
     return [bool(got >> s & 1) for s in range(1 << n)]
+
+
+def _slots_set(sub):
+    return {name for name in sf.SubInstance.__slots__ if hasattr(sub, name)}
 
 
 def _assert_batch_matches_scalar(p):
@@ -367,19 +372,20 @@ class TestRestriction:
     def test_restriction_keeps_every_root_field(self, kind):
         set_kind = kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING)
         p = sf.make_problem(kind, random_system(6, 6, 3, 77) if set_kind else random_graph(6, 0.5, 77))
-        own = {"feasible_mask", "feasible_batch", "alive", "chosen", "root"}
+        own = {"feasible_mask", "feasible_batch", "alive", "chosen"}
         shared = [f.name for f in dataclasses.fields(sf.SubsetProblem) if f.name not in own]
-        assert {"label", "goal", "kind", "data", "restrict_fn"} <= set(shared)
+        assert set(shared) == {"label", "universe_size", "goal", "kind", "data", "restrict_fn"}
         child = next(c for c in map(p.restrict, sf.iter_bits(p.alive)) if c.alive)
         grandchild = child.restrict(min(sf.iter_bits(child.alive)))
         for sub in (child, grandchild):
-            assert type(sub) is sf.SubsetProblem and sub.root is p
+            assert type(sub) is sf.SubInstance and sub.root is p
+            assert not hasattr(sub, "__dict__")
             # The two predicates are built on first read.
-            assert vars(sub).keys() == vars(p).keys() - {"feasible_mask", "feasible_batch"}
+            assert _slots_set(sub) == {"root", "data", "restrict_fn", "alive", "chosen"}
             for name in shared:
                 assert getattr(sub, name) is getattr(p, name), (kind, name)
             _assert_batch_matches_scalar(sub)
-            assert vars(sub).keys() == vars(p).keys()
+            assert _slots_set(sub) == set(sf.SubInstance.__slots__)
 
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
     def test_sub_instance_predicates_built_on_first_read(self, kind):
@@ -396,13 +402,15 @@ class TestRestriction:
                 assert sub.feasible_mask is sub.feasible_mask
                 assert sub.feasible_batch is sub.feasible_batch
         fresh = p.restrict(min(sf.iter_bits(p.alive)))
-        assert fresh == fresh
-        copy = dataclasses.replace(fresh)
-        assert copy.alive == fresh.alive and copy.chosen == fresh.chosen and copy.root is p
-        assert copy.feasible_mask is fresh.feasible_mask
+        assert callable(fresh.feasible_mask)  # built before the copy, which keeps it
+        dup = copy.copy(fresh)
+        assert (dup.alive, dup.chosen) == (fresh.alive, fresh.chosen) and dup.root is p
+        assert dup.feasible_mask is fresh.feasible_mask
         for obj in (fresh, p):
             with pytest.raises(AttributeError):
                 getattr(obj, "nope")
+        with pytest.raises(AttributeError):
+            fresh.label = "renamed"  # read through the root
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
