@@ -24,7 +24,9 @@ predicate of feedback vertex set is timed on G(20, 0.15), seed 70000, on an
 optimal solution (`feasible_mask.feedback-vertex-set.feasible`) and on the
 empty mask, where the graph keeps a cycle (`...cyclic`).
 Brute force: `brute_force_optimum` on G(16, 0.3) and G(20, 0.3) for each
-graph kind and for its dual.  Intersectivity check: `verify_intersective`
+graph kind and for its dual, and on a 16- and a 20-set system over 20
+elements, seed 70000, for set cover and set packing and their duals.
+Intersectivity check: `verify_intersective`
 with the default oracle of each kind that has one, the graph kinds on the
 same two graphs and set cover on a 16- and a 20-set system over 20
 elements, seed 70000.  Cost per node: the criterion-02 instance list
@@ -69,7 +71,8 @@ KIND_INSTANCES = 24
 REPEAT = 5
 # Five interpreters read 233 vs 302 ms for the same tree; fifteen is the least.
 COLD_REPEAT = 15
-# Brute force: (n, timeit number) per size, on G(n, 0.3) drawn with seed 70000.
+# Brute force: (n, timeit number) per size, on G(n, 0.3) and on n sets over 20
+# elements, both drawn with seed 70000.
 BRUTE_SIZES = ((16, 20), (20, 2))
 # argv of one cold-start call, and the vertex count of the G(n, 0.4) drawn
 # with seed 3 that comes on its stdin.
@@ -159,15 +162,13 @@ def layers(sf) -> dict:
 
 
 def brute_us(sf) -> dict:
-    from subsetfpt.io import generate_gnp
+    from subsetfpt.io import generate_gnp, generate_setsystem
 
     out = {}
     for n, number in BRUTE_SIZES:
-        g = generate_gnp(n, 0.3, 70000)
+        g, s = generate_gnp(n, 0.3, 70000), generate_setsystem(20, n, 4, 70000)
         for kind in sf.ProblemKind:
-            if kind in sf.problems.SET_KINDS:
-                continue
-            p = sf.make_problem(kind, g)
+            p = sf.make_problem(kind, s if kind in sf.problems.SET_KINDS else g)
             for q in (p, sf.dualize(p)):
                 sf.brute_force_optimum(q)  # fills the caches a first call builds
                 out[q.label] = _median_us(lambda: sf.brute_force_optimum(q), number)

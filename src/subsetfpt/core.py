@@ -76,7 +76,7 @@ def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> in
     for e in iter_bits(~alive & ((1 << len(cols)) - 1)):
         outside |= cols[e]
     fixed = tuple(ones if chosen >> e & 1 else c for e, c in enumerate(cols))
-    return root_batch(fixed) & ~outside
+    return root_batch(fixed) & (ones ^ outside)
 
 
 @dataclass(frozen=True)
@@ -222,23 +222,28 @@ def complement(p: SubsetProblem, members: Iterable[int]) -> frozenset[int]:
     return _universe(p.universe_size) - s
 
 
+def _co_mask(full: int, inner: Callable[[int], bool], mask: int) -> bool:
+    return inner(full & ~mask)
+
+
+def _co_batch(inner: Callable[[tuple[int, ...]], int], cols: tuple[int, ...]) -> int:
+    # XOR with the chunk's ones: ~c would make every column negative, which
+    # slows the big-int operations of the predicate.
+    ones = _chunk_ones(len(cols))
+    return inner(tuple(c ^ ones for c in cols))
+
+
 def dualize(p: SubsetProblem) -> SubsetProblem:
     """The dual problem D-P: same universe, inverse goal, a set is feasible
-    iff its complement is feasible for P."""
+    iff its complement is feasible for P.  Where P's predicates already
+    test the complement of an inner pair, D-P tests with that pair itself,
+    so no predicate is tested through two complements."""
     n = p.universe_size
-    full = (1 << n) - 1
-
-    def feas(mask: int) -> bool:
-        return p.feasible_mask(full & ~mask)
-
-    inner = p.feasible_batch
-
-    def batch(cols: tuple[int, ...]) -> int:
-        # XOR with the chunk's ones: ~c would make every column negative,
-        # which slows the big-int operations of the predicate.
-        ones = _chunk_ones(len(cols))
-        return inner(tuple(c ^ ones for c in cols))
-
+    feas, batch = p.feasible_mask, p.feasible_batch
+    if getattr(feas, "func", None) is _co_mask and getattr(batch, "func", None) is _co_batch:
+        feas, batch = feas.args[1], batch.args[0]
+    else:
+        feas, batch = partial(_co_mask, (1 << n) - 1, feas), partial(_co_batch, batch)
     return SubsetProblem(
         label="D-" + p.label,
         universe_size=n,
@@ -255,7 +260,12 @@ MAX_EXHAUSTIVE = 62
 
 def _chunk_ones(n: int) -> int:
     """All ones over the positions of one chunk of an n-element universe."""
-    return (1 << (1 << min(n, _CHUNK_BITS))) - 1
+    return _width_ones(min(n, _CHUNK_BITS))
+
+
+@cache  # one entry per chunk width, at most _CHUNK_BITS + 1 of them
+def _width_ones(w: int) -> int:
+    return (1 << (1 << w)) - 1
 
 
 @cache  # one entry per chunk width, at most _CHUNK_BITS + 1 of them
@@ -327,8 +337,9 @@ def brute_force_optimum(
     Ties among optima break to the (cardinality, lexicographic)-smallest
     solution.  Returns BudgetExceeded when the universe is larger than the
     caller allows, so callers never rely on exhaustive search by accident,
-    raises InfeasibleInstance when no subset is feasible, and raises
-    ValueError above MAX_EXHAUSTIVE elements whatever the budget.
+    and raises InfeasibleInstance when no subset is feasible.  Above
+    MAX_EXHAUSTIVE elements it raises ValueError once the budget admits the
+    universe; a smaller budget still returns BudgetExceeded.
     """
     chunks = _optima(p, budget)
     if isinstance(chunks, BudgetExceeded):

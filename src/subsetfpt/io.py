@@ -2,8 +2,9 @@
 
 Graphs use the DIMACS edge format (1-based vertices); set systems use a
 two-line-header-free format: first line "<n_ground> <m>", then m lines of
-space-separated 1-based ground elements (a blank set line is not allowed by
-the parser, so generated systems always cover the ground set).
+space-separated 1-based ground elements.  The parser skips blank lines, so
+the format has no line for an empty set: render_setsystem refuses a system
+that holds one, and generated sets are never empty.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def parse_setsystem(text: str) -> SetSystem:
 
 def render_setsystem(sys: SetSystem) -> str:
     lines = [f"{sys.n_ground} {sys.m}"]
-    for s in sys.sets:
+    for i, s in enumerate(sys.sets):
+        if not s:
+            raise ValueError(f"set {i} is empty: the format has no line for an empty set")
         lines.append(" ".join(str(e + 1) for e in iter_bits(s)))
     return "\n".join(lines) + "\n"
 

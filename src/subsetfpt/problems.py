@@ -18,8 +18,10 @@ tables, and its goal and restrictability follow from the table:
   pair of predicates.  Min independent dominating set is packing(adj) and
   covering(N[v]).  Max minimal vertex cover is its dual: S is a minimal
   vertex cover iff V - S is a maximal independent set, that is, an
-  independent dominating set.  Feedback vertex set peels leaves in both
-  predicates: S is feasible iff peeling V - S leaves no 2-core.
+  independent dominating set.  Feedback vertex set is the complement of
+  the forest predicates, which peel leaves: S is feasible iff peeling
+  V - S leaves no 2-core.  Both are built as dualize builds a dual, so the
+  dual of either tests the inner predicates directly.
 
 Every kind has a scalar bitmask predicate and a bit-sliced batch predicate;
 the first two tables also give the restrict_fn(e) mask from which
@@ -31,13 +33,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable
 
 from .core import (
     Goal,
     SubsetProblem,
     _chunk_ones,
+    _co_batch,
+    _co_mask,
     dualize,
     iter_bits,
 )
@@ -174,12 +178,13 @@ class SetSystem:
 def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]:
     """Scalar and batch predicates of a covering kind: S is feasible iff it
     meets every hitter, the mask of the elements that cover one ground
-    element.  The batch predicate ANDs, over the hitters, the OR of their
-    members' columns.  The distinct hitters are built on the first predicate
-    call, so large instances that never reach a predicate do not pay for
-    them."""
+    element.  The batch predicate groups the hitters by their lowest member
+    u: a group is met where u is, or where every hitter in it meets one of
+    its other members, so it ANDs cols[u] | AND_h OR(h - u) over the groups.
+    The groups are built on the first predicate call, so large instances
+    that never reach a predicate do not pay for them."""
     distinct = cache(lambda: tuple(sorted(set(hitters()))))
-    members = cache(lambda: tuple(tuple(iter_bits(h)) for h in distinct()))
+    groups = cache(lambda: _hitter_groups(distinct()))
 
     def feasible(m: int) -> bool:
         for h in distinct():
@@ -188,24 +193,50 @@ def _covering(hitters: Callable[[], Iterable[int]]) -> tuple[Callable, Callable]
         return True
 
     def batch(cols: tuple[int, ...]) -> int:
-        ok = -1
-        for hitter in members():
-            met = 0
-            for e in hitter:
-                met |= cols[e]
-            ok &= met
+        gs = groups()
+        if not gs:  # an empty hitter, or none at all
+            return 0 if gs is None else _chunk_ones(len(cols))
+        ok = None
+        for u, rests in gs:
+            alt = None
+            for first, others in rests:
+                met = cols[first]
+                for e in others:
+                    met |= cols[e]
+                alt = met if alt is None else alt & met
+            met = cols[u] if alt is None else cols[u] | alt
+            ok = met if ok is None else ok & met
         return ok
 
     return feasible, batch
+
+
+def _hitter_groups(distinct: tuple[int, ...]) -> tuple | None:
+    """The hitters grouped by their lowest member u, as (u, rests) pairs:
+    each rest is a hitter's other members, as its first and the others.  A
+    group that holds the hitter {u} has no rests.  None if a hitter is
+    empty."""
+    groups: dict[int, list] = {}
+    for h in distinct:
+        if not h:
+            return None
+        u = (h & -h).bit_length() - 1
+        groups.setdefault(u, []).append(tuple(iter_bits(h ^ 1 << u)))
+    return tuple((u, () if () in rests else tuple((r[0], r[1:]) for r in rests))
+                 for u, rests in groups.items())
 
 
 def _packing(conflicts: tuple[int, ...]) -> tuple[Callable, Callable]:
     """Scalar and batch predicates of a packing kind: S is feasible iff no
     member's conflict mask meets S.  Conflicts are symmetric, so the batch
     predicate tests each conflicting pair once, from its lower element."""
-    above = cache(lambda: tuple(
-        (e, tuple(f for f in iter_bits(c) if f > e)) for e, c in enumerate(conflicts) if c >> e + 1
-    ))
+    def pairs():
+        for e, c in enumerate(conflicts):
+            partners = tuple(iter_bits(c >> e + 1 << e + 1))
+            if partners:
+                yield e, partners[0], partners[1:]
+
+    above = cache(lambda: tuple(pairs()))
 
     def feasible(m: int) -> bool:
         for e in iter_bits(m):
@@ -215,12 +246,12 @@ def _packing(conflicts: tuple[int, ...]) -> tuple[Callable, Callable]:
 
     def batch(cols: tuple[int, ...]) -> int:
         clash = 0
-        for e, partners in above():
-            met = 0
-            for f in partners:
+        for e, first, others in above():
+            met = cols[first]
+            for f in others:
                 met |= cols[f]
             clash |= cols[e] & met
-        return ~clash
+        return _chunk_ones(len(cols)) ^ clash
 
     return feasible, batch
 
@@ -248,16 +279,15 @@ def _two_core(g: Graph, keep: int) -> int:
 
 
 def _forest_batch(g: Graph) -> Callable:
-    """Batch predicate of feedback vertex set, the bit-sliced twin of
-    _two_core: the kept vertices induce a forest iff peeling vertices with
-    fewer than two kept neighbours leaves none.  kept[v] holds the positions
-    where v is not deleted; a vertex's saturating count of kept neighbours
-    (one, two) drops it where two is unset, until a round changes nothing."""
+    """The bit-sliced twin of _two_core: bit s says whether the vertices
+    kept at position s induce a forest, where kept[v] holds the positions
+    that keep v.  A vertex's saturating count of kept neighbours (one, two)
+    drops it where two is unset, in rounds until one changes nothing; the
+    kept vertices induce a forest iff none is left."""
     nbs = tuple(tuple(iter_bits(a)) for a in g.adj)
 
-    def batch(cols: tuple[int, ...]) -> int:
-        ones = _chunk_ones(len(cols))
-        kept = [c ^ ones for c in cols]
+    def batch(kept_cols: tuple[int, ...]) -> int:
+        kept = list(kept_cols)
         changed = True
         while changed:
             changed = False
@@ -269,20 +299,25 @@ def _forest_batch(g: Graph) -> Callable:
                 for u in us:
                     two |= one & kept[u]
                     one |= kept[u]
-                if k & ~two:
-                    kept[v] = k & two
+                left = k & two
+                if left != k:
+                    kept[v] = left
                     changed = True
-        left = 0
+        core = 0
         for k in kept:
-            left |= k
-        return ~left
+            core |= k
+        return _chunk_ones(len(kept)) ^ core
 
     return batch
 
 
 def _feedback_vertex_set(g: Graph) -> tuple[Callable, Callable]:
-    full = (1 << g.n) - 1
-    return lambda m: not _two_core(g, full & ~m), _forest_batch(g)
+    """S is a feedback vertex set iff V - S induces a forest: the complement
+    of the forest predicates, so that the dual tests those directly."""
+    return (
+        partial(_co_mask, (1 << g.n) - 1, lambda keep: not _two_core(g, keep)),
+        partial(_co_batch, _forest_batch(g)),
+    )
 
 
 def _min_independent_dominating_set(g: Graph) -> tuple[Callable, Callable]:

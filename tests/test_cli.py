@@ -123,6 +123,14 @@ class TestParseSetSystem:
         s = generate_setsystem(7, 5, 3, seed)
         assert parse_setsystem(render_setsystem(s)) == s
 
+    def test_empty_set_has_no_line(self):
+        # The blank line an empty set would need is skipped on parsing, so
+        # rendering refuses it rather than write a file that cannot be read.
+        with pytest.raises(ValueError, match="set 1 is empty"):
+            render_setsystem(sf.SetSystem(n_ground=3, sets=(0b011, 0, 0b100)))
+        with pytest.raises(ParseError, match="declares 3 sets but found 2"):
+            parse_setsystem("3 3\n1 2\n\n3\n")
+
 
 class TestGenerators:
     def test_gnp_extremes(self):

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subsetfpt as sf
-from conftest import _sweep_optima, ref_optimum
+from conftest import _sweep_optima, atlas_upto, ref_optimum
 from subsetfpt.core import optima_meeting
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
+SYSTEM = sf.SetSystem.from_lists(4, [[0, 1], [2, 3], [0, 2], [1, 3]])
 
 
 def vc(g):
@@ -338,6 +339,35 @@ class TestDualize:
         self._all_subsets_agree(
             dataclasses.replace(d, goal=cover.goal), cover
         )
+
+    @pytest.mark.parametrize("kind", sorted(
+        sf.RESTRICTABLE | {sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET}, key=lambda k: k.value))
+    def test_double_dual_tests_the_problems_own_predicates(self, kind):
+        data = SYSTEM if kind in sf.problems.SET_KINDS else PATH3
+        p = sf.make_problem(kind, data)
+        dd = sf.dualize(sf.dualize(p))
+        assert dd.feasible_mask is p.feasible_mask
+        assert dd.feasible_batch is p.feasible_batch
+        assert dd.goal is p.goal
+
+    def test_dual_of_max_minimal_vertex_cover_is_min_independent_dominating_set(self):
+        from conftest import random_graph
+
+        for seed in range(5):
+            g = random_graph(9, 0.3, 90 + seed)
+            mmvc = sf.make_problem(sf.ProblemKind.MAX_MINIMAL_VERTEX_COVER, g)
+            mids = sf.make_problem(sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, g)
+            assert sf.brute_force_optimum(sf.dualize(mmvc)) == sf.brute_force_optimum(mids)
+
+    def test_duals_and_double_duals_match_sweep_on_atlas(self, atlas):
+        for g in atlas_upto(atlas, 6):
+            for kind in sf.ProblemKind:
+                # The set kinds read the closed neighbourhoods as sets over V.
+                data = sf.SetSystem(n_ground=g.n, sets=g.closed_nbs) if kind in sf.problems.SET_KINDS else g
+                p = sf.make_problem(kind, data)
+                for q in (p, sf.dualize(p), sf.dualize(sf.dualize(p))):
+                    value, (mask,) = _sweep_optima(q, all_ties=False)
+                    assert sf.brute_force_optimum(q) == sf.EvaluatedSolution(sf.members_of(mask), value), q.label
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize(

@@ -46,6 +46,8 @@ def _slots_set(sub):
 def _assert_batch_matches_scalar(p):
     n = p.universe_size
     got = p.feasible_batch(_identity_columns(n))
+    # A negative result would make the next AND complement it.
+    assert got >= 0, p.label
     assert _positions(got, n) == [p.feasible_mask(m) for m in range(1 << n)], p.label
 
 
@@ -257,9 +259,23 @@ class TestFeasibility:
             for q in (p, sf.dualize(p)):
                 _assert_batch_matches_scalar(q)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_setsystem_batch_matches_scalar(self, seed):
-        sys = random_system(6, 6, 3, 400 + seed)
+    def test_batch_predicates_match_scalar_on_atlas(self, atlas):
+        # Edgeless graphs give vertex cover no hitter at all, and isolated
+        # vertices give dominating set the hitter {v}.
+        for g in atlas_upto(atlas, 5):
+            for kind in sf.ProblemKind:
+                if kind in sf.problems.SET_KINDS:
+                    continue
+                p = sf.make_problem(kind, g)
+                for q in (p, sf.dualize(p)):
+                    _assert_batch_matches_scalar(q)
+
+    @pytest.mark.parametrize("sys", [random_system(6, 6, 3, 400 + seed) for seed in range(10)] + [
+        sf.SetSystem.from_lists(4, [[0, 1], [1], [0, 3]]),  # ground element 2 is in no set
+        sf.SetSystem.from_lists(4, [[0, 1], [2, 3], [0, 1], [2, 3], [1, 2]]),  # duplicate sets
+        sf.SetSystem.from_lists(3, [[0, 1], [1], [2], [1, 2]]),  # singleton sets; only set 0 holds 0
+    ], ids=[*map(str, range(10)), "uncovered", "duplicates", "singletons"])
+    def test_setsystem_batch_matches_scalar(self, sys):
         for kind in (sf.ProblemKind.SET_COVER, sf.ProblemKind.SET_PACKING):
             p = sf.make_problem(kind, sys)
             for q in (p, sf.dualize(p)):
