@@ -16,6 +16,9 @@ The covering greedy's lazy scan is timed on two large narrow inputs:
 dominating set on G(600, 0.02) (`run.greedy-dominating.large`) and set
 cover on 300 sets of at most 12 elements over 400
 (`run.greedy-set-cover.square`), both drawn with seed 70000.
+The complement step of a dual scan alone (`complement.w16`,
+`complement.w20`): `core._co_batch` with an inner predicate that returns
+0, on the columns the scan passes at n = 16 and n = 20.
 `packing_upper_bound` is timed per packing kind (`bound.*`): independent set
 and clique on G(50, 0.1), set packing on the 16-set system.  Building a
 problem (`build.*`, vertex cover and dominating set) is `Graph.from_edges`
@@ -153,12 +156,30 @@ def layers(sf) -> dict:
     fvs = sf.make_problem(K.FEEDBACK_VERTEX_SET, generate_gnp(20, 0.15, 70000))
     for name, m in (("feasible", sf.mask_of(sf.brute_force_optimum(fvs).members)), ("cyclic", 0)):
         out[f"feasible_mask.feedback-vertex-set.{name}"] = _median_us(lambda: fvs.feasible_mask(m), 20_000)
+    # The complement step of a dual scan alone, on the columns _chunks passes.
+    for n, number in BRUTE_SIZES:
+        cols = _scanned_columns(sf, n)
+        out[f"complement.w{n}"] = _median_us(lambda: sf.core._co_batch(_no_mask, cols), number * 10)
     # The engine's prune test once the oracle has run, on the terms of a
     # ratio it has already read: |sol| * den > num * room.
     r = sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc)
     sol, num, den, room = cover.bit_count(), r.numerator, r.denominator, 29 - 3
     out["prune_test"] = _median_us(lambda: sol * den > num * room, 200_000)
     return out
+
+
+def _no_mask(cols) -> int:
+    return 0
+
+
+def _scanned_columns(sf, n: int) -> tuple:
+    """The columns the scan of an n-element universe hands the predicate on
+    its first chunk."""
+    seen = []
+    p = sf.SubsetProblem("columns", n, sf.Goal.MINIMIZE, feasible_mask=None,
+                         feasible_batch=lambda cols: seen.append(cols) or -1)
+    next(sf.core._chunks(p))
+    return seen[0]
 
 
 def brute_us(sf) -> dict:

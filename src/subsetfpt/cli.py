@@ -27,6 +27,7 @@ from .core import (
     InfeasibleInstance,
     SubsetProblem,
     brute_force_optimum,
+    check_budget,
     dualize,
 )
 from .approx import DEFAULT_ORACLE, ORACLES, ApproxOracle, InfeasibleOutput, run_checked
@@ -253,7 +254,9 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
     p = make_problem(kind, _generate(args, kind in SET_KINDS, seed))
     if args.run == "dual":
         cfg = SchemaConfig(epsilon=_epsilon(args.epsilon), brute_cap=args.brute_cap)
-    elif args.run == "branch":
+    else:  # the other runs take brute force's --budget
+        check_budget(args.budget)
+    if args.run == "branch":
         cfg = BranchConfig(budget_k=0, node_cap=args.node_cap)
         check_branchable(p, oracle)
     if args.run in ("dual", "check-intersective"):

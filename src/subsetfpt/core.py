@@ -228,9 +228,11 @@ def _co_mask(full: int, inner: Callable[[int], bool], mask: int) -> bool:
 
 def _co_batch(inner: Callable[[tuple[int, ...]], int], cols: tuple[int, ...]) -> int:
     # XOR with the chunk's ones: ~c would make every column negative, which
-    # slows the big-int operations of the predicate.
-    ones = _chunk_ones(len(cols))
-    return inner(tuple(c ^ ones for c in cols))
+    # slows the big-int operations of the predicate.  The columns _chunks
+    # passes have their complements cached; only a caller's own are XORed.
+    w = min(len(cols), _CHUNK_BITS)
+    co, ones = _width_complements(w), _width_ones(w)
+    return inner(tuple([co[k] if (k := id(c)) in co else c ^ ones for c in cols]))
 
 
 def dualize(p: SubsetProblem) -> SubsetProblem:
@@ -282,8 +284,26 @@ def _chunk_basis(w: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
     return cols, layers, tuple(accumulate(layers, or_))
 
 
+@cache  # one entry per chunk width, at most _CHUNK_BITS + 1 of them
+def _width_complements(w: int) -> dict[int, int]:
+    """c ^ ones by id(c), for each column _chunks passes at width w: 0, ones
+    and the position columns.  The caches above keep those ints alive, and 0
+    is a small int, so an id found here is the id of that very int."""
+    ones = _width_ones(w)
+    co = {id(c): c ^ ones for c in (ones, *_chunk_basis(w)[0])}
+    co[id(0)] = ones
+    return co
+
+
+def check_budget(budget: int) -> None:
+    """Refuse a brute-force budget below 0: no universe size is below it."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 def _optima(p: SubsetProblem, budget: int):
     """BudgetExceeded, or _chunks(p) once the universe fits the budget."""
+    check_budget(budget)
     n = p.universe_size
     if n > budget:
         return BudgetExceeded(n, budget)
@@ -339,7 +359,8 @@ def brute_force_optimum(
     caller allows, so callers never rely on exhaustive search by accident,
     and raises InfeasibleInstance when no subset is feasible.  Above
     MAX_EXHAUSTIVE elements it raises ValueError once the budget admits the
-    universe; a smaller budget still returns BudgetExceeded.
+    universe; a smaller budget still returns BudgetExceeded.  A budget below
+    0 raises ValueError, whatever the universe.
     """
     chunks = _optima(p, budget)
     if isinstance(chunks, BudgetExceeded):
@@ -357,7 +378,8 @@ def optima_meeting(
     """(number of optima, the first optimum in (cardinality, lexicographic)
     order that meets the mask `meet`, else None), counted and located in the
     scan with none listed.  The empty optimum counts as met.  Raises
-    InfeasibleInstance when no subset is feasible."""
+    InfeasibleInstance when no subset is feasible, and ValueError on the
+    budgets brute_force_optimum refuses."""
     chunks = _optima(p, budget)
     if isinstance(chunks, BudgetExceeded):
         return chunks

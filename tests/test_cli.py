@@ -27,6 +27,8 @@ from subsetfpt.io import (
 TRIANGLE_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 PATH3_DIMACS = "p edge 3 2\ne 1 2\ne 2 3\n"
 UNCOVERABLE_SYS = "3 2\n1\n2\n"
+EDGE_1_2_OF_3 = "p edge 3 1\ne 1 2\n"
+NEGATIVE_BUDGET = "error: budget must be >= 0, got -1"
 # greedy-mis has clique's goal, but on this graph it would return 22
 # independent vertices, which are no clique: its ratio is not for clique
 G40 = render_graph(generate_gnp(40, 0.05, 3))
@@ -188,6 +190,10 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "62" in err
+
+    def test_negative_budget_exit_2(self, run):
+        code, out, err = run(["solve", "-", "--budget", "-1"], EDGE_1_2_OF_3)
+        assert (code, out, err.splitlines()) == (2, "", [NEGATIVE_BUDGET])
 
     def test_problem_flag_after_subcommand(self, run):
         code, out, _ = run(
@@ -383,6 +389,10 @@ class TestCheckIntersectiveCommand:
         )
         assert code == 3
 
+    def test_negative_budget_exit_2(self, run):
+        code, out, err = run(["check-intersective", "-", "--budget", "-1"], EDGE_1_2_OF_3)
+        assert (code, out, err.splitlines()) == (2, "", [NEGATIVE_BUDGET])
+
     def test_oracle_for_another_kind_exit_2(self, run):
         g10 = render_graph(generate_gnp(10, 0.3, 3))
         code, out, err = run(["check-intersective", "-", *CLIQUE_BY_MIS], g10)
@@ -440,6 +450,13 @@ ONE_RUN = (("dual", ("--epsilon", "1/4")), ("branch", ("--k", "1")), ("check-int
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("count", ["0", "2"])
+    @pytest.mark.parametrize("what", ["solve", "branch", "check-intersective"])
+    def test_negative_budget_exit_2_before_any_row(self, run, what, count):
+        code, out, err = run(["experiment", "--run", what, "--count", count,
+                              "--n", "6", "--budget", "-1"])
+        assert (code, out, err.splitlines()) == (2, "", [NEGATIVE_BUDGET])
+
     def test_dual_experiment_has_aggregate(self, run):
         code, out, _ = run(
             [

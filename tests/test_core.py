@@ -116,6 +116,17 @@ class TestBruteForce:
             optima_meeting(p, 0, budget=100)
         assert isinstance(sf.brute_force_optimum(p, budget=69), sf.BudgetExceeded)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_negative_budget_rejected_whatever_the_universe(self, n):
+        # The empty universe needs no budget, and still -1 is refused.
+        p = vc(sf.Graph.from_edges(n, [(0, 1)] if n else []))
+        for call in (lambda: sf.brute_force_optimum(p, budget=-1),
+                     lambda: optima_meeting(p, 0, budget=-1)):
+            with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+                call()
+        res = sf.brute_force_optimum(p, budget=0)
+        assert res == (sf.EvaluatedSolution(frozenset(), 0) if not n else sf.BudgetExceeded(3, 0))
+
     def test_tie_break_smallest_lexicographic(self):
         # all three 2-subsets of the triangle are optimal covers
         res = sf.brute_force_optimum(vc(TRIANGLE))
@@ -232,6 +243,93 @@ class TestChunkedScan:
         for q in (p, sf.dualize(p)):
             assert _sweep_optima(q, all_ties=False) is None
             _assert_scan_matches_sweep(q)
+
+
+def _recording_complements(q):
+    """q with the inner predicate of its _co_batch wrapped, and the list
+    that the wrapper appends each tuple of columns it is handed to."""
+    from functools import partial
+
+    from subsetfpt import core
+
+    assert q.feasible_batch.func is core._co_batch
+    inner, seen = q.feasible_batch.args[0], []
+
+    def recording(cols):
+        seen.append(cols)
+        return inner(cols)
+
+    return dataclasses.replace(q, feasible_batch=partial(core._co_batch, recording)), seen
+
+
+class TestComplementCache:
+    """A complemented scan (every dual, and the primal of feedback vertex
+    set and max minimal vertex cover) takes the complements of the columns
+    _chunks passes from a cache per chunk width, and XORs only a column a
+    caller built."""
+
+    @pytest.mark.parametrize("chunk_bits", [3, 5, 20])
+    def test_complemented_scans_match_sweep_on_cached_columns(self, chunk_bits, monkeypatch):
+        from conftest import random_graph, random_system
+        from subsetfpt import core
+
+        monkeypatch.setattr(core, "_CHUNK_BITS", chunk_bits)
+        g, sys = random_graph(8, 0.4, 540), random_system(7, 8, 3, 540)
+        complemented = 0
+        for kind in sf.ProblemKind:
+            p = sf.make_problem(kind, sys if kind in sf.problems.SET_KINDS else g)
+            for q in (p, sf.dualize(p)):
+                if getattr(q.feasible_batch, "func", None) is not core._co_batch:
+                    continue
+                complemented += 1
+                r, seen = _recording_complements(q)
+                _assert_scan_matches_sweep(r)
+                w = min(8, chunk_bits)
+                cached = {id(c) for c in core._width_complements(w).values()}
+                assert seen and all(id(c) in cached for cols in seen for c in cols), q.label
+                # A second scan is handed the very same ints.
+                first = seen[:]
+                seen.clear()
+                sf.brute_force_optimum(r)
+                assert all(a is b for x, y in zip(first, seen) for a, b in zip(x, y, strict=True))
+        assert complemented == 9  # seven duals and two complemented primals
+
+    @pytest.mark.parametrize("w", range(12))
+    def test_entries_are_the_complements_of_the_scanned_columns(self, w):
+        from subsetfpt import core
+
+        ones, basis = core._width_ones(w), core._chunk_basis(w)[0]
+        co = core._width_complements(w)
+        assert co is core._width_complements(w)
+        assert set(co) == {id(0), id(ones), *map(id, basis)}
+        for c in (0, ones, *basis):
+            assert co[id(c)] == c ^ ones
+
+    @pytest.mark.parametrize("w", [4, 8, 12])
+    def test_caller_built_columns_are_complemented_alike(self, w, monkeypatch):
+        import random
+
+        from subsetfpt import core
+
+        # As _chunks passes them: the high columns 0 and ones, then the basis.
+        monkeypatch.setattr(core, "_CHUNK_BITS", w)
+        ones, basis = core._width_ones(w), core._chunk_basis(w)[0]
+        cols = (0, ones, *basis[::-1])
+        # Equal but distinct ints: columns above 256 rebuilt by arithmetic.
+        fresh = tuple((c << 1) >> 1 for c in cols)
+        assert all(f == c and (f is not c or not c) for f, c in zip(fresh, cols))
+        rng = random.Random(560 + w)
+        other = tuple(rng.getrandbits(1 << w) for _ in cols)
+
+        def echo(cs):
+            return cs
+
+        want = tuple(c ^ ones for c in cols)
+        assert core._co_batch(echo, cols) == core._co_batch(echo, fresh) == want
+        assert core._co_batch(echo, other) == tuple(c ^ ones for c in other)
+        # Any predicate reads the same int from either.
+        vc_batch = vc(sf.Graph.from_edges(len(cols), [(0, 2), (1, 3), (2, w + 1)])).feasible_batch
+        assert core._co_batch(vc_batch, cols) == core._co_batch(vc_batch, fresh)
 
 
 class TestSubInstanceScan:
