@@ -41,12 +41,7 @@ from .approx import (
     ApproxOracle,
     DEFAULT_ORACLE,
     ORACLES,
-    greedy_clique,
-    greedy_dominating_set,
-    greedy_maximal_independent_set,
-    greedy_set_cover,
     harmonic,
-    matching_vertex_cover,
 )
 from .intersective import (
     BranchConfig,

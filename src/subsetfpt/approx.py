@@ -19,7 +19,7 @@ from functools import cache
 from typing import Callable, Collection, Optional
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, is_feasible, iter_bits
-from .problems import Graph, ProblemKind, SetSystem, fewest_conflicts
+from .problems import ProblemKind, fewest_conflicts
 
 
 @cache
@@ -72,8 +72,7 @@ def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
 # The greedy algorithms below also run on a sub-instance and return root ids.
 # The covering ones take `chosen`, the elements picked so far, and cover
 # what those leave uncovered; a chosen element covers nothing new, so it is
-# never picked again.  The others take `alive`, the selectable elements
-# (-1 for all).
+# never picked again.  The others take `alive`, the selectable elements.
 
 
 def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
@@ -191,7 +190,6 @@ def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int
 def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> list[int]:
     """The packing core's greedy: take the alive element with the fewest alive
     conflicts (lowest id on ties), drop it and its conflicts, repeat."""
-    alive &= (1 << len(conflicts)) - 1
     picked = []
     while alive:
         best = fewest_conflicts(conflicts, alive)
@@ -202,7 +200,7 @@ def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> list[int]:
 
 def _matching_cover(adj: tuple[int, ...], alive: int) -> list[int]:
     """Both endpoints of a lexicographically-greedy maximal matching."""
-    rest = alive & ((1 << len(adj)) - 1)  # free vertices not yet passed
+    rest = alive  # free vertices not yet passed
     cover = []
     while rest:
         low = rest & -rest
@@ -215,30 +213,6 @@ def _matching_cover(adj: tuple[int, ...], alive: int) -> list[int]:
             rest ^= nb
             cover += (u, nb.bit_length() - 1)
     return cover
-
-
-def greedy_set_cover(sys: SetSystem, chosen: int = 0) -> frozenset[int]:
-    return frozenset(_greedy_cover(sys.sets, sys.holders, chosen))
-
-
-def greedy_dominating_set(g: Graph, chosen: int = 0) -> frozenset[int]:
-    # N[v] is symmetric, so closed_nbs is its own transpose.
-    return frozenset(_greedy_cover(g.closed_nbs, g.closed_nbs, chosen))
-
-
-def matching_vertex_cover(g: Graph, alive: int = -1) -> frozenset[int]:
-    """Both endpoints of a lexicographically-greedy maximal matching."""
-    return frozenset(_matching_cover(g.adj, alive))
-
-
-def greedy_maximal_independent_set(g: Graph, alive: int = -1) -> frozenset[int]:
-    """A maximal independent set, hence also an independent dominating set."""
-    return frozenset(_greedy_packing(g.adj, alive))
-
-
-def greedy_clique(g: Graph, alive: int = -1) -> frozenset[int]:
-    """Grow a clique by the candidate with the most candidate neighbours."""
-    return frozenset(_greedy_packing(g.non_neighbours, alive))
 
 
 def _max_degree(p: SubsetProblem) -> int:

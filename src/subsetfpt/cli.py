@@ -245,6 +245,8 @@ def cmd_experiment(args, kind, fmt, seed: int) -> int:
     the oracle's kind included, are checked once, before any row and even
     with --count 0, by the checks of the command a row runs, on the first
     instance; only an infeasible instance or oracle output is a row error."""
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
     ratios: list[Fraction] = []
     verdicts: dict[str, int] = {}
     agree = 0
@@ -414,6 +416,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             code = run_instance_command(INSTANCE_COMMANDS[args.cmd], args, kind, fmt)
     except (ParseError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:  # as from a declared size that no list can hold
+        print("error: out of memory for the instance's declared size", file=sys.stderr)
         return EXIT_INPUT
     # Timing stays on stderr so stdout is byte-identical for a fixed seed.
     print(f"elapsed_ms={int((time.monotonic() - started) * 1000)}", file=sys.stderr)

@@ -125,6 +125,31 @@ def greedy_cover_ref(covers, target):
     return picked
 
 
+def greedy_packing_ref(conflicts, alive):
+    """Reference for the packing greedy's picks, in order, over plain sets:
+    take the alive element with the fewest alive conflicts, lowest id on
+    ties, then drop it and its conflicts; repeat while any is alive."""
+    left, picked = set(alive), []
+    while left:
+        best = min(left, key=lambda v: (len(conflicts[v] & left), v))
+        picked.append(best)
+        left -= conflicts[best] | {best}
+    return picked
+
+
+def matching_cover_ref(neighbours, alive):
+    """Reference for the matching cover, in order, over plain sets: take each
+    free alive vertex in increasing order and pair it with its lowest free
+    alive neighbour above it; both endpoints of each pair, pair by pair."""
+    free, cover = set(alive), []
+    for u in sorted(alive):
+        above = sorted(v for v in neighbours[u] & free if v > u)
+        if u in free and above:
+            free -= {u, above[0]}
+            cover += [u, above[0]]
+    return cover
+
+
 def uf_has_cycle(n, edges):
     """Union-find cycle detector, independent of the package's leaf peeling."""
     parent = list(range(n))

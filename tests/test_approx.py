@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from conftest import (
     atlas_upto,
     closed_neighbourhoods_ref,
     greedy_cover_ref,
+    greedy_packing_ref,
+    matching_cover_ref,
     random_graph,
     random_system,
 )
@@ -19,6 +22,12 @@ from conftest import (
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
 STAR = sf.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+
+
+def _run_on_root(name, data):
+    """The picks of oracle `name` on the root problem of its kind over data."""
+    oracle = sf.ORACLES[name]
+    return oracle.run(sf.make_problem(oracle.kind, data))
 
 
 def test_harmonic_exact_rationals():
@@ -34,19 +43,19 @@ def test_harmonic_exact_rationals():
 class TestGreedySetCover:
     def test_trace_picks_biggest_then_tie_lowest(self):
         sys = sf.SetSystem.from_lists(4, [[0, 1, 2], [3], [0, 1], [2, 3]])
-        assert sf.greedy_set_cover(sys) == frozenset({0, 1})
+        assert _run_on_root("greedy-set-cover", sys) == [0, 1]
 
     def test_single_covering_set(self):
         sys = sf.SetSystem.from_lists(3, [[0, 1, 2]])
-        assert sf.greedy_set_cover(sys) == frozenset({0})
+        assert _run_on_root("greedy-set-cover", sys) == [0]
 
     def test_both_singletons_required(self):
         sys = sf.SetSystem.from_lists(2, [[0], [1]])
-        assert sf.greedy_set_cover(sys) == frozenset({0, 1})
+        assert _run_on_root("greedy-set-cover", sys) == [0, 1]
 
     def test_uncoverable_raises(self):
         with pytest.raises(sf.InfeasibleInstance):
-            sf.greedy_set_cover(sf.SetSystem.from_lists(2, [[0]]))
+            _run_on_root("greedy-set-cover", sf.SetSystem.from_lists(2, [[0]]))
 
 
 def _random_covers(rng, n_ground, m, size=None):
@@ -126,17 +135,19 @@ class TestGainCounters:
                 assert approx._max_residual_size(p) == expected
 
     def test_wide_system_takes_the_counters(self, monkeypatch):
-        sys = random_system(10, 40, 3, 7)
-        expected = sf.greedy_set_cover(sys, 0b101)
+        oracle = sf.ORACLES["greedy-set-cover"]
+        p = sf.make_problem(sf.ProblemKind.SET_COVER, random_system(10, 40, 3, 7)).restrict(0).restrict(2)
+        assert p.chosen == 0b101
+        expected = oracle.run(p)
 
         def refuse(*args):
             raise AssertionError("a wide system took the scan")
 
         monkeypatch.setattr(approx, "_scan_picks", refuse)
-        assert sf.greedy_set_cover(sys, 0b101) == expected
+        assert oracle.run(p) == expected
         assert len(expected) > 1
         with pytest.raises(AssertionError):
-            sf.greedy_set_cover(random_system(10, 39, 3, 7))
+            _run_on_root("greedy-set-cover", random_system(10, 39, 3, 7))
 
 
 class TestPickSequence:
@@ -181,7 +192,7 @@ class TestPickSequence:
         for g in all_graphs_upto(6):
             expected = greedy_cover_ref(closed_neighbourhoods_ref(g), set(range(g.n)))
             assert approx._scan_picks(g.closed_nbs, (1 << g.n) - 1) == expected
-            assert sf.greedy_dominating_set(g) == frozenset(expected)
+            assert _run_on_root("greedy-dominating", g) == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_greedy_dominating_on_gnp_600(self, seed):
@@ -194,42 +205,42 @@ class TestPickSequence:
 
 class TestMatchingVertexCover:
     def test_star_takes_first_edge_endpoints(self):
-        assert sf.matching_vertex_cover(STAR) == frozenset({0, 1})
+        assert _run_on_root("matching-vc", STAR) == [0, 1]
 
     def test_triangle_matches_optimum(self):
-        assert len(sf.matching_vertex_cover(TRIANGLE)) == 2
+        assert len(_run_on_root("matching-vc", TRIANGLE)) == 2
 
     def test_edgeless(self):
-        assert sf.matching_vertex_cover(sf.Graph.from_edges(3, [])) == frozenset()
+        assert _run_on_root("matching-vc", sf.Graph.from_edges(3, [])) == []
 
 
 class TestGreedyDominating:
     def test_path_center(self):
-        assert sf.greedy_dominating_set(PATH3) == frozenset({1})
+        assert _run_on_root("greedy-dominating", PATH3) == [1]
 
     def test_edgeless_all_vertices(self):
         g = sf.Graph.from_edges(3, [])
-        assert sf.greedy_dominating_set(g) == frozenset({0, 1, 2})
+        assert _run_on_root("greedy-dominating", g) == [0, 1, 2]
 
     def test_star_center(self):
-        assert sf.greedy_dominating_set(STAR) == frozenset({0})
+        assert _run_on_root("greedy-dominating", STAR) == [0]
 
 
 class TestGreedyMIS:
     def test_path_endpoints(self):
-        assert sf.greedy_maximal_independent_set(PATH3) == frozenset({0, 2})
+        assert _run_on_root("greedy-mis", PATH3) == [0, 2]
 
     def test_triangle_single(self):
-        assert sf.greedy_maximal_independent_set(TRIANGLE) == frozenset({0})
+        assert _run_on_root("greedy-mis", TRIANGLE) == [0]
 
     def test_edgeless_all(self):
         g = sf.Graph.from_edges(4, [])
-        assert sf.greedy_maximal_independent_set(g) == frozenset(range(4))
+        assert _run_on_root("greedy-mis", g) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_output_is_independent_dominating(self, seed):
         g = random_graph((seed % 8) + 2, 0.4, 900 + seed)
-        out = sf.greedy_maximal_independent_set(g)
+        out = _run_on_root("greedy-mis", g)
         p_is = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, g)
         p_mids = sf.make_problem(
             sf.ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, g
@@ -240,31 +251,42 @@ class TestGreedyMIS:
 
 class TestGreedyClique:
     def test_triangle_whole(self):
-        assert sf.greedy_clique(TRIANGLE) == frozenset({0, 1, 2})
+        assert _run_on_root("greedy-clique", TRIANGLE) == [0, 1, 2]
 
     def test_edgeless_single_vertex(self):
-        assert len(sf.greedy_clique(sf.Graph.from_edges(2, []))) == 1
+        assert len(_run_on_root("greedy-clique", sf.Graph.from_edges(2, []))) == 1
 
     def test_path_edge(self):
-        assert len(sf.greedy_clique(PATH3)) == 2
+        assert len(_run_on_root("greedy-clique", PATH3)) == 2
 
 
 class TestSharedGreedies:
     """Each core has one greedy: the clique greedy is the independent-set
     greedy on the complement, and the dominating-set greedy is the set-cover
-    greedy on the closed neighbourhoods, on every sub-instance mask."""
+    greedy on the closed neighbourhoods: the private greedies on every mask,
+    and the oracles on every sub-instance of depth up to 2."""
 
     def test_clique_is_mis_of_complement(self):
         for g in all_graphs_upto(5):
-            comp = sf.Graph(n=g.n, adj=g.non_neighbours)
-            for alive in [-1, *range(1 << g.n)]:
-                assert sf.greedy_clique(g, alive) == sf.greedy_maximal_independent_set(comp, alive)
+            non_edges = [e for e in itertools.combinations(range(g.n), 2) if e not in g.edges]
+            clique = sf.make_problem(sf.ProblemKind.CLIQUE, g)
+            mis = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, sf.Graph.from_edges(g.n, non_edges))
+            for alive in range(1 << g.n):
+                assert (approx._greedy_packing(clique.data.non_neighbours, alive)
+                        == approx._greedy_packing(mis.data.adj, alive))
+            for c, m in zip(_with_subs(clique), _with_subs(mis), strict=True):
+                assert sf.ORACLES["greedy-clique"].run(c) == sf.ORACLES["greedy-mis"].run(m)
 
     def test_dominating_is_set_cover_of_closed_neighbourhoods(self):
         for g in all_graphs_upto(5):
+            dom = sf.make_problem(sf.ProblemKind.DOMINATING_SET, g)
             sys = sf.SetSystem.from_lists(g.n, closed_neighbourhoods_ref(g))
+            cover = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
             for chosen in range(1 << g.n):
-                assert sf.greedy_dominating_set(g, chosen) == sf.greedy_set_cover(sys, chosen)
+                assert (approx._greedy_cover(dom.data.closed_nbs, dom.data.closed_nbs, chosen)
+                        == approx._greedy_cover(cover.data.sets, cover.data.holders, chosen))
+            for d, c in zip(_with_subs(dom), _with_subs(cover), strict=True):
+                assert sf.ORACLES["greedy-dominating"].run(d) == sf.ORACLES["greedy-set-cover"].run(c)
 
 
 def _with_subs(p):
@@ -279,34 +301,46 @@ def _with_subs(p):
             yield child.restrict(f)
 
 
-# The public function of each built-in oracle, on its instance and masks.
-PUBLIC = {
-    "matching-vc": lambda p: sf.matching_vertex_cover(p.data, p.alive),
-    "greedy-set-cover": lambda p: sf.greedy_set_cover(p.data, p.chosen),
-    "greedy-dominating": lambda p: sf.greedy_dominating_set(p.data, p.chosen),
-    "greedy-mis": lambda p: sf.greedy_maximal_independent_set(p.data, p.alive),
-    "greedy-ids": lambda p: sf.greedy_maximal_independent_set(p.data, p.alive),
-    "greedy-clique": lambda p: sf.greedy_clique(p.data, p.alive),
-}
+def _reference_picks(name, p):
+    """The picks of built-in oracle `name` on p, in order, by the plain-set
+    references on the instance's sets or edges and p's masks; None where a
+    ground element is in no cover."""
+    alive, chosen = set(sf.iter_bits(p.alive)), set(sf.iter_bits(p.chosen))
+
+    def cover_picks(covers, n_ground):
+        return greedy_cover_ref(covers, set(range(n_ground)).difference(*(covers[i] for i in chosen)))
+
+    if name == "greedy-set-cover":
+        return cover_picks([set(sf.iter_bits(s)) for s in p.data.sets], p.data.n_ground)
+    closed = closed_neighbourhoods_ref(p.data)
+    neighbours = [nb - {v} for v, nb in enumerate(closed)]
+    if name == "greedy-dominating":
+        return cover_picks(closed, p.data.n)
+    if name == "matching-vc":
+        return matching_cover_ref(neighbours, alive)
+    if name == "greedy-clique":
+        return greedy_packing_ref([set(range(p.data.n)) - nb for nb in closed], alive)
+    return greedy_packing_ref(neighbours, alive)  # greedy-mis and greedy-ids
 
 
 @pytest.mark.parametrize("name", list(sf.ORACLES))
 def test_oracle_output_contract(name, atlas):
     """run returns distinct ids, within alive on the packing kinds and
-    outside chosen on the covering kinds, whose set is the public
-    function's answer, on roots and sub-instances alike."""
+    outside chosen on the covering kinds, in the order of the plain-set
+    reference's picks, on roots and sub-instances alike."""
     oracle = sf.ORACLES[name]
     if oracle.kind in SET_KINDS:
         datas = [random_system(6, 3 + seed % 5, 3, 900 + seed) for seed in range(40)]
+        datas.append(sf.SetSystem.from_lists(3, [[0], [1], [0, 1]]))  # no set holds 2
     else:
         datas = atlas_upto(atlas, 6)
     covering = oracle.goal is sf.Goal.MINIMIZE and oracle.kind in RESTRICTABLE
-    depths = set()
+    depths, infeasible = set(), set()
     for data in datas:
         for p in _with_subs(sf.make_problem(oracle.kind, data)):
-            try:
-                expected = PUBLIC[name](p)
-            except sf.InfeasibleInstance:
+            expected = _reference_picks(name, p)
+            infeasible.add(expected is None)
+            if expected is None:
                 with pytest.raises(sf.InfeasibleInstance):
                     oracle.run(p)
                 continue
@@ -314,9 +348,10 @@ def test_oracle_output_contract(name, atlas):
             assert len(set(out)) == len(out), (p.label, p.chosen)
             mask = sf.mask_of(out)
             assert not (mask & p.chosen if covering else mask & ~p.alive), (p.label, p.chosen)
-            assert frozenset(out) == expected, (p.label, p.chosen)
+            assert list(out) == expected, (p.label, p.chosen)
             depths.add(p.chosen.bit_count())
     assert depths == ({0, 1, 2} if oracle.kind in RESTRICTABLE else {0})
+    assert infeasible == ({False, True} if oracle.kind in SET_KINDS else {False})
 
 
 GRAPH_ORACLES = [
@@ -405,7 +440,7 @@ class TestMatchingIntersectivity:
             if not g.edges:
                 continue
             p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, g)
-            out = sf.mask_of(sf.matching_vertex_cover(g))
+            out = sf.mask_of(sf.ORACLES["matching-vc"].run(p))
             _, optima = _sweep_optima(p, all_ties=True)
             assert any(out & o for o in optima), sorted(g.edges)
 
@@ -414,8 +449,8 @@ class TestMatchingIntersectivity:
         g = random_graph(8, 0.4, 3000 + seed)
         if not g.edges:
             return
-        out = sf.mask_of(sf.matching_vertex_cover(g))
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, g)
+        out = sf.mask_of(sf.ORACLES["matching-vc"].run(p))
         _, optima = _sweep_optima(p, all_ties=True)
         assert any(out & o for o in optima)
 

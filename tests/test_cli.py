@@ -418,6 +418,22 @@ def test_oracle_for_another_kind_of_the_same_goal_exit_2(run, argv, stdin_text, 
     assert (code, out, err.splitlines()) == (2, "", [line])
 
 
+# 2^62 elements: building the instance's list of them raises MemoryError at
+# once, before anything is allocated.
+HUGE = 1 << 62
+
+
+@pytest.mark.parametrize("argv,stdin_text", [
+    (["solve", "-"], f"p edge {HUGE} 0\n"),
+    (["--problem", "set-cover", "solve", "-"], f"{HUGE} 1\n1\n"),
+    (["--problem", "set-packing", "approx", "-"], f"{HUGE} 1\n1\n"),
+], ids=["graph-solve", "set-cover-solve", "set-packing-approx"])
+def test_huge_declared_size_exit_2(run, argv, stdin_text):
+    code, out, err = run(argv, stdin_text)
+    assert (code, out, err.splitlines()) == (
+        2, "", ["error: out of memory for the instance's declared size"])
+
+
 @pytest.mark.parametrize("argv,stdin_text", [
     (["approx", "-", "--oracle", "greedy-mis"], PATH3_DIMACS),
     (["check-intersective", "-", "--oracle", "greedy-mis"], "p edge 3 0\n"),
@@ -456,6 +472,11 @@ class TestExperimentCommand:
         code, out, err = run(["experiment", "--run", what, "--count", count,
                               "--n", "6", "--budget", "-1"])
         assert (code, out, err.splitlines()) == (2, "", [NEGATIVE_BUDGET])
+
+    @pytest.mark.parametrize("what", ["solve", "branch", "dual", "check-intersective"])
+    def test_negative_count_exit_2_before_any_row(self, run, what):
+        code, out, err = run(["experiment", "--run", what, "--count", "-1", "--n", "6"])
+        assert (code, out, err.splitlines()) == (2, "", ["error: count must be >= 0, got -1"])
 
     def test_dual_experiment_has_aggregate(self, run):
         code, out, _ = run(
