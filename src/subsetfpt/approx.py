@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Collection, Optional
+from functools import cache, partial
+from typing import TYPE_CHECKING, Callable, Collection, Optional
 
-from .core import Goal, InfeasibleInstance, SubsetProblem, is_feasible, iter_bits
-from .problems import ProblemKind, fewest_conflicts
+from .core import Goal, InfeasibleInstance, SubsetProblem, _view, is_feasible, iter_bits
+from .problems import GOALS, ProblemKind, fewest_conflicts
 
 
 @cache
@@ -28,17 +28,29 @@ def harmonic(d: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, d + 1)), Fraction(0))
 
 
+if TYPE_CHECKING:  # bounded(root, alive, chosen, room), see ApproxOracle; not built at import
+    Bounded = Callable[[SubsetProblem, int, int, Optional[int]], Optional[Collection[int]]]
+
+
 @dataclass(frozen=True)
 class ApproxOracle:
     """A named polynomial-time algorithm together with its declared ratio.
 
-    run/ratio take the wrapped SubsetProblem so the branching engine can
-    re-invoke the oracle on sub-instances.  run returns a sized collection
-    of distinct ids: the engine reads only its len() and sorted(), and
-    run_checked makes a frozenset of it for every other engine.  The built-in
-    oracles return their greedy's list of picks.  The ratio is proven for
-    kind, so no other kind is accepted; None, for an oracle a caller builds,
-    checks the goal alone.
+    run/ratio take a SubsetProblem or a sub-instance.  run returns a sized
+    collection of distinct ids: the branching engine reads only its len()
+    and sorted(), and run_checked makes a frozenset of it for every other
+    engine.  The built-in oracles return their greedy's list of picks.  The
+    ratio is proven for kind, so no other kind is accepted; None, for an
+    oracle a caller builds, checks the goal alone.
+
+    bounded(root, alive, chosen, room) is the one call the branching engine
+    makes per node: run on the sub-instance of root with masks alive and
+    chosen, or None once its output has more than ratio * room ids; room
+    None asks for the whole output.  The built-in oracles declare it, so
+    their greedy stops at that bound; an oracle built from run and ratio
+    alone gets it derived from them (see bounded_call).  Since a declared
+    bounded does not call run or ratio, dataclasses.replace of run or ratio
+    alone keeps the declared bounded, and the engine does not see them.
     """
 
     name: str
@@ -46,6 +58,7 @@ class ApproxOracle:
     kind: Optional[ProblemKind] = field(default=None, kw_only=True)
     run: Callable[[SubsetProblem], Collection[int]]
     ratio: Callable[[SubsetProblem], Fraction]
+    bounded: Optional[Bounded] = field(default=None, kw_only=True)
 
     def check_goal(self, p: SubsetProblem) -> None:
         """Refuse a problem of the other goal, or of a kind not the oracle's."""
@@ -53,6 +66,19 @@ class ApproxOracle:
             raise ValueError("oracle goal must match the problem's goal")
         if self.kind is not None and p.kind is not self.kind:
             raise ValueError(f"oracle {self.name} is for {self.kind.value} only")
+
+    def bounded_call(self) -> Bounded:
+        """bounded, or else the same contract from run and ratio on a view."""
+        return self.bounded or partial(_bounded_by, self.run, self.ratio)
+
+
+def _bounded_by(run, ratio, root: SubsetProblem, alive: int, chosen: int, room: Optional[int]):
+    view = _view(root, alive, chosen)
+    sol = run(view)
+    if room is None:
+        return sol
+    r = ratio(view)
+    return None if len(sol) * r.denominator > r.numerator * room else sol
 
 
 class InfeasibleOutput(ValueError):
@@ -73,6 +99,8 @@ def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
 # The covering ones take `chosen`, the elements picked so far, and cover
 # what those leave uncovered; a chosen element covers nothing new, so it is
 # never picked again.  The others take `alive`, the selectable elements.
+# Given the bound of ApproxOracle.bounded, each returns None instead of a
+# pick beyond it; without one (None), each runs to the end.
 
 
 def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
@@ -131,14 +159,15 @@ def _top_gain(planes: list[int]) -> tuple[int, int]:
     return (best if gain else 0), gain
 
 
-def _scan_picks(covers: tuple[int, ...], target: int) -> list[int]:
+def _scan_picks(covers: tuple[int, ...], target: int, room=None, d=None) -> Optional[list[int]]:
     """The picks in order, by a lazy scan (Minoux's accelerated greedy):
     bound[i] is id i's gain when last computed, and target only loses bits,
     so an id whose bound is no more than the best gain of the pass so far
     cannot beat it and is skipped.  At most it ties a lower id, so the picks
-    are those of a full rescan, lowest id on ties."""
+    are those of a full rescan, lowest id on ties.  room and d: see
+    _greedy_cover."""
     bound = [target.bit_count()] * len(covers)
-    picked = []
+    picked, limit = [], len(covers)
     while target:
         best, best_gain = -1, 0
         for i in range(len(covers)):
@@ -148,18 +177,27 @@ def _scan_picks(covers: tuple[int, ...], target: int) -> list[int]:
                     best, best_gain = i, gain
         if best < 0:
             raise InfeasibleInstance("ground set not coverable")
+        if room is not None and not picked:
+            limit = _cover_limit(room, d or best_gain)
+        if len(picked) == limit:
+            return None
         picked.append(best)
         target &= ~covers[best]
     return picked
 
 
-def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: int) -> list[int]:
+def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: int,
+                   room=None, d=None) -> Optional[list[int]]:
     planes = _gain_planes(holders, target)
-    picked = []
+    picked, limit = [], len(covers)
     while target:
-        best = _top_gain(planes)[0]
+        best, gain = _top_gain(planes)
         if not best:
             raise InfeasibleInstance("ground set not coverable")
+        if room is not None and not picked:
+            limit = _cover_limit(room, d or gain)
+        if len(picked) == limit:
+            return None
         i = (best & -best).bit_length() - 1
         picked.append(i)
         # Each newly covered x takes 1 off the gain of every id holding it;
@@ -175,30 +213,47 @@ def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: in
     return picked
 
 
-def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int) -> list[int]:
+def _cover_limit(room: int, d: int) -> int:
+    """The most picks within H_d * room."""
+    r = harmonic(d)
+    return room * r.numerator // r.denominator
+
+
+def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int,
+                  room: Optional[int] = None, d: Optional[int] = None) -> Optional[list[int]]:
     """The covering core's greedy: take the id whose cover mask holds the most
     uncovered ground elements (lowest id on ties), repeat.  holders is the
     transpose of covers: for each ground element, the ids covering it.  A
     wide system takes the gain counters, any other the lazy scan; both pick
-    what a full rescan of every gain on every pick would, in pick order."""
+    what a full rescan of every gain on every pick would, in pick order.
+    Given a room, it returns None once it has more than H_d * room picks, d
+    being the first pick's gain, the largest, unless passed.  An instance
+    with a ground element in no cover raises InfeasibleInstance even then,
+    as a run to the end does."""
     target = _residual(covers, len(holders), chosen)
     if _is_wide(len(covers), len(holders)):
-        return _counter_picks(covers, holders, target)
-    return _scan_picks(covers, target)
+        picked = _counter_picks(covers, holders, target, room, d)
+    else:
+        picked = _scan_picks(covers, target, room, d)
+    if picked is None and 0 in holders:
+        raise InfeasibleInstance("ground set not coverable")
+    return picked
 
 
-def _greedy_packing(conflicts: tuple[int, ...], alive: int) -> list[int]:
+def _greedy_packing(conflicts: tuple[int, ...], alive: int, limit: Optional[int] = None) -> Optional[list[int]]:
     """The packing core's greedy: take the alive element with the fewest alive
     conflicts (lowest id on ties), drop it and its conflicts, repeat."""
     picked = []
     while alive:
+        if len(picked) == limit:
+            return None
         best = fewest_conflicts(conflicts, alive)
         picked.append(best)
         alive &= ~(conflicts[best] | (1 << best))
     return picked
 
 
-def _matching_cover(adj: tuple[int, ...], alive: int) -> list[int]:
+def _matching_cover(adj: tuple[int, ...], alive: int, limit: Optional[int] = None) -> Optional[list[int]]:
     """Both endpoints of a lexicographically-greedy maximal matching."""
     rest = alive  # free vertices not yet passed
     cover = []
@@ -212,13 +267,14 @@ def _matching_cover(adj: tuple[int, ...], alive: int) -> list[int]:
             nb = free & -free
             rest ^= nb
             cover += (u, nb.bit_length() - 1)
+            if limit is not None and len(cover) > limit:
+                return None
     return cover
 
 
-def _max_degree(p: SubsetProblem) -> int:
-    """Maximum degree of the subgraph induced by the selectable vertices."""
-    adj = p.data.adj
-    return max(((adj[v] & p.alive).bit_count() for v in iter_bits(p.alive)), default=0)
+def _max_degree(adj: tuple[int, ...], alive: int) -> int:
+    """Maximum degree of the subgraph induced by the alive vertices."""
+    return max(((adj[v] & alive).bit_count() for v in iter_bits(alive)), default=0)
 
 
 def _max_residual_size(p: SubsetProblem) -> int:
@@ -232,67 +288,39 @@ def _max_residual_size(p: SubsetProblem) -> int:
 
 _TWO = Fraction(2)
 
-MATCHING_VC = ApproxOracle(
-    name="matching-vc",
-    goal=Goal.MINIMIZE,
-    kind=ProblemKind.VERTEX_COVER,
-    run=lambda p: _matching_cover(p.data.adj, p.alive),
-    ratio=lambda p: _TWO,
-)
 
-GREEDY_SET_COVER = ApproxOracle(
-    name="greedy-set-cover",
-    goal=Goal.MINIMIZE,
-    kind=ProblemKind.SET_COVER,
-    run=lambda p: _greedy_cover(p.data.sets, p.data.holders, p.chosen),
-    ratio=lambda p: harmonic(max(_max_residual_size(p), 1)),
-)
+def _builtin(name: str, kind: ProblemKind, ratio: Callable, bounded: Callable) -> ApproxOracle:
+    """A built-in oracle: run(p) is bounded on p's own masks with no room,
+    since bounded reads only the data of its root, which p holds too."""
+    return ApproxOracle(name, GOALS[kind], kind=kind, ratio=ratio, bounded=bounded,
+                        run=lambda p: bounded(p, p.alive, p.chosen, None))
 
-GREEDY_DOMINATING = ApproxOracle(
-    name="greedy-dominating",
-    goal=Goal.MINIMIZE,
-    kind=ProblemKind.DOMINATING_SET,
-    run=lambda p: _greedy_cover(p.data.closed_nbs, p.data.closed_nbs, p.chosen),
-    ratio=lambda p: harmonic(p.data.max_degree + 1),
-)
 
-GREEDY_MIS = ApproxOracle(
-    name="greedy-mis",
-    goal=Goal.MAXIMIZE,
-    kind=ProblemKind.INDEPENDENT_SET,
-    run=lambda p: _greedy_packing(p.data.adj, p.alive),
-    ratio=lambda p: Fraction(1, _max_degree(p) + 1),
-)
-
-# A maximal independent set is also an independent dominating set.  It has
-# at most n vertices, and any independent dominating set has at least
-# n / (max degree + 1), since each vertex dominates at most that many.
-GREEDY_IDS = ApproxOracle(
-    name="greedy-ids",
-    goal=Goal.MINIMIZE,
-    kind=ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
-    run=GREEDY_MIS.run,
-    ratio=lambda p: Fraction(_max_degree(p) + 1),
-)
-
-GREEDY_CLIQUE = ApproxOracle(
-    name="greedy-clique",
-    goal=Goal.MAXIMIZE,
-    kind=ProblemKind.CLIQUE,
-    run=lambda p: _greedy_packing(p.data.non_neighbours, p.alive),
-    ratio=lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
-)
-
-ORACLES = {
-    o.name: o
-    for o in (
-        MATCHING_VC,
-        GREEDY_SET_COVER,
-        GREEDY_DOMINATING,
-        GREEDY_MIS,
-        GREEDY_IDS,
-        GREEDY_CLIQUE,
-    )
-}
+# A maximal independent set is also an independent dominating set, so
+# greedy-ids is greedy-mis.  It has at most n vertices, and any independent
+# dominating set has at least n / (max degree + 1), since each vertex
+# dominates at most that many.
+ORACLES = {o.name: o for o in (
+    _builtin("matching-vc", ProblemKind.VERTEX_COVER, lambda p: _TWO,
+             lambda root, alive, chosen, room: _matching_cover(
+                 root.data.adj, alive, None if room is None else 2 * room)),
+    _builtin("greedy-set-cover", ProblemKind.SET_COVER, lambda p: harmonic(max(_max_residual_size(p), 1)),
+             lambda root, alive, chosen, room: _greedy_cover(
+                 root.data.sets, root.data.holders, chosen, room)),
+    _builtin("greedy-dominating", ProblemKind.DOMINATING_SET, lambda p: harmonic(p.data.max_degree + 1),
+             lambda root, alive, chosen, room: _greedy_cover(
+                 root.data.closed_nbs, root.data.closed_nbs, chosen, room, root.data.max_degree + 1)),
+    _builtin("greedy-mis", ProblemKind.INDEPENDENT_SET,
+             lambda p: Fraction(1, _max_degree(p.data.adj, p.alive) + 1),
+             lambda root, alive, chosen, room: _greedy_packing(
+                 root.data.adj, alive, None if room is None else room // (_max_degree(root.data.adj, alive) + 1))),
+    _builtin("greedy-ids", ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
+             lambda p: Fraction(_max_degree(p.data.adj, p.alive) + 1),
+             lambda root, alive, chosen, room: _greedy_packing(
+                 root.data.adj, alive, None if room is None else room * (_max_degree(root.data.adj, alive) + 1))),
+    _builtin("greedy-clique", ProblemKind.CLIQUE, lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
+             lambda root, alive, chosen, room: _greedy_packing(
+                 root.data.non_neighbours, alive, None if room is None else room // max(alive.bit_count(), 1))),
+)}
 
 DEFAULT_ORACLE = {o.kind: o for o in ORACLES.values()}

@@ -23,9 +23,10 @@ from typing import Callable, Iterable, Iterator, Optional
 DEFAULT_BUDGET = 20
 
 # Brute force tests 2^_CHUNK_BITS masks per feasible_batch call, so each
-# column is an int of at most 2^20 bits: 136.6 KiB in CPython's 30-bit
-# digits, above glibc's default 128 KiB mmap threshold.
-_CHUNK_BITS = 20
+# column is an int of at most 2^17 bits: 17.1 KiB in CPython's 30-bit
+# digits, well below glibc's default 128 KiB mmap threshold, so a fresh
+# column comes from the heap instead of a new mapping whose pages all fault.
+_CHUNK_BITS = 17
 
 
 class UnsupportedRestriction(ValueError):
@@ -89,7 +90,7 @@ class SubsetProblem:
     masks at once, bit-sliced; brute force scans with it alone, and
     restrict and dualize derive the one of a sub-instance or a dual from it.
     It takes `cols`, a tuple of universe_size ints over
-    2^min(universe_size, 20) positions, where bit s of cols[e] is set iff the
+    2^min(universe_size, 17) positions, where bit s of cols[e] is set iff the
     mask at position s holds e, and returns an int whose bit s says whether
     that mask is feasible.  Bits at or above the chunk width are don't-care
     on both sides.
@@ -123,7 +124,7 @@ class SubsetProblem:
         S' + {e} feasible here."""
         if self.restrict_fn is None:
             raise UnsupportedRestriction(self)
-        return _child(self, self.alive, 0, e)
+        return _view(self, child_alive(self, self.alive, e), 1 << e)
 
 
 class SubInstance:
@@ -133,13 +134,13 @@ class SubInstance:
     within alive for which S | chosen is feasible at the root.
 
     label, universe_size, goal and kind are read through root.  data and
-    restrict_fn are the root's, held in slots of their own because a search
-    node's oracle and restrict read them.  feasible_mask and feasible_batch
-    are built from the root's on first read and then kept, so a search node
-    that only feeds the oracle builds neither.  restrict fills the slots,
-    the two predicates fill their own on first read, and nothing else may
-    write them; a frozen __setattr__ is left out because its stores would
-    cost what the slots save.
+    restrict_fn are the root's, held in slots of their own because an
+    oracle and restrict read them.  feasible_mask and feasible_batch are
+    built from the root's on first read and then kept, so a view that only
+    feeds an oracle builds neither.  _view fills the slots, the two
+    predicates fill their own on first read, and nothing else may write
+    them; a frozen __setattr__ is left out because its stores would cost
+    what the slots save.
     """
 
     __slots__ = ("root", "data", "restrict_fn", "alive", "chosen", "_feasible_mask", "_feasible_batch")
@@ -169,21 +170,27 @@ class SubInstance:
 
     def restrict(self, e: int) -> "SubInstance":
         """I(e) of this sub-instance, in root numbering."""
-        return _child(self.root, self.alive, self.chosen, e)
+        return _view(self.root, child_alive(self.root, self.alive, e), self.chosen | 1 << e)
 
 
-def _child(root: SubsetProblem, alive: int, chosen: int, e: int) -> SubInstance:
-    """I(e) of root's sub-instance with masks alive and chosen, by plain
-    slot stores: building it is a fair share of a search node's cost."""
+def child_alive(root: SubsetProblem, alive: int, e: int) -> int:
+    """The alive mask of I(e), for the sub-instance of root whose alive
+    mask is alive: the elements that can still join a solution holding e."""
     if not alive >> e & 1:
         raise ValueError(f"element {e} is not selectable in {root.label}")
-    child = object.__new__(SubInstance)
-    child.root = root
-    child.data = root.data
-    child.restrict_fn = fn = root.restrict_fn
-    child.alive = alive & fn(e) & ~(1 << e)
-    child.chosen = chosen | 1 << e
-    return child
+    return alive & root.restrict_fn(e) & ~(1 << e)
+
+
+def _view(root: SubsetProblem, alive: int, chosen: int) -> SubInstance:
+    """The sub-instance of root with masks alive and chosen, by plain slot
+    stores."""
+    view = object.__new__(SubInstance)
+    view.root = root
+    view.data = root.data
+    view.restrict_fn = root.restrict_fn
+    view.alive = alive
+    view.chosen = chosen
+    return view
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .core import (
     UnsupportedRestriction,
     Goal,
     DEFAULT_BUDGET,
+    child_alive,
     iter_bits,
     mask_of,
     members_of,
@@ -106,24 +107,25 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     output at each one.
 
     A node is the sub-instance reached from p by choosing the elements of
-    its `chosen` mask beyond p's own; those form its candidate solution.
-    For every restrictable kind that sub-instance depends on the chosen set
-    alone, not on the order of choice, so each chosen set is expanded once.
-    A node with no room (see the module docstring) is a leaf; minimization
-    keeps the best solution seen and prunes a node whose oracle output
-    exceeds ratio times its room; maximization stops at the first feasible
-    set of size budget_k.  An oracle for the other goal or a problem without
-    a restriction operator is refused before the first node.  Open nodes
-    wait as frames on an explicit stack: a search of any depth answers.
-    Every node's solution is tested with p's own predicate, so the
-    predicates of a sub-instance, built on first read, are never built for
-    the nodes that only feed the oracle.
+    its `chosen` mask beyond p's own; those form its candidate solution.  It
+    is held as its two masks in root numbering, `alive` and `chosen`, and
+    the oracle sees it through one call, oracle.bounded_call(), which
+    answers None where the prune applies.  For every restrictable kind a
+    sub-instance depends on the chosen set alone, not on the order of
+    choice, so each chosen set is expanded once.  A node with no room (see
+    the module docstring) is a leaf; minimization keeps the best solution
+    seen and prunes a node whose oracle output exceeds ratio times its
+    room; maximization stops at the first feasible set of size budget_k.  An
+    oracle for the other goal or a problem without a restriction operator is
+    refused before the first node.  Open nodes wait as frames on an explicit
+    stack: a search of any depth answers.  Every node's solution is tested
+    with p's own predicate.
     """
     check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
-    run, feasible, cap = oracle.run, p.feasible_mask, cfg.node_cap
-    ratio = oracle.ratio if minimize and cfg.prune_enabled else None
-    r = num = den = None  # the last ratio read, and its two terms
+    prune = minimize and cfg.prune_enabled
+    root = p.root if isinstance(p, SubInstance) else p
+    bounded, feasible, cap = oracle.bounded_call(), p.feasible_mask, cfg.node_cap
     # The deepest a solution may lie: the budget, then |incumbent| - 1.
     limit = cfg.budget_k
     nodes = max_depth = max_arity = 0
@@ -133,13 +135,13 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     # p's own chosen elements lie outside p.alive, so p's predicate would
     # reject them: a node's solution is what it chose beyond them.
     inherited = chosen = p.chosen
-    # Each frame is an expanded node, its chosen mask and an iterator over
-    # its untried branch elements; the open frames are the ancestors of the
-    # current node, so their number is its depth.  A child meets the memo
-    # only when it comes up, after its older siblings' subtrees are done,
-    # and is restricted only if it is visited.
-    frames: list[tuple[SubsetProblem | SubInstance, int, Iterator[int]]] = []
-    inst = p
+    alive = p.alive
+    # Each frame is an expanded node's alive and chosen masks and an
+    # iterator over its untried branch elements; the open frames are the
+    # ancestors of the current node, so their number is its depth.  A child
+    # meets the memo only when it comes up, after its older siblings'
+    # subtrees are done, and gets its alive mask only if it is visited.
+    frames: list[tuple[int, int, Iterator[int]]] = []
     while True:
         nodes += 1
         own = chosen ^ inherited
@@ -153,15 +155,13 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
             if not minimize:
                 break
         elif room > 0:
-            sol = run(inst)
-            if ratio is not None and (q := ratio(inst)) is not r:
-                r, num, den = q, q.numerator, q.denominator
-            if ratio is None or len(sol) * den <= num * room:
+            sol = bounded(root, alive, chosen, room if prune else None)
+            if sol is not None:
                 if len(sol) > max_arity:
                     max_arity = len(sol)
-                frames.append((inst, chosen, iter(sorted(sol))))
+                frames.append((alive, chosen, iter(sorted(sol))))
         while frames:
-            parent, parent_chosen, untried = frames[-1]
+            parent_alive, parent_chosen, untried = frames[-1]
             for e in untried:
                 chosen = parent_chosen | 1 << e
                 if chosen not in seen:
@@ -176,7 +176,7 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
         if nodes >= cap:
             cap_hit = True
             break
-        inst = parent.restrict(e)
+        alive = child_alive(root, parent_alive, e)
     # Maximization stops at its first solution, before any node-cap hit.
     if cap_hit:
         outcome = BranchOutcome.NODE_CAP_EXCEEDED

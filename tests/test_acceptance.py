@@ -101,7 +101,7 @@ def test_criterion_02_branching_exactness_vertex_cover():
 
 
 def test_criterion_03_intersectivity_verifier(atlas):
-    """matching_vertex_cover reported intersective on 100% of checked graphs
+    """The matching-vc oracle reported intersective on 100% of checked graphs
     with n <= 8 and >= 1 edge (exhaustive to n = 7 up to isomorphism, 300
     random at n = 8); the minimal-cover counterexample on the 3-path is
     reported not intersective."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,59 @@ def test_oracle_output_contract(name, atlas):
             depths.add(p.chosen.bit_count())
     assert depths == ({0, 1, 2} if oracle.kind in RESTRICTABLE else {0})
     assert infeasible == ({False, True} if oracle.kind in SET_KINDS else {False})
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["declared", "derived"])
+@pytest.mark.parametrize("name", list(sf.ORACLES))
+def test_bounded_is_run_cut_at_ratio_times_room(name, derived, atlas):
+    """bounded(root, alive, chosen, room) is None exactly where run's output
+    has more than ratio * room ids, and that output otherwise, for every
+    room 0..n and None, on roots and sub-instances of depth 1 and 2; where
+    run raises InfeasibleInstance, bounded raises it at every room.  The
+    same holds for the oracle rebuilt from run and ratio alone."""
+    oracle = sf.ORACLES[name]
+    if derived:
+        oracle = sf.ApproxOracle(name, oracle.goal, kind=oracle.kind, run=oracle.run, ratio=oracle.ratio)
+        assert oracle.bounded is None
+    if oracle.kind in SET_KINDS:
+        datas = [random_system(6, 3 + seed % 5, 3, 900 + seed) for seed in range(40)]
+        datas.append(sf.SetSystem.from_lists(6, [[1], [2], [3], [4], [5]]))  # no set holds 0
+    else:
+        datas = atlas_upto(atlas, 6)
+    bounded = oracle.bounded_call()
+    cut, whole, infeasible = set(), set(), False
+    for data in datas:
+        root = sf.make_problem(oracle.kind, data)
+        for p in _with_subs(root):
+            rooms = [*range(p.universe_size + 1), None]
+            try:
+                out = oracle.run(p)
+            except sf.InfeasibleInstance:
+                infeasible = True
+                for room in rooms:
+                    with pytest.raises(sf.InfeasibleInstance):
+                        bounded(root, p.alive, p.chosen, room)
+                continue
+            r = oracle.ratio(p)
+            for room in rooms:
+                got = bounded(root, p.alive, p.chosen, room)
+                over = room is not None and len(out) * r.denominator > r.numerator * room
+                assert (got is None) == over, (p.label, p.chosen, room)
+                if not over:
+                    assert list(got) == list(out), (p.label, p.chosen, room)
+                (cut if over else whole).add(p.chosen.bit_count())
+    depths = {0, 1, 2} if oracle.kind in RESTRICTABLE else {0}
+    assert cut == whole == depths
+    assert infeasible == (oracle.kind in SET_KINDS)
+
+
+@pytest.mark.parametrize("name", list(sf.ORACLES))
+def test_replacing_run_or_ratio_keeps_the_declared_bounded(name):
+    oracle = sf.ORACLES[name]
+    assert oracle.bounded is not None
+    for field in ("run", "ratio"):
+        changed = replace(oracle, **{field: lambda p: 1 / 0})
+        assert changed.bounded is oracle.bounded and changed.bounded_call() is oracle.bounded
 
 
 GRAPH_ORACLES = [

@@ -254,6 +254,12 @@ class TestBranchCommand:
         assert json.loads(out)["outcome"] == "infeasible"
         assert "Traceback" not in err
 
+    def test_uncoverable_set_cover_is_infeasible_before_the_prune(self, run):
+        # Ground element 0 is in no set.  At k = 1 the greedy would pass the
+        # bound H_1 * 1 at its second pick, before it reaches element 0.
+        code, out, _ = run(["--problem", "set-cover", "branch", "-", "--k", "1"], "6 5\n1\n2\n3\n4\n5\n")
+        assert (code, json.loads(out)["outcome"]) == (1, "infeasible")
+
     def test_oracle_for_the_other_instance_type_exit_2(self, run):
         # Refused before the first node, though the root of an edgeless
         # graph is a solution that no oracle call is needed for.

@@ -227,6 +227,14 @@ class TestCoveringKindsAgainstBruteForce:
         sys = random_system((seed % 9) + 2, (seed % 11) + 2, 4, 9000 + seed)
         self._check(sf.make_problem(sf.ProblemKind.SET_COVER, sys))
 
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_uncoverable_set_cover_raises_before_the_prune(self, prune):
+        # Ground element 0 is in no set.  At k = 1 the greedy passes the
+        # bound H_1 * 1 at its second pick, before it reaches element 0.
+        p = sf.make_problem(sf.ProblemKind.SET_COVER, sf.SetSystem.from_lists(6, [[1], [2], [3], [4], [5]]))
+        with pytest.raises(sf.InfeasibleInstance):
+            sf.branch_solve_min(p, sf.DEFAULT_ORACLE[p.kind], sf.BranchConfig(budget_k=1, prune_enabled=prune))
+
 
 class TestBranchOnSubInstances:
     """The engine started at a sub-instance I(e) answers for I(e) itself,
