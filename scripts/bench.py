@@ -6,10 +6,15 @@ restriction I(e), I(e) followed by the first call of its predicate, which
 builds it (`restrict+feasible_mask.vertex-cover`), the scalar predicate on
 a feasible and an infeasible mask, `run` and `ratio` of each default
 oracle, one search node at depth 2 of each restrictable kind with a
-default oracle (`node.<kind>`: restrict from the depth-1 instance I(0) on
-the lowest element it keeps, then `run` and `ratio` there), the oracle
-alone on that depth-2 sub-instance (`run.<oracle>.sub`), and the prune
-test on the integer terms of a ratio already read.  The set-cover
+default oracle as the search makes it (`node.<kind>`: from the masks of the
+depth-1 instance I(0), `core.child_alive` on the lowest element it keeps,
+then one `oracle.bounded_call()` on the child's masks with the room that a
+search at budget k, the size of the oracle's output at the root, passes at
+depth 2, or None under maximization), the oracle's `run` on that depth-2
+sub-instance (`run.<oracle>.sub`), and the prune test of an oracle built
+from `run` and `ratio` alone, on the integer terms of a ratio already read
+(`prune_test`; the built-in oracles stop their greedy at the bound
+instead).  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
 The covering greedy's lazy scan is timed on two large narrow inputs:
@@ -127,15 +132,16 @@ def layers(sf) -> dict:
     for kind, p in probs.items():
         if kind not in sf.RESTRICTABLE:
             continue
-        # A search node at depth 2: restrict to it, then run and ratio there.
+        # A search node at depth 2, as _branch makes it: the child's alive
+        # mask from the depth-1 masks, then one bounded call with the room.
         oracle, parent = sf.DEFAULT_ORACLE[kind], p.restrict(0)
         f = min(sf.iter_bits(parent.alive))
         sub = parent.restrict(f)
+        bounded, alive, chosen = oracle.bounded_call(), parent.alive, sub.chosen
+        room = len(oracle.run(p)) - 2 if p.goal is sf.Goal.MINIMIZE else None
 
         def node():
-            q = parent.restrict(f)
-            oracle.run(q)
-            oracle.ratio(q)
+            bounded(p, sf.core.child_alive(p, alive, f), chosen, room)
 
         out[f"node.{kind.value}"] = _median_us(node, 2_000)
         out[f"run.{oracle.name}.sub"] = _median_us(lambda: oracle.run(sub), 2_000)
@@ -166,7 +172,7 @@ def layers(sf) -> dict:
         out[f"complement.w{n}"] = _median_us(lambda: sf.core._co_batch(_no_mask, cols), number * 10)
     # The prune test of an oracle built from run and ratio alone, once both
     # have run: |sol| * den > num * room.  The built-in oracles stop their
-    # greedy at the bound instead.
+    # greedy at the bound instead, so it times the derived path only.
     r = sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc)
     sol, num, den, room = cover.bit_count(), r.numerator, r.denominator, 29 - 3
     out["prune_test"] = _median_us(lambda: sol * den > num * room, 200_000)

@@ -8,7 +8,8 @@ comparisons downstream never hit floating point.  Minimization ratios are
 One greedy loop serves each core of problems.py: `_greedy_cover` is
 greedy-set-cover on the sets and greedy-dominating on the closed
 neighbourhoods; `_greedy_packing` is greedy-mis and greedy-ids on the
-adjacency masks and greedy-clique on the non-neighbour masks.
+adjacency masks and greedy-clique on the non-neighbour masks.  The scans of
+`_cover_scan` only find the next pick, for that loop and for a ratio.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import TYPE_CHECKING, Callable, Collection, Optional
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional
 
-from .core import Goal, InfeasibleInstance, SubsetProblem, _view, is_feasible, iter_bits
+from .core import Goal, InfeasibleInstance, SubInstance, SubsetProblem, is_feasible, iter_bits
 from .problems import GOALS, ProblemKind, fewest_conflicts
 
 
@@ -68,16 +69,16 @@ class ApproxOracle:
             raise ValueError(f"oracle {self.name} is for {self.kind.value} only")
 
     def bounded_call(self) -> Bounded:
-        """bounded, or else the same contract from run and ratio on a view."""
+        """bounded, or else the same contract from run and ratio on a SubInstance."""
         return self.bounded or partial(_bounded_by, self.run, self.ratio)
 
 
 def _bounded_by(run, ratio, root: SubsetProblem, alive: int, chosen: int, room: Optional[int]):
-    view = _view(root, alive, chosen)
-    sol = run(view)
+    sub = SubInstance(root, alive, chosen)
+    sol = run(sub)
     if room is None:
         return sol
-    r = ratio(view)
+    r = ratio(sub)
     return None if len(sol) * r.denominator > r.numerator * room else sol
 
 
@@ -159,15 +160,14 @@ def _top_gain(planes: list[int]) -> tuple[int, int]:
     return (best if gain else 0), gain
 
 
-def _scan_picks(covers: tuple[int, ...], target: int, room=None, d=None) -> Optional[list[int]]:
-    """The picks in order, by a lazy scan (Minoux's accelerated greedy):
-    bound[i] is id i's gain when last computed, and target only loses bits,
-    so an id whose bound is no more than the best gain of the pass so far
-    cannot beat it and is skipped.  At most it ties a lower id, so the picks
-    are those of a full rescan, lowest id on ties.  room and d: see
-    _greedy_cover."""
+def _lazy_scan(covers: tuple[int, ...], target: int) -> Iterator[tuple[int, int]]:
+    """(id, gain) of each pick in order, by a lazy scan (Minoux's accelerated
+    greedy): bound[i] is id i's gain when last computed, and target only
+    loses bits, so an id whose bound is no more than the best gain of the
+    pass so far cannot beat it and is skipped.  At most it ties a lower id,
+    so the picks are those of a full rescan, lowest id on ties.  It ends
+    once target is covered, or after (-1, 0) if what is left is in no cover."""
     bound = [target.bit_count()] * len(covers)
-    picked, limit = [], len(covers)
     while target:
         best, best_gain = -1, 0
         for i in range(len(covers)):
@@ -175,31 +175,21 @@ def _scan_picks(covers: tuple[int, ...], target: int, room=None, d=None) -> Opti
                 gain = bound[i] = (covers[i] & target).bit_count()
                 if gain > best_gain:
                     best, best_gain = i, gain
+        yield best, best_gain
         if best < 0:
-            raise InfeasibleInstance("ground set not coverable")
-        if room is not None and not picked:
-            limit = _cover_limit(room, d or best_gain)
-        if len(picked) == limit:
-            return None
-        picked.append(best)
+            return
         target &= ~covers[best]
-    return picked
 
 
-def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: int,
-                   room=None, d=None) -> Optional[list[int]]:
+def _counter_scan(covers: tuple[int, ...], holders: tuple[int, ...], target: int) -> Iterator[tuple[int, int]]:
+    """What _lazy_scan yields, from the gain counters."""
     planes = _gain_planes(holders, target)
-    picked, limit = [], len(covers)
     while target:
         best, gain = _top_gain(planes)
-        if not best:
-            raise InfeasibleInstance("ground set not coverable")
-        if room is not None and not picked:
-            limit = _cover_limit(room, d or gain)
-        if len(picked) == limit:
-            return None
         i = (best & -best).bit_length() - 1
-        picked.append(i)
+        yield i, gain
+        if not gain:
+            return
         # Each newly covered x takes 1 off the gain of every id holding it;
         # those gains count x, so the borrow stops within the planes.
         for x in iter_bits(covers[i] & target):
@@ -210,33 +200,36 @@ def _counter_picks(covers: tuple[int, ...], holders: tuple[int, ...], target: in
                 borrow &= ~plane
                 b += 1
         target &= ~covers[i]
-    return picked
 
 
-def _cover_limit(room: int, d: int) -> int:
-    """The most picks within H_d * room."""
-    r = harmonic(d)
-    return room * r.numerator // r.denominator
+def _cover_scan(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int) -> Iterator[tuple[int, int]]:
+    """The covering greedy's (id, gain) picks on what the chosen ids leave
+    uncovered, the largest gain first: by the counters on a wide system,
+    else by the lazy scan, which pick what a full rescan would."""
+    target = _residual(covers, len(holders), chosen)
+    wide = _is_wide(len(covers), len(holders))
+    return _counter_scan(covers, holders, target) if wide else _lazy_scan(covers, target)
 
 
 def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int,
                   room: Optional[int] = None, d: Optional[int] = None) -> Optional[list[int]]:
     """The covering core's greedy: take the id whose cover mask holds the most
     uncovered ground elements (lowest id on ties), repeat.  holders is the
-    transpose of covers: for each ground element, the ids covering it.  A
-    wide system takes the gain counters, any other the lazy scan; both pick
-    what a full rescan of every gain on every pick would, in pick order.
+    transpose of covers: for each ground element, the ids covering it.
     Given a room, it returns None once it has more than H_d * room picks, d
     being the first pick's gain, the largest, unless passed.  An instance
     with a ground element in no cover raises InfeasibleInstance even then,
     as a run to the end does."""
-    target = _residual(covers, len(holders), chosen)
-    if _is_wide(len(covers), len(holders)):
-        picked = _counter_picks(covers, holders, target, room, d)
-    else:
-        picked = _scan_picks(covers, target, room, d)
-    if picked is None and 0 in holders:
-        raise InfeasibleInstance("ground set not coverable")
+    picked, limit = [], None
+    for i, gain in _cover_scan(covers, holders, chosen):
+        if room is not None and not picked:
+            r = harmonic(d or gain)
+            limit = room * r.numerator // r.denominator
+        if not gain or len(picked) == limit and 0 in holders:
+            raise InfeasibleInstance("ground set not coverable")
+        if len(picked) == limit:
+            return None
+        picked.append(i)
     return picked
 
 
@@ -277,15 +270,6 @@ def _max_degree(adj: tuple[int, ...], alive: int) -> int:
     return max(((adj[v] & alive).bit_count() for v in iter_bits(alive)), default=0)
 
 
-def _max_residual_size(p: SubsetProblem) -> int:
-    """Largest number of ground elements one set adds to the chosen sets."""
-    sys = p.data
-    target = _residual(sys.sets, sys.n_ground, p.chosen)
-    if _is_wide(sys.m, sys.n_ground):
-        return _top_gain(_gain_planes(sys.holders, target))[1]
-    return max(((s & target).bit_count() for s in sys.sets), default=0)
-
-
 _TWO = Fraction(2)
 
 
@@ -304,7 +288,8 @@ ORACLES = {o.name: o for o in (
     _builtin("matching-vc", ProblemKind.VERTEX_COVER, lambda p: _TWO,
              lambda root, alive, chosen, room: _matching_cover(
                  root.data.adj, alive, None if room is None else 2 * room)),
-    _builtin("greedy-set-cover", ProblemKind.SET_COVER, lambda p: harmonic(max(_max_residual_size(p), 1)),
+    _builtin("greedy-set-cover", ProblemKind.SET_COVER,
+             lambda p: harmonic(max(next(_cover_scan(p.data.sets, p.data.holders, p.chosen), (0, 0))[1], 1)),
              lambda root, alive, chosen, room: _greedy_cover(
                  root.data.sets, root.data.holders, chosen, room)),
     _builtin("greedy-dominating", ProblemKind.DOMINATING_SET, lambda p: harmonic(p.data.max_degree + 1),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from bisect import bisect_left
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from itertools import accumulate
 from operator import attrgetter, or_
 from typing import Callable, Iterable, Iterator, Optional
@@ -98,11 +98,12 @@ class SubsetProblem:
     This is a root instance: `alive`, the elements still selectable, is the
     whole universe and `chosen`, the elements already picked, is empty.
     Both are derived, never passed, since nothing could tie passed masks to
-    the predicates.  On the kinds that have a sub-instance operator,
-    restrict_fn(e) is the mask of elements that can still join a solution
-    holding e, and restrict(e) returns a SubInstance; other kinds leave
-    restrict_fn as None.  Every function of the package that takes a
-    SubsetProblem takes a SubInstance too.
+    the predicates; a SubInstance holds a root and the masks.  On the kinds
+    that have a sub-instance operator, restrict_fn(e) is the mask of
+    elements that can still join a solution holding e, and restrict(e)
+    returns a SubInstance; other kinds leave restrict_fn as None.  Every
+    function of the package that takes a SubsetProblem takes a SubInstance
+    too.
     """
 
     label: str
@@ -124,53 +125,43 @@ class SubsetProblem:
         S' + {e} feasible here."""
         if self.restrict_fn is None:
             raise UnsupportedRestriction(self)
-        return _view(self, child_alive(self, self.alive, e), 1 << e)
+        return SubInstance(self, child_alive(self, self.alive, e), 1 << e)
 
 
+@dataclass(frozen=True, eq=False)
 class SubInstance:
-    """A read-only view of a sub-instance: its root SubsetProblem plus two
-    masks in root numbering, `alive`, the elements still selectable, and
-    `chosen`, the elements already picked.  Its feasible sets are the S
-    within alive for which S | chosen is feasible at the root.
-
-    label, universe_size, goal and kind are read through root.  data and
-    restrict_fn are the root's, held in slots of their own because an
-    oracle and restrict read them.  feasible_mask and feasible_batch are
-    built from the root's on first read and then kept, so a view that only
-    feeds an oracle builds neither.  _view fills the slots, the two
-    predicates fill their own on first read, and nothing else may write
-    them; a frozen __setattr__ is left out because its stores would cost
-    what the slots save.
+    """A sub-instance: its root SubsetProblem plus two masks in root
+    numbering, `alive`, the elements still selectable, and `chosen`, the
+    elements already picked, which the constructor refuses if they overlap
+    or leave the root's universe.  Its feasible sets are the S within alive
+    for which S | chosen is feasible at the root.  Every other field is read
+    through root; feasible_mask and feasible_batch are built from the root's
+    on first read and then kept, so one that only feeds an oracle builds
+    neither.
     """
 
-    __slots__ = ("root", "data", "restrict_fn", "alive", "chosen", "_feasible_mask", "_feasible_batch")
+    root: SubsetProblem
+    alive: int
+    chosen: int
 
-    label = property(attrgetter("root.label"))
-    universe_size = property(attrgetter("root.universe_size"))
-    goal = property(attrgetter("root.goal"))
-    kind = property(attrgetter("root.kind"))
+    label, universe_size, goal, kind, data, restrict_fn = (property(attrgetter("root." + name)) for name in (
+        "label", "universe_size", "goal", "kind", "data", "restrict_fn"))
 
-    @property
+    def __post_init__(self):
+        if self.alive & self.chosen or (self.alive | self.chosen) & ~self.root.alive:
+            raise ValueError(f"alive and chosen overlap or leave the universe of {self.root.label}")
+
+    @cached_property
     def feasible_mask(self) -> Callable[[int], bool]:
-        try:
-            return self._feasible_mask
-        except AttributeError:
-            pred = self._feasible_mask = partial(
-                _sub_feasible, self.root.feasible_mask, self.alive, self.chosen)
-            return pred
+        return partial(_sub_feasible, self.root.feasible_mask, self.alive, self.chosen)
 
-    @property
+    @cached_property
     def feasible_batch(self) -> Callable[[tuple[int, ...]], int]:
-        try:
-            return self._feasible_batch
-        except AttributeError:
-            pred = self._feasible_batch = partial(
-                _sub_batch, self.root.feasible_batch, self.alive, self.chosen)
-            return pred
+        return partial(_sub_batch, self.root.feasible_batch, self.alive, self.chosen)
 
     def restrict(self, e: int) -> "SubInstance":
         """I(e) of this sub-instance, in root numbering."""
-        return _view(self.root, child_alive(self.root, self.alive, e), self.chosen | 1 << e)
+        return SubInstance(self.root, child_alive(self.root, self.alive, e), self.chosen | 1 << e)
 
 
 def child_alive(root: SubsetProblem, alive: int, e: int) -> int:
@@ -179,18 +170,6 @@ def child_alive(root: SubsetProblem, alive: int, e: int) -> int:
     if not alive >> e & 1:
         raise ValueError(f"element {e} is not selectable in {root.label}")
     return alive & root.restrict_fn(e) & ~(1 << e)
-
-
-def _view(root: SubsetProblem, alive: int, chosen: int) -> SubInstance:
-    """The sub-instance of root with masks alive and chosen, by plain slot
-    stores."""
-    view = object.__new__(SubInstance)
-    view.root = root
-    view.data = root.data
-    view.restrict_fn = root.restrict_fn
-    view.alive = alive
-    view.chosen = chosen
-    return view
 
 
 @dataclass(frozen=True)

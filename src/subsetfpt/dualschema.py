@@ -30,6 +30,11 @@ from .approx import ApproxOracle, run_checked
 from .problems import packing_upper_bound
 
 
+def _exact(x) -> Fraction:
+    """A passed ratio or epsilon, a float through its shortest repr: 0.1 is 1/10."""
+    return Fraction(repr(x) if isinstance(x, float) else x)
+
+
 class SchemaPath(Enum):
     APPROX = "approx"
     BRUTE = "brute"
@@ -43,8 +48,7 @@ class SchemaConfig:
     force_brute: bool = False
 
     def __post_init__(self):
-        # A float goes through its shortest repr, so 0.1 means 1/10.
-        eps = Fraction(str(self.epsilon) if isinstance(self.epsilon, float) else self.epsilon)
+        eps = _exact(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
         if not 0 < eps <= 1:
             raise ValueError("epsilon must be in (0, 1]")
@@ -86,7 +90,7 @@ def threshold_min(rho: Fraction, epsilon: Fraction) -> Fraction:
     """Instance-size factor above which complementing a rho-approximate
     minimizer is (1 - epsilon)-good for the dual maximization problem:
     (rho - 1 + epsilon)/epsilon."""
-    return Fraction(*_threshold(Fraction(rho), Fraction(epsilon), Goal.MINIMIZE))
+    return Fraction(*_threshold(_exact(rho), _exact(epsilon), Goal.MINIMIZE))
 
 
 def threshold_max(rho: Fraction, epsilon: Fraction) -> Fraction:
@@ -97,7 +101,7 @@ def threshold_max(rho: Fraction, epsilon: Fraction) -> Fraction:
     since k' >= rho*k; requiring that to be <= 1 + epsilon solves to
     n >= ((1 - rho + epsilon)/epsilon) * k.
     """
-    return Fraction(*_threshold(Fraction(rho), Fraction(epsilon), Goal.MAXIMIZE))
+    return Fraction(*_threshold(_exact(rho), _exact(epsilon), Goal.MAXIMIZE))
 
 
 def dual_approx(

@@ -118,22 +118,22 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     room; maximization stops at the first feasible set of size budget_k.  An
     oracle for the other goal or a problem without a restriction operator is
     refused before the first node.  Open nodes wait as frames on an explicit
-    stack: a search of any depth answers.  Every node's solution is tested
-    with p's own predicate.
+    stack: a search of any depth answers.  Every node is tested with the
+    root's predicate on its chosen mask, as p's own would be on its solution.
     """
     check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
     prune = minimize and cfg.prune_enabled
     root = p.root if isinstance(p, SubInstance) else p
-    bounded, feasible, cap = oracle.bounded_call(), p.feasible_mask, cfg.node_cap
+    bounded, feasible, cap = oracle.bounded_call(), root.feasible_mask, cfg.node_cap
     # The deepest a solution may lie: the budget, then |incumbent| - 1.
     limit = cfg.budget_k
     nodes = max_depth = max_arity = 0
     cap_hit = False
     best: Optional[int] = None  # the incumbent, as a solution of p
     seen: set[int] = set()
-    # p's own chosen elements lie outside p.alive, so p's predicate would
-    # reject them: a node's solution is what it chose beyond them.
+    # A node's solution, ranked and answered, is what it chose beyond p's
+    # own chosen elements.
     inherited = chosen = p.chosen
     alive = p.alive
     # Each frame is an expanded node's alive and chosen masks and an
@@ -149,7 +149,7 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
         if depth > max_depth:
             max_depth = depth
         room = limit - depth
-        if (minimize or room == 0) and feasible(own):
+        if (minimize or room == 0) and feasible(chosen):
             if best is None or _rank(own) < _rank(best):
                 best, limit = own, depth - 1
             if not minimize:

@@ -84,16 +84,24 @@ def _transpose(covers, n_ground):
     return tuple(sum(1 << i for i, c in enumerate(covers) if (c >> x) & 1) for x in range(n_ground))
 
 
-def _picks_or_infeasible(fn, *args):
-    try:
-        return fn(*args)
-    except sf.InfeasibleInstance:
-        return "infeasible"
+def _picks_or_infeasible(scan, covers, target):
+    """The ids a covering scan of target yields, or "infeasible" if it ends
+    on (-1, 0).  Checks each gain against a recount on what is left."""
+    items, picks = list(scan), []
+    for i, gain in items:
+        if i < 0:
+            assert gain == 0 and target and (i, gain) == items[-1]
+            return "infeasible"
+        assert gain == (covers[i] & target).bit_count() > 0
+        picks.append(i)
+        target &= ~covers[i]
+    assert not target
+    return picks
 
 
 class TestGainCounters:
     """The bit-sliced gain counters pick what the plain scan picks, in the
-    same order, and raise where it raises."""
+    same order with the same gains, and end on (-1, 0) where it does."""
 
     # (ground, ids): narrow, square and wide systems, on both sides of WIDE.
     SHAPES = [(1, 1), (3, 2), (5, 5), (8, 12), (8, 31), (8, 32), (12, 60), (16, 64), (20, 150)]
@@ -112,9 +120,10 @@ class TestGainCounters:
             for _ in range(4):
                 chosen = rng.getrandbits(m) & rng.getrandbits(m)
                 target = approx._residual(covers, n_ground, chosen)
-                scan = _picks_or_infeasible(approx._scan_picks, covers, target)
-                counters = _picks_or_infeasible(approx._counter_picks, covers, holders, target)
+                scan = list(approx._lazy_scan(covers, target))
+                counters = list(approx._counter_scan(covers, holders, target))
                 assert counters == scan
+                scan = _picks_or_infeasible(scan, covers, target)
                 outcomes.add(scan == "infeasible")
                 gains = [(c & target).bit_count() for c in covers]
                 best = max(gains, default=0)
@@ -124,16 +133,22 @@ class TestGainCounters:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_max_residual_size_in_both_regimes(self, seed):
+        """greedy-set-cover's ratio is H of the largest number of ground
+        elements one set adds to the chosen sets (at least 1), on narrow and
+        wide systems, and on an uncoverable one without raising."""
         rng = random.Random(100 + seed)
-        for n_ground, m in ((10, 10), (10, 39), (10, 40), (10, 80)):
-            sys = sf.SetSystem(n_ground, _random_covers(rng, n_ground, m))
+        ratio = sf.ORACLES["greedy-set-cover"].ratio
+        for n_ground, m, gone in ((10, 10, 0), (10, 39, 0), (10, 40, 0), (10, 80, 0), (10, 12, 0b1000), (10, 41, 0b1000)):
+            covers = tuple(c & ~gone for c in _random_covers(rng, n_ground, m))
+            sys = sf.SetSystem(n_ground, covers)
             assert approx._is_wide(sys.m, sys.n_ground) == (m >= 4 * n_ground)
+            assert not gone or 0 in sys.holders  # no set holds the gone element
             p = sf.make_problem(sf.ProblemKind.SET_COVER, sys)
             for e in rng.sample(range(m), 3):
                 p = p.restrict(e)
                 target = approx._residual(sys.sets, n_ground, p.chosen)
                 expected = max((s & target).bit_count() for s in sys.sets)
-                assert approx._max_residual_size(p) == expected
+                assert ratio(p) == sf.harmonic(max(expected, 1))
 
     def test_wide_system_takes_the_counters(self, monkeypatch):
         oracle = sf.ORACLES["greedy-set-cover"]
@@ -144,7 +159,7 @@ class TestGainCounters:
         def refuse(*args):
             raise AssertionError("a wide system took the scan")
 
-        monkeypatch.setattr(approx, "_scan_picks", refuse)
+        monkeypatch.setattr(approx, "_lazy_scan", refuse)
         assert oracle.run(p) == expected
         assert len(expected) > 1
         with pytest.raises(AssertionError):
@@ -176,30 +191,32 @@ class TestPickSequence:
                     wide.add(approx._is_wide(m, n_ground))
                     gains = [(c & target).bit_count() for c in covers]
                     tied |= gains.count(max(gains)) > 1 and max(gains) > 0
+                    scans = (approx._lazy_scan(covers, target), approx._counter_scan(covers, holders, target))
                     if expected is None:
-                        for run in (lambda: approx._scan_picks(covers, target),
-                                    lambda: approx._counter_picks(covers, holders, target),
-                                    lambda: approx._greedy_cover(covers, holders, chosen)):
-                            with pytest.raises(sf.InfeasibleInstance):
-                                run()
+                        for scan in scans:
+                            assert _picks_or_infeasible(scan, covers, target) == "infeasible"
+                        with pytest.raises(sf.InfeasibleInstance):
+                            approx._greedy_cover(covers, holders, chosen)
                         continue
                     assert not set(sf.iter_bits(chosen)) & set(expected)
-                    assert approx._scan_picks(covers, target) == expected
-                    assert approx._counter_picks(covers, holders, target) == expected
+                    for scan in scans:
+                        assert _picks_or_infeasible(scan, covers, target) == expected
                     assert approx._greedy_cover(covers, holders, chosen) == expected
         assert infeasible == wide == {True, False} and tied
 
     def test_greedy_dominating_on_all_graphs_up_to_6(self):
         for g in all_graphs_upto(6):
             expected = greedy_cover_ref(closed_neighbourhoods_ref(g), set(range(g.n)))
-            assert approx._scan_picks(g.closed_nbs, (1 << g.n) - 1) == expected
+            full = (1 << g.n) - 1
+            assert _picks_or_infeasible(approx._lazy_scan(g.closed_nbs, full), g.closed_nbs, full) == expected
             assert _run_on_root("greedy-dominating", g) == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_greedy_dominating_on_gnp_600(self, seed):
         g = random_graph(600, 0.02, 70000 + seed)
         expected = greedy_cover_ref(closed_neighbourhoods_ref(g), set(range(g.n)))
-        assert approx._scan_picks(g.closed_nbs, (1 << g.n) - 1) == expected
+        full = (1 << g.n) - 1
+        assert _picks_or_infeasible(approx._lazy_scan(g.closed_nbs, full), g.closed_nbs, full) == expected
         p = sf.make_problem(sf.ProblemKind.DOMINATING_SET, g)
         assert sf.ORACLES["greedy-dominating"].run(p) == expected
 

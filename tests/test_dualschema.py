@@ -76,6 +76,12 @@ class TestSchemaConfig:
     def test_float_epsilon_is_its_decimal(self):
         assert sf.SchemaConfig(epsilon=0.1).epsilon == F(1, 10)
 
+    def test_thresholds_read_floats_as_the_config_does(self):
+        eps = sf.SchemaConfig(epsilon=0.1).epsilon
+        assert sf.threshold_min(2, 0.1) == sf.threshold_min(2, eps) == 11
+        assert sf.threshold_max(0.5, 0.1) == sf.threshold_max(F(1, 2), F(1, 10)) == 6
+        assert sf.threshold_min(1.1, 0.5) == F(6, 5)
+
     def test_brute_cap_validated(self):
         with pytest.raises(ValueError):
             sf.SchemaConfig(epsilon=F(1, 2), brute_cap=0)

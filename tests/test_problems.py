@@ -39,10 +39,6 @@ def _positions(got, n):
     return [bool(got >> s & 1) for s in range(1 << n)]
 
 
-def _slots_set(sub):
-    return {name for name in sf.SubInstance.__slots__ if hasattr(sub, name)}
-
-
 def _assert_batch_matches_scalar(p):
     n = p.universe_size
     got = p.feasible_batch(_identity_columns(n))
@@ -395,13 +391,12 @@ class TestRestriction:
         grandchild = child.restrict(min(sf.iter_bits(child.alive)))
         for sub in (child, grandchild):
             assert type(sub) is sf.SubInstance and sub.root is p
-            assert not hasattr(sub, "__dict__")
             # The two predicates are built on first read.
-            assert _slots_set(sub) == {"root", "data", "restrict_fn", "alive", "chosen"}
+            assert set(vars(sub)) == {"root", "alive", "chosen"}
             for name in shared:
                 assert getattr(sub, name) is getattr(p, name), (kind, name)
             _assert_batch_matches_scalar(sub)
-            assert _slots_set(sub) == set(sf.SubInstance.__slots__)
+            assert set(vars(sub)) == {"root", "alive", "chosen", "feasible_mask", "feasible_batch"}
 
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
     def test_sub_instance_predicates_built_on_first_read(self, kind):
@@ -427,6 +422,24 @@ class TestRestriction:
                 getattr(obj, "nope")
         with pytest.raises(AttributeError):
             fresh.label = "renamed"  # read through the root
+
+    def test_sub_instance_refuses_overlapping_or_outside_masks(self):
+        p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, random_graph(5, 0.5, 7))
+        sub = p.restrict(0)
+        same = sf.SubInstance(p, sub.alive, sub.chosen)
+        assert (same.alive, same.chosen, same.root) == (sub.alive, sub.chosen, p)
+        assert sf.SubInstance(p, 0, 0b11111).alive == 0  # a leaf: all chosen, none alive
+        bad = [(0b00011, 0b00010), (0b11110, 0b11110),  # overlapping
+               (1 << 5, 0), (0, 1 << 5), (0b1111, 0b10000 | 1 << 7),  # outside the universe
+               (-1, 0), (0, -2)]  # negative masks hold every high element
+        for alive, chosen in bad:
+            with pytest.raises(ValueError):
+                sf.SubInstance(p, alive, chosen)
+        for change in ({"alive": sub.alive | sub.chosen}, {"chosen": sub.chosen | sub.alive},
+                       {"alive": sub.alive | 1 << 5}, {"chosen": sub.chosen | 1 << 9}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(sub, **change)
+        assert dataclasses.replace(sub, alive=0).alive == 0
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
