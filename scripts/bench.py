@@ -2,10 +2,10 @@
 """Layer-by-layer timings of subsetfpt and the branching engine's cost per node.
 
 Layers, on G(50, 0.1) drawn with seed 70000 and a 16-set system: the
-restriction I(e), I(e) followed by the first call of its predicate, which
-builds it (`restrict+feasible_mask.vertex-cover`), the scalar predicate on
-a feasible and an infeasible mask, `run` and `ratio` of each default
-oracle, one search node at depth 2 of each restrictable kind with a
+restriction I(e), which builds both its predicates, I(e) and one call of
+its predicate (`restrict+feasible_mask.vertex-cover`), the scalar
+predicate on a feasible and an infeasible mask, `run` and `ratio` of each
+default oracle, one search node at depth 2 of each restrictable kind with a
 default oracle as the search makes it (`node.<kind>`: from the masks of the
 depth-1 instance I(0), `core.child_alive` on the lowest element it keeps,
 then one `oracle.bounded_call()` on the child's masks with the room that a

@@ -18,7 +18,6 @@ from .core import (
     EvaluatedSolution,
     Goal,
     InfeasibleInstance,
-    SubInstance,
     SubsetProblem,
     UnsupportedRestriction,
     brute_force_optimum,

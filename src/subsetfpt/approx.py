@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional
 
-from .core import Goal, InfeasibleInstance, SubInstance, SubsetProblem, is_feasible, iter_bits
+from .core import Goal, InfeasibleInstance, SubsetProblem, _sub_instance, is_feasible, iter_bits
 from .problems import GOALS, ProblemKind, fewest_conflicts
 
 
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # bounded(root, alive, chosen, room), see ApproxOracle; not b
 class ApproxOracle:
     """A named polynomial-time algorithm together with its declared ratio.
 
-    run/ratio take a SubsetProblem or a sub-instance.  run returns a sized
+    run/ratio take a SubsetProblem, root or sub-instance.  run returns a sized
     collection of distinct ids: the branching engine reads only its len()
     and sorted(), and run_checked makes a frozenset of it for every other
     engine.  The built-in oracles return their greedy's list of picks.  The
@@ -69,12 +69,14 @@ class ApproxOracle:
             raise ValueError(f"oracle {self.name} is for {self.kind.value} only")
 
     def bounded_call(self) -> Bounded:
-        """bounded, or else the same contract from run and ratio on a SubInstance."""
+        """bounded, or else the same contract from run and ratio, both called
+        on the sub-instance of root with the given masks, built as restrict
+        builds one."""
         return self.bounded or partial(_bounded_by, self.run, self.ratio)
 
 
 def _bounded_by(run, ratio, root: SubsetProblem, alive: int, chosen: int, room: Optional[int]):
-    sub = SubInstance(root, alive, chosen)
+    sub = _sub_instance(root, alive, chosen)
     sol = run(sub)
     if room is None:
         return sol

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from bisect import bisect_left
-from functools import cache, cached_property, lru_cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate
-from operator import attrgetter, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, Optional
 
 DEFAULT_BUDGET = 20
@@ -95,15 +95,16 @@ class SubsetProblem:
     that mask is feasible.  Bits at or above the chunk width are don't-care
     on both sides.
 
-    This is a root instance: `alive`, the elements still selectable, is the
-    whole universe and `chosen`, the elements already picked, is empty.
-    Both are derived, never passed, since nothing could tie passed masks to
-    the predicates; a SubInstance holds a root and the masks.  On the kinds
-    that have a sub-instance operator, restrict_fn(e) is the mask of
-    elements that can still join a solution holding e, and restrict(e)
-    returns a SubInstance; other kinds leave restrict_fn as None.  Every
-    function of the package that takes a SubsetProblem takes a SubInstance
-    too.
+    `alive`, the elements still selectable, `chosen`, the elements already
+    picked, and `root`, the instance both are masks of, are derived, never
+    passed: a constructed problem is a root, its own `root`, with the whole
+    universe alive and nothing chosen.  On the kinds that have a
+    sub-instance operator, restrict_fn(e) is the mask of elements that can
+    still join a solution holding e, and restrict(e) returns I(e), a
+    sub-instance: a SubsetProblem that shares every other field of its root,
+    holds masks in root numbering, and whose feasible sets are the S within
+    alive for which S | chosen is feasible at the root.  Other kinds leave
+    restrict_fn as None.
     """
 
     label: str
@@ -116,52 +117,29 @@ class SubsetProblem:
     data: object = None
     alive: int = field(init=False)
     chosen: int = field(init=False, default=0)
+    root: "SubsetProblem" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alive", (1 << self.universe_size) - 1)
+        object.__setattr__(self, "root", self)
 
-    def restrict(self, e: int) -> "SubInstance":
+    def restrict(self, e: int) -> "SubsetProblem":
         """I(e): the sub-instance whose solutions S' are exactly those with
-        S' + {e} feasible here."""
+        S' + {e} feasible here, in root numbering."""
         if self.restrict_fn is None:
             raise UnsupportedRestriction(self)
-        return SubInstance(self, child_alive(self, self.alive, e), 1 << e)
+        return _sub_instance(self.root, child_alive(self.root, self.alive, e), self.chosen | 1 << e)
 
 
-@dataclass(frozen=True, eq=False)
-class SubInstance:
-    """A sub-instance: its root SubsetProblem plus two masks in root
-    numbering, `alive`, the elements still selectable, and `chosen`, the
-    elements already picked, which the constructor refuses if they overlap
-    or leave the root's universe.  Its feasible sets are the S within alive
-    for which S | chosen is feasible at the root.  Every other field is read
-    through root; feasible_mask and feasible_batch are built from the root's
-    on first read and then kept, so one that only feeds an oracle builds
-    neither.
-    """
-
-    root: SubsetProblem
-    alive: int
-    chosen: int
-
-    label, universe_size, goal, kind, data, restrict_fn = (property(attrgetter("root." + name)) for name in (
-        "label", "universe_size", "goal", "kind", "data", "restrict_fn"))
-
-    def __post_init__(self):
-        if self.alive & self.chosen or (self.alive | self.chosen) & ~self.root.alive:
-            raise ValueError(f"alive and chosen overlap or leave the universe of {self.root.label}")
-
-    @cached_property
-    def feasible_mask(self) -> Callable[[int], bool]:
-        return partial(_sub_feasible, self.root.feasible_mask, self.alive, self.chosen)
-
-    @cached_property
-    def feasible_batch(self) -> Callable[[tuple[int, ...]], int]:
-        return partial(_sub_batch, self.root.feasible_batch, self.alive, self.chosen)
-
-    def restrict(self, e: int) -> "SubInstance":
-        """I(e) of this sub-instance, in root numbering."""
-        return SubInstance(self.root, child_alive(self.root, self.alive, e), self.chosen | 1 << e)
+def _sub_instance(root: SubsetProblem, alive: int, chosen: int) -> SubsetProblem:
+    """The sub-instance of root with masks alive and chosen, which the
+    caller reached by restriction."""
+    sub = object.__new__(SubsetProblem)  # skips __post_init__, which would make it a root
+    sub.__dict__.update(
+        root.__dict__, alive=alive, chosen=chosen,
+        feasible_mask=partial(_sub_feasible, root.feasible_mask, alive, chosen),
+        feasible_batch=partial(_sub_batch, root.feasible_batch, alive, chosen))
+    return sub
 
 
 def child_alive(root: SubsetProblem, alive: int, e: int) -> int:

@@ -17,7 +17,6 @@ from typing import Iterator, Optional
 
 from .core import (
     BudgetExceeded,
-    SubInstance,
     SubsetProblem,
     UnsupportedRestriction,
     Goal,
@@ -124,7 +123,7 @@ def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> Branch
     check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
     prune = minimize and cfg.prune_enabled
-    root = p.root if isinstance(p, SubInstance) else p
+    root = p.root
     bounded, feasible, cap = oracle.bounded_call(), root.feasible_mask, cfg.node_cap
     # The deepest a solution may lie: the budget, then |incumbent| - 1.
     limit = cfg.budget_k

@@ -429,6 +429,17 @@ def test_oracle_for_another_kind_of_the_same_goal_exit_2(run, argv, stdin_text, 
 HUGE = 1 << 62
 
 
+@pytest.mark.parametrize("argv,stdin_text,line", [
+    (["solve", "-"], "p edge -3 0\n", "error: line 1: negative vertex count"),
+    (["solve", "-"], "p edge 3 1\ne 1 x\n", "error: line 2: malformed edge line 'e 1 x'"),
+    (["--problem", "set-cover", "solve", "-"], "3 x\n1\n", "error: malformed header '3 x'"),
+    (["dual", "-", "--epsilon", "abc"], TRIANGLE_DIMACS, "error: Invalid literal for Fraction: 'abc'"),
+], ids=["negative-vertex-count", "non-integer-edge", "non-integer-header", "epsilon-not-a-number"])
+def test_outside_input_refused_in_one_line(run, argv, stdin_text, line):
+    code, out, err = run(argv, stdin_text)
+    assert (code, out, err.splitlines()) == (2, "", [line])
+
+
 @pytest.mark.parametrize("argv,stdin_text", [
     (["solve", "-"], f"p edge {HUGE} 0\n"),
     (["--problem", "set-cover", "solve", "-"], f"{HUGE} 1\n1\n"),
@@ -547,6 +558,23 @@ class TestExperimentCommand:
         code, out, _ = run(["experiment", "--run", "dual", "--count", "1", "--n", "6", "--epsilon", "1e-4000"])
         assert code == 0
         assert json.loads(out.splitlines()[-1])["errors"] == 0
+
+    @pytest.mark.parametrize("what,outcome", [("solve", "budget-exceeded"), ("branch", "no-reference")])
+    def test_rows_past_the_budget(self, run, what, outcome):
+        code, out, _ = run(["experiment", "--run", what, "--count", "2", "--n", "8", "--budget", "5"])
+        *rows, agg = map(json.loads, out.splitlines())
+        assert code == 0 and [r["outcome"] for r in rows] == [outcome, outcome]
+        assert (agg["rows"], agg["errors"]) == (2, 0)
+
+    def test_dual_rows_with_optimum_zero(self, run):
+        # The dual of clique on a complete graph: the empty set is optimal.
+        code, out, _ = run(["--problem", "clique", "experiment", "--run", "dual", "--count", "2",
+                            "--n", "4", "--p", "1", "--epsilon", "1/2"])
+        *rows, agg = map(json.loads, out.splitlines())
+        assert code == 0 and len(rows) == 2
+        for r in rows:
+            assert (r["dual_value"], r["opt"], r["achieved_ratio"]) == (0, 0, "1")
+        assert (agg["errors"], agg["max_ratio"]) == (0, "1")
 
     def test_branch_experiment_counts_agreements(self, run):
         code, out, _ = run(

@@ -46,9 +46,10 @@ class TestIsFeasible:
 
 class TestRoot:
     def test_root_takes_no_masks(self):
-        # A root's masks are derived: the whole universe alive, nothing chosen.
+        # A root's masks are derived: the whole universe alive, nothing
+        # chosen, and the root is the problem itself.
         p = mis(PATH3)
-        assert (p.alive, p.chosen) == (0b111, 0) and not hasattr(p, "root")
+        assert (p.alive, p.chosen) == (0b111, 0) and p.root is p
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(p, alive=0b11000)
         for name in ("alive", "chosen", "root"):
@@ -63,6 +64,11 @@ class TestRoot:
         rep = sf.branch_solve_max(q, sf.ORACLES["greedy-mis"], sf.BranchConfig(budget_k=2))
         assert (rep.outcome, rep.solution) == (sf.BranchOutcome.FOUND, frozenset({0, 2}))
         assert sf.ORACLES["greedy-mis"].ratio(q) == Fraction(1, 3)
+
+    def test_built_problems_are_their_own_root(self):
+        d = sf.dualize(mis(PATH3))
+        assert d.root is d
+        assert "SubInstance" not in dir(sf) and not hasattr(sf.core, "SubInstance")
 
 
 class TestBruteForce:

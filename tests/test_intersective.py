@@ -54,6 +54,12 @@ class TestBranchSolveMin:
         with pytest.raises(ValueError):
             sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=1))
 
+    def test_maximization_refused_with_its_own_oracle(self):
+        # The oracle matches the problem, so only the engine's goal check refuses.
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, PATH3)
+        with pytest.raises(ValueError, match="needs a minimization problem"):
+            sf.branch_solve_min(p, MIS, sf.BranchConfig(budget_k=1))
+
     def test_empty_feasible_root_short_circuits(self):
         p = vc(sf.Graph.from_edges(4, []))
         rep = sf.branch_solve_min(p, MATCHING, sf.BranchConfig(budget_k=2))
@@ -165,6 +171,11 @@ class TestBranchSolveMax:
         with pytest.raises(ValueError):
             sf.branch_solve_max(p, MATCHING, sf.BranchConfig(budget_k=1))
 
+    def test_minimization_refused_with_its_own_oracle(self):
+        # The oracle matches the problem, so only the engine's goal check refuses.
+        with pytest.raises(ValueError, match="needs a maximization problem"):
+            sf.branch_solve_max(vc(PATH3), MATCHING, sf.BranchConfig(budget_k=1))
+
     def test_k0_trivially_found(self):
         p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, TRIANGLE)
         rep = sf.branch_solve_max(p, MIS, sf.BranchConfig(budget_k=0))
@@ -269,6 +280,25 @@ class TestBranchOnSubInstances:
             if child.alive:
                 yield child.restrict(min(sf.iter_bits(child.alive)))
 
+    def test_greedy_set_cover_stays_within_alive(self):
+        # Every sub-instance reachable by one or two restrictions: the
+        # greedy picks only alive ids, and the engine started there answers
+        # as brute force does, at k = opt and at the NO budget below it.
+        p = sf.make_problem(sf.ProblemKind.SET_COVER, generate_setsystem(10, 8, 4, 1))
+        oracle = sf.ORACLES["greedy-set-cover"]
+        subs = [p.restrict(e) for e in sf.iter_bits(p.alive)]
+        subs += [c.restrict(f) for c in subs for f in sf.iter_bits(c.alive)]
+        assert len(subs) == 64
+        for sub in subs:
+            assert not sf.mask_of(oracle.run(sub)) & ~sub.alive, sub.chosen
+            opt = sf.brute_force_optimum(sub).value
+            rep = sf.branch_solve_min(sub, oracle, sf.BranchConfig(budget_k=opt))
+            assert rep.outcome is sf.BranchOutcome.FOUND and rep.value == opt, sub.chosen
+            assert sf.is_feasible(sub, rep.solution)
+            if opt:
+                rep = sf.branch_solve_min(sub, oracle, sf.BranchConfig(budget_k=opt - 1))
+                assert rep.outcome is sf.BranchOutcome.NO_INSTANCE, sub.chosen
+
     @pytest.mark.parametrize("seed", range(8))
     def test_vertex_cover_is_exact(self, seed):
         for sub in self._sub_instances(sf.ProblemKind.VERTEX_COVER, 2_000 + seed):
@@ -359,7 +389,7 @@ def test_every_engine_accepts_a_sub_instance(kind, atlas):
         for e in sf.iter_bits(p.alive):
             child = p.restrict(e)
             for sub in [child] + [child.restrict(f) for f in sf.iter_bits(child.alive) if f > e]:
-                assert type(sub) is sf.SubInstance
+                assert type(sub) is sf.SubsetProblem and sub.root is p
                 _check_engines_on(sub)
                 depths.add(sub.chosen.bit_count())
     assert depths == {1, 2}

@@ -72,6 +72,11 @@ class TestGraph:
                 sf.Graph(n=2, adj=adj)
         assert sf.Graph(n=0, adj=()) == sf.Graph.from_edges(0, [])
 
+    def test_constructor_rejects_negative_count(self):
+        # The check of __post_init__, which from_edges skips.
+        with pytest.raises(ValueError, match="negative vertex count -1"):
+            sf.Graph(n=-1, adj=())
+
     def test_rejects_negative_mask(self):
         # Unrefused, it hangs brute-force dominating set: iter_bits of a
         # negative mask does not end.
@@ -164,6 +169,10 @@ class TestSetSystem:
         with pytest.raises(ValueError, match="negative ground set size -2"):
             sf.SetSystem.from_lists(-2, [[], []])
         assert sf.SetSystem.from_lists(0, [[], []]).sets == (0, 0)
+
+    def test_from_lists_rejects_element_outside_ground(self):
+        with pytest.raises(ValueError, match=r"ground element 3 outside \[0,3\)"):
+            sf.SetSystem.from_lists(3, [[0, 3]])
 
     def test_rejects_mask_bit_outside_ground(self):
         # Unrefused, it makes brute force raise IndexError on both set kinds.
@@ -386,17 +395,16 @@ class TestRestriction:
         p = sf.make_problem(kind, random_system(6, 6, 3, 77) if set_kind else random_graph(6, 0.5, 77))
         own = {"feasible_mask", "feasible_batch", "alive", "chosen"}
         shared = [f.name for f in dataclasses.fields(sf.SubsetProblem) if f.name not in own]
-        assert set(shared) == {"label", "universe_size", "goal", "kind", "data", "restrict_fn"}
+        assert set(shared) == {"label", "universe_size", "goal", "kind", "data", "restrict_fn", "root"}
         child = next(c for c in map(p.restrict, sf.iter_bits(p.alive)) if c.alive)
         grandchild = child.restrict(min(sf.iter_bits(child.alive)))
         for sub in (child, grandchild):
-            assert type(sub) is sf.SubInstance and sub.root is p
-            # The two predicates are built on first read.
-            assert set(vars(sub)) == {"root", "alive", "chosen"}
+            assert type(sub) is sf.SubsetProblem and sub.root is p
+            # The two predicates are built by restrict, next to the masks.
+            assert set(vars(sub)) == set(own) | set(shared)
             for name in shared:
                 assert getattr(sub, name) is getattr(p, name), (kind, name)
             _assert_batch_matches_scalar(sub)
-            assert set(vars(sub)) == {"root", "alive", "chosen", "feasible_mask", "feasible_batch"}
 
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
     def test_sub_instance_predicates_built_on_first_read(self, kind):
@@ -426,20 +434,12 @@ class TestRestriction:
     def test_sub_instance_refuses_overlapping_or_outside_masks(self):
         p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, random_graph(5, 0.5, 7))
         sub = p.restrict(0)
-        same = sf.SubInstance(p, sub.alive, sub.chosen)
-        assert (same.alive, same.chosen, same.root) == (sub.alive, sub.chosen, p)
-        assert sf.SubInstance(p, 0, 0b11111).alive == 0  # a leaf: all chosen, none alive
-        bad = [(0b00011, 0b00010), (0b11110, 0b11110),  # overlapping
-               (1 << 5, 0), (0, 1 << 5), (0b1111, 0b10000 | 1 << 7),  # outside the universe
-               (-1, 0), (0, -2)]  # negative masks hold every high element
-        for alive, chosen in bad:
-            with pytest.raises(ValueError):
-                sf.SubInstance(p, alive, chosen)
+        # No public call takes masks: restrict alone makes a sub-instance.
         for change in ({"alive": sub.alive | sub.chosen}, {"chosen": sub.chosen | sub.alive},
-                       {"alive": sub.alive | 1 << 5}, {"chosen": sub.chosen | 1 << 9}):
-            with pytest.raises(ValueError):
+                       {"alive": sub.alive | 1 << 5}, {"chosen": sub.chosen | 1 << 9},
+                       {"root": sub}):
+            with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(sub, **change)
-        assert dataclasses.replace(sub, alive=0).alive == 0
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
