@@ -117,7 +117,7 @@ def layers(sf) -> dict:
     cover = sf.mask_of(sf.DEFAULT_ORACLE[K.VERTEX_COVER].run(vc))
     out = {
         "restrict.vertex-cover": _median_us(lambda: vc.restrict(0), 20_000),
-        # A sub-instance builds its predicate on first read: the two together.
+        # restrict builds both predicates; this adds one call of the scalar one.
         "restrict+feasible_mask.vertex-cover": _median_us(
             lambda: vc.restrict(0).feasible_mask(0), 20_000),
         "restrict.independent-set": _median_us(

@@ -66,11 +66,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _sub_feasible(root_feasible, alive: int, chosen: int, mask: int) -> bool:
-    return not mask & ~alive and root_feasible(mask | chosen)
+def _sub_feasible(root: SubsetProblem, alive: int, chosen: int, mask: int) -> bool:
+    return not mask & ~alive and root.feasible_mask(mask | chosen)
 
 
-def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> int:
+def _sub_batch(root: SubsetProblem, alive: int, chosen: int, cols: tuple[int, ...]) -> int:
     """_sub_feasible over bit columns: the chosen columns are all ones, and
     a position holding any element outside alive is infeasible."""
     ones = _chunk_ones(len(cols))
@@ -78,7 +78,7 @@ def _sub_batch(root_batch, alive: int, chosen: int, cols: tuple[int, ...]) -> in
     for e in iter_bits(~alive & ((1 << len(cols)) - 1)):
         outside |= cols[e]
     fixed = tuple(ones if chosen >> e & 1 else c for e, c in enumerate(cols))
-    return root_batch(fixed) & (ones ^ outside)
+    return root.feasible_batch(fixed) & (ones ^ outside)
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,18 @@ class SubsetProblem:
     on both sides.
 
     `alive`, the elements still selectable, `chosen`, the elements already
-    picked, and `root`, the instance both are masks of, are derived, never
-    passed: a constructed problem is a root, its own `root`, with the whole
-    universe alive and nothing chosen.  On the kinds that have a
-    sub-instance operator, restrict_fn(e) is the mask of elements that can
-    still join a solution holding e, and restrict(e) returns I(e), a
-    sub-instance: a SubsetProblem that shares every other field of its root,
-    holds masks in root numbering, and whose feasible sets are the S within
-    alive for which S | chosen is feasible at the root.  Other kinds leave
-    restrict_fn as None.
+    picked, and `root`, the instance both are masks of (an attribute, not a
+    field), are read from the predicates, never passed.  The _sub_feasible /
+    _sub_batch partials of one (root, alive, chosen) make a sub-instance,
+    which dataclasses.replace therefore keeps; a pair that disagrees about
+    its sub-instance raises ValueError; any other pair makes a root, its
+    own `root`, with the whole universe alive and nothing chosen.  On the
+    kinds that have a sub-instance operator, restrict_fn(e) is the mask of
+    elements that can still join a solution holding e, and restrict(e)
+    returns I(e), a sub-instance: a SubsetProblem that shares every other
+    field of its root, holds masks in root numbering, and whose feasible
+    sets are the S within alive for which S | chosen is feasible at the
+    root.  Other kinds leave restrict_fn as None.
     """
 
     label: str
@@ -116,12 +119,17 @@ class SubsetProblem:
     kind: object = None
     data: object = None
     alive: int = field(init=False)
-    chosen: int = field(init=False, default=0)
-    root: "SubsetProblem" = field(init=False, repr=False, compare=False)
+    chosen: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alive", (1 << self.universe_size) - 1)
-        object.__setattr__(self, "root", self)
+        mask, batch = self.feasible_mask, self.feasible_batch
+        sub = getattr(mask, "func", None) is _sub_feasible
+        if sub != (getattr(batch, "func", None) is _sub_batch) or sub and mask.args != batch.args:
+            raise ValueError(f"the two predicates of {self.label} belong to different sub-instances")
+        root, alive, chosen = mask.args if sub else (self, (1 << self.universe_size) - 1, 0)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "alive", alive)
+        object.__setattr__(self, "chosen", chosen)
 
     def restrict(self, e: int) -> "SubsetProblem":
         """I(e): the sub-instance whose solutions S' are exactly those with
@@ -133,13 +141,12 @@ class SubsetProblem:
 
 def _sub_instance(root: SubsetProblem, alive: int, chosen: int) -> SubsetProblem:
     """The sub-instance of root with masks alive and chosen, which the
-    caller reached by restriction."""
-    sub = object.__new__(SubsetProblem)  # skips __post_init__, which would make it a root
-    sub.__dict__.update(
-        root.__dict__, alive=alive, chosen=chosen,
-        feasible_mask=partial(_sub_feasible, root.feasible_mask, alive, chosen),
-        feasible_batch=partial(_sub_batch, root.feasible_batch, alive, chosen))
-    return sub
+    caller reached by restriction: root's other fields, and the predicate
+    pair from which the constructor reads root and both masks."""
+    return SubsetProblem(
+        root.label, root.universe_size, root.goal,
+        partial(_sub_feasible, root, alive, chosen), partial(_sub_batch, root, alive, chosen),
+        root.restrict_fn, root.kind, root.data)
 
 
 def child_alive(root: SubsetProblem, alive: int, e: int) -> int:
@@ -200,22 +207,25 @@ def _co_batch(inner: Callable[[tuple[int, ...]], int], cols: tuple[int, ...]) ->
     return inner(tuple([co[k] if (k := id(c)) in co else c ^ ones for c in cols]))
 
 
+def complemented(n: int, feasible: Callable, batch: Callable) -> tuple[Callable, Callable]:
+    """The scalar and batch predicates of the sets whose complement in an
+    n-element universe the pair (feasible, batch) accepts.  Where that pair
+    already tests the complement of an inner pair, the inner pair itself, so
+    no predicate is tested through two complements."""
+    if getattr(feasible, "func", None) is _co_mask and getattr(batch, "func", None) is _co_batch:
+        return feasible.args[1], batch.args[0]
+    return partial(_co_mask, (1 << n) - 1, feasible), partial(_co_batch, batch)
+
+
 def dualize(p: SubsetProblem) -> SubsetProblem:
     """The dual problem D-P: same universe, inverse goal, a set is feasible
-    iff its complement is feasible for P.  Where P's predicates already
-    test the complement of an inner pair, D-P tests with that pair itself,
-    so no predicate is tested through two complements."""
-    n = p.universe_size
-    feas, batch = p.feasible_mask, p.feasible_batch
-    if getattr(feas, "func", None) is _co_mask and getattr(batch, "func", None) is _co_batch:
-        feas, batch = feas.args[1], batch.args[0]
-    else:
-        feas, batch = partial(_co_mask, (1 << n) - 1, feas), partial(_co_batch, batch)
+    iff its complement is feasible for P, by the predicates of complemented."""
+    feasible, batch = complemented(p.universe_size, p.feasible_mask, p.feasible_batch)
     return SubsetProblem(
         label="D-" + p.label,
-        universe_size=n,
+        universe_size=p.universe_size,
         goal=p.goal.flipped(),
-        feasible_mask=feas,
+        feasible_mask=feasible,
         feasible_batch=batch,
         data=p,
     )

@@ -20,8 +20,8 @@ tables, and its goal and restrictability follow from the table:
   vertex cover iff V - S is a maximal independent set, that is, an
   independent dominating set.  Feedback vertex set is the complement of
   the forest predicates, which peel leaves: S is feasible iff peeling
-  V - S leaves no 2-core.  Both are built as dualize builds a dual, so the
-  dual of either tests the inner predicates directly.
+  V - S leaves no 2-core.  Both pairs come from core.complemented, as a
+  dual's do, so the dual of either tests the inner predicates directly.
 
 Every kind has a scalar bitmask predicate and a bit-sliced batch predicate;
 the first two tables also give the restrict_fn(e) mask from which
@@ -33,18 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Callable, Iterable
 
-from .core import (
-    Goal,
-    SubsetProblem,
-    _chunk_ones,
-    _co_batch,
-    _co_mask,
-    dualize,
-    iter_bits,
-)
+from .core import Goal, SubsetProblem, _chunk_ones, complemented, iter_bits
 
 
 class ProblemKind(Enum):
@@ -314,10 +306,7 @@ def _forest_batch(g: Graph) -> Callable:
 def _feedback_vertex_set(g: Graph) -> tuple[Callable, Callable]:
     """S is a feedback vertex set iff V - S induces a forest: the complement
     of the forest predicates, so that the dual tests those directly."""
-    return (
-        partial(_co_mask, (1 << g.n) - 1, lambda keep: not _two_core(g, keep)),
-        partial(_co_batch, _forest_batch(g)),
-    )
+    return complemented(g.n, lambda keep: not _two_core(g, keep), _forest_batch(g))
 
 
 def _min_independent_dominating_set(g: Graph) -> tuple[Callable, Callable]:
@@ -330,8 +319,7 @@ def _min_independent_dominating_set(g: Graph) -> tuple[Callable, Callable]:
 
 
 def _max_minimal_vertex_cover(g: Graph) -> tuple[Callable, Callable]:
-    dual = dualize(make_problem(ProblemKind.MIN_INDEPENDENT_DOMINATING_SET, g))
-    return dual.feasible_mask, dual.feasible_batch
+    return complemented(g.n, *_min_independent_dominating_set(g))
 
 
 # Each kind is entered in exactly one of these three tables.  Covering kinds:

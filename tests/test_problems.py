@@ -395,13 +395,14 @@ class TestRestriction:
         p = sf.make_problem(kind, random_system(6, 6, 3, 77) if set_kind else random_graph(6, 0.5, 77))
         own = {"feasible_mask", "feasible_batch", "alive", "chosen"}
         shared = [f.name for f in dataclasses.fields(sf.SubsetProblem) if f.name not in own]
-        assert set(shared) == {"label", "universe_size", "goal", "kind", "data", "restrict_fn", "root"}
+        assert set(shared) == {"label", "universe_size", "goal", "kind", "data", "restrict_fn"}
         child = next(c for c in map(p.restrict, sf.iter_bits(p.alive)) if c.alive)
         grandchild = child.restrict(min(sf.iter_bits(child.alive)))
         for sub in (child, grandchild):
             assert type(sub) is sf.SubsetProblem and sub.root is p
-            # The two predicates are built by restrict, next to the masks.
-            assert set(vars(sub)) == set(own) | set(shared)
+            # The two predicates are built by restrict, next to the masks;
+            # root is an attribute, not a field.
+            assert set(vars(sub)) == set(own) | set(shared) | {"root"}
             for name in shared:
                 assert getattr(sub, name) is getattr(p, name), (kind, name)
             _assert_batch_matches_scalar(sub)
@@ -436,10 +437,58 @@ class TestRestriction:
         sub = p.restrict(0)
         # No public call takes masks: restrict alone makes a sub-instance.
         for change in ({"alive": sub.alive | sub.chosen}, {"chosen": sub.chosen | sub.alive},
-                       {"alive": sub.alive | 1 << 5}, {"chosen": sub.chosen | 1 << 9},
-                       {"root": sub}):
+                       {"alive": sub.alive | 1 << 5}, {"chosen": sub.chosen | 1 << 9}):
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(sub, **change)
+        with pytest.raises(TypeError, match="root"):
+            dataclasses.replace(sub, root=sub)
+
+    def test_replace_keeps_a_sub_instance(self):
+        # I(0) of G(8, 0.4): a copy under another label is the same
+        # sub-instance, so branching on it at k = opt answers as on I(0).
+        for seed in range(300):
+            g = random_graph(8, 0.4, seed)
+            for kind in (sf.ProblemKind.VERTEX_COVER, sf.ProblemKind.DOMINATING_SET,
+                         sf.ProblemKind.INDEPENDENT_SET):
+                sub = sf.make_problem(kind, g).restrict(0)
+                dup = dataclasses.replace(sub, label="copy")
+                assert dup.root is sub.root and (dup.alive, dup.chosen) == (sub.alive, sub.chosen)
+                engine = sf.branch_solve_min if sub.goal is sf.Goal.MINIMIZE else sf.branch_solve_max
+                cfg = sf.BranchConfig(budget_k=sf.brute_force_optimum(sub).value)
+                want, got = (engine(q, sf.DEFAULT_ORACLE[kind], cfg) for q in (sub, dup))
+                assert (got.outcome, got.solution) == (want.outcome, want.solution), (kind, seed)
+
+    @pytest.mark.parametrize("kind", sorted(sf.ProblemKind, key=lambda k: k.value))
+    def test_asdict_on_roots_duals_and_sub_instances(self, kind):
+        set_kind = kind in sf.problems.SET_KINDS
+        p = sf.make_problem(kind, random_system(6, 6, 3, 79) if set_kind else random_graph(6, 0.5, 79))
+        problems = [p, sf.dualize(p)]
+        if kind in sf.RESTRICTABLE:
+            child = next(c for c in map(p.restrict, sf.iter_bits(p.alive)) if c.alive)
+            problems.append(child.restrict(min(sf.iter_bits(child.alive))))
+        names = ["label", "universe_size", "goal", "feasible_mask", "feasible_batch",
+                 "restrict_fn", "kind", "data", "alive", "chosen"]
+        for q in problems:
+            d = dataclasses.asdict(q)
+            assert list(d) == names and (d["label"], d["alive"], d["chosen"]) == (q.label, q.alive, q.chosen)
+
+    def test_predicates_of_two_sub_instances_refused(self):
+        p = sf.make_problem(sf.ProblemKind.VERTEX_COVER, random_graph(5, 0.5, 7))
+        sub, other = p.restrict(0), p.restrict(1)
+        for q, change in ((sub, {"feasible_mask": p.feasible_mask}),
+                          (sub, {"feasible_batch": p.feasible_batch}),
+                          (sub, {"feasible_mask": other.feasible_mask}),
+                          (sub, {"feasible_batch": other.feasible_batch}),
+                          (p, {"feasible_mask": sub.feasible_mask}),
+                          (p, {"feasible_batch": sub.feasible_batch})):
+            with pytest.raises(ValueError, match="different sub-instances"):
+                dataclasses.replace(q, **change)
+        # Both predicates of one sub-instance, or of none, agree.
+        moved = dataclasses.replace(sub, feasible_mask=other.feasible_mask,
+                                    feasible_batch=other.feasible_batch)
+        assert moved.root is p and (moved.alive, moved.chosen) == (other.alive, other.chosen)
+        back = dataclasses.replace(sub, feasible_mask=p.feasible_mask, feasible_batch=p.feasible_batch)
+        assert back.root is back and (back.alive, back.chosen) == (p.alive, 0)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", sorted(sf.RESTRICTABLE, key=lambda k: k.value))
