@@ -10,10 +10,10 @@ default oracle as the search makes it (`node.<kind>`: from the masks of the
 depth-1 instance I(0), `core.child_alive` on the lowest element it keeps,
 then one `oracle.bounded_call()` on the child's masks with the room that a
 search at budget k, the size of the oracle's output at the root, passes at
-depth 2, or None under maximization), the oracle's `run` on that depth-2
-sub-instance (`run.<oracle>.sub`), and the prune test of an oracle built
-from `run` and `ratio` alone, on the integer terms of a ratio already read
-(`prune_test`; the built-in oracles stop their greedy at the bound
+depth 2), the oracle's `run` on that depth-2 sub-instance
+(`run.<oracle>.sub`), and the prune test of an oracle built from `run` and
+`ratio` alone, on the integer terms of a ratio already read (`prune_test`;
+the built-in minimization oracles stop their greedy at the bound
 instead).  The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
@@ -138,7 +138,7 @@ def layers(sf) -> dict:
         f = min(sf.iter_bits(parent.alive))
         sub = parent.restrict(f)
         bounded, alive, chosen = oracle.bounded_call(), parent.alive, sub.chosen
-        room = len(oracle.run(p)) - 2 if p.goal is sf.Goal.MINIMIZE else None
+        room = len(oracle.run(p)) - 2
 
         def node():
             bounded(p, sf.core.child_alive(p, alive, f), chosen, room)
@@ -171,8 +171,8 @@ def layers(sf) -> dict:
         cols = _scanned_columns(sf, n)
         out[f"complement.w{n}"] = _median_us(lambda: sf.core._co_batch(_no_mask, cols), number * 10)
     # The prune test of an oracle built from run and ratio alone, once both
-    # have run: |sol| * den > num * room.  The built-in oracles stop their
-    # greedy at the bound instead, so it times the derived path only.
+    # have run: |sol| * den > num * room.  The built-in minimization oracles
+    # stop their greedy at the bound instead, so it times the derived path only.
     r = sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc)
     sol, num, den, room = cover.bit_count(), r.numerator, r.denominator, 29 - 3
     out["prune_test"] = _median_us(lambda: sol * den > num * room, 200_000)

@@ -46,12 +46,15 @@ class ApproxOracle:
 
     bounded(root, alive, chosen, room) is the one call the branching engine
     makes per node: run on the sub-instance of root with masks alive and
-    chosen, or None once its output has more than ratio * room ids; room
-    None asks for the whole output.  The built-in oracles declare it, so
-    their greedy stops at that bound; an oracle built from run and ratio
-    alone gets it derived from them (see bounded_call).  Since a declared
-    bounded does not call run or ratio, dataclasses.replace of run or ratio
-    alone keeps the declared bounded, and the engine does not see them.
+    chosen, or None only where it has no solution of size <= room
+    (minimization) or >= room (maximization); room None asks for the whole
+    output.  The built-in oracles declare it: a minimization greedy stops
+    once it has more than ratio * room picks, as then the optimum exceeds
+    room, and a maximization greedy runs to the end, as no output size rules
+    out a solution.  An oracle built from run and ratio alone gets it
+    derived from them (see bounded_call).  Since a declared bounded does not
+    call run or ratio, dataclasses.replace of run or ratio alone keeps the
+    declared bounded, and the engine does not see them.
     """
 
     name: str
@@ -69,16 +72,16 @@ class ApproxOracle:
             raise ValueError(f"oracle {self.name} is for {self.kind.value} only")
 
     def bounded_call(self) -> Bounded:
-        """bounded, or else the same contract from run and ratio, both called
-        on the sub-instance of root with the given masks, built as restrict
-        builds one."""
+        """bounded, or else the same contract from run, called on the
+        sub-instance of root with the given masks, built as restrict builds
+        one, and under minimization from ratio, called on it too."""
         return self.bounded or partial(_bounded_by, self.run, self.ratio)
 
 
 def _bounded_by(run, ratio, root: SubsetProblem, alive: int, chosen: int, room: Optional[int]):
     sub = _sub_instance(root, alive, chosen)
     sol = run(sub)
-    if room is None:
+    if room is None or root.goal is Goal.MAXIMIZE:
         return sol
     r = ratio(sub)
     return None if len(sol) * r.denominator > r.numerator * room else sol
@@ -102,8 +105,8 @@ def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
 # The covering ones take `chosen`, the elements picked so far, and cover
 # what those leave uncovered; a chosen element covers nothing new, so it is
 # never picked again.  The others take `alive`, the selectable elements.
-# Given the bound of ApproxOracle.bounded, each returns None instead of a
-# pick beyond it; without one (None), each runs to the end.
+# Given the bound of ApproxOracle.bounded, a minimization greedy returns None
+# instead of a pick beyond it; without one, and under maximization, it runs to the end.
 
 
 def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
@@ -299,15 +302,13 @@ ORACLES = {o.name: o for o in (
                  root.data.closed_nbs, root.data.closed_nbs, chosen, room, root.data.max_degree + 1)),
     _builtin("greedy-mis", ProblemKind.INDEPENDENT_SET,
              lambda p: Fraction(1, _max_degree(p.data.adj, p.alive) + 1),
-             lambda root, alive, chosen, room: _greedy_packing(
-                 root.data.adj, alive, None if room is None else room // (_max_degree(root.data.adj, alive) + 1))),
+             lambda root, alive, chosen, room: _greedy_packing(root.data.adj, alive)),
     _builtin("greedy-ids", ProblemKind.MIN_INDEPENDENT_DOMINATING_SET,
              lambda p: Fraction(_max_degree(p.data.adj, p.alive) + 1),
              lambda root, alive, chosen, room: _greedy_packing(
                  root.data.adj, alive, None if room is None else room * (_max_degree(root.data.adj, alive) + 1))),
     _builtin("greedy-clique", ProblemKind.CLIQUE, lambda p: Fraction(1, max(p.alive.bit_count(), 1)),
-             lambda root, alive, chosen, room: _greedy_packing(
-                 root.data.non_neighbours, alive, None if room is None else room // max(alive.bit_count(), 1))),
+             lambda root, alive, chosen, room: _greedy_packing(root.data.non_neighbours, alive)),
 )}
 
 DEFAULT_ORACLE = {o.kind: o for o in ORACLES.values()}

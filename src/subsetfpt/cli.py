@@ -178,9 +178,7 @@ def cmd_approx(args, p, oracle, rec) -> int:
 
 
 def cmd_branch(args, p, oracle, rec) -> int:
-    cfg = BranchConfig(
-        budget_k=args.k, node_cap=args.node_cap, prune_enabled=not args.no_prune
-    )
+    cfg = BranchConfig(budget_k=args.k, node_cap=args.node_cap)
     rec["k"] = args.k
     report = _branch_solver(p)(p, oracle, cfg)
     rec.update(
@@ -370,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_parser("branch", "oracle-driven branching solver")
     sp.add_argument("--k", type=int, required=True)
     add_oracle(sp)
-    sp.add_argument("--no-prune", action="store_true")
     sp.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
     sp = add_parser("dual", "dual-parameter approximation schema")

@@ -5,15 +5,15 @@ The engine turns an oracle whose output always meets some optimal solution
 into an exact parameterized solver: at every node it runs the oracle on the
 current sub-instance and branches only on the returned elements.  A node's
 room is the budget minus its depth, or |incumbent| - 1 minus its depth once
-a minimization holds one; a node whose oracle output is larger than ratio *
-room has no solution that fits and is pruned.
+a minimization holds one; the one prune, under both goals, is the oracle's
+bounded call answering None at that room (see ApproxOracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .core import (
     BudgetExceeded,
@@ -28,6 +28,8 @@ from .core import (
     optima_meeting,
 )
 from .approx import ApproxOracle, run_checked
+if TYPE_CHECKING:
+    from .approx import Bounded
 
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -77,7 +79,7 @@ def branch_solve_min(
     """
     if p.goal is not Goal.MINIMIZE:
         raise ValueError("branch_solve_min needs a minimization problem")
-    return _branch(p, oracle, cfg)
+    return _branch(p, check_branchable(p, oracle), cfg)
 
 
 def branch_solve_max(
@@ -87,44 +89,42 @@ def branch_solve_max(
     intersectivity of the oracle)."""
     if p.goal is not Goal.MAXIMIZE:
         raise ValueError("branch_solve_max needs a maximization problem")
-    return _branch(p, oracle, cfg)
+    return _branch(p, check_branchable(p, oracle), cfg)
 
 
-def check_branchable(p: SubsetProblem, oracle: ApproxOracle) -> None:
-    """The engine's refusals, raised before its first node."""
+def check_branchable(p: SubsetProblem, oracle: ApproxOracle) -> Bounded:
+    """The engine's refusals, raised before its first node; else the
+    oracle's bounded call, which the engine makes at every node."""
     oracle.check_goal(p)
     if p.restrict_fn is None:
         raise UnsupportedRestriction(p)
+    return oracle.bounded_call()
 
 
 def _rank(chosen: int) -> tuple[int, tuple[int, ...]]:
     return chosen.bit_count(), tuple(iter_bits(chosen))
 
 
-def _branch(p: SubsetProblem, oracle: ApproxOracle, cfg: BranchConfig) -> BranchReport:
-    """Depth-first search over sub-instances of p, branching on the oracle's
-    output at each one.
+def _branch(p: SubsetProblem, bounded: Bounded, cfg: BranchConfig) -> BranchReport:
+    """Depth-first search over sub-instances of p, branching on the output of
+    bounded, the oracle's bounded call (see ApproxOracle), at each one.
 
     A node is the sub-instance reached from p by choosing the elements of
     its `chosen` mask beyond p's own; those form its candidate solution.  It
     is held as its two masks in root numbering, `alive` and `chosen`, and
-    the oracle sees it through one call, oracle.bounded_call(), which
-    answers None where the prune applies.  For every restrictable kind a
-    sub-instance depends on the chosen set alone, not on the order of
-    choice, so each chosen set is expanded once.  A node with no room (see
-    the module docstring) is a leaf; minimization keeps the best solution
-    seen and prunes a node whose oracle output exceeds ratio times its
-    room; maximization stops at the first feasible set of size budget_k.  An
-    oracle for the other goal or a problem without a restriction operator is
-    refused before the first node.  Open nodes wait as frames on an explicit
-    stack: a search of any depth answers.  Every node is tested with the
-    root's predicate on its chosen mask, as p's own would be on its solution.
+    bounded sees it through those and the node's room (see the module
+    docstring), or None for the room with the prune off; a None answer
+    prunes the node.  For every restrictable kind a sub-instance depends on
+    the chosen set alone, not on the order of choice, so each chosen set is
+    expanded once.  A node with no room is a leaf; minimization keeps the
+    best solution seen; maximization stops at the first feasible set of
+    size budget_k.  Open nodes wait as frames on an explicit stack: a
+    search of any depth answers.  Every node is tested with the root's
+    predicate on its chosen mask, as p's own would be on its solution.
     """
-    check_branchable(p, oracle)
     minimize = p.goal is Goal.MINIMIZE
-    prune = minimize and cfg.prune_enabled
     root = p.root
-    bounded, feasible, cap = oracle.bounded_call(), root.feasible_mask, cfg.node_cap
+    feasible, cap, prune = root.feasible_mask, cfg.node_cap, cfg.prune_enabled
     # The deepest a solution may lie: the budget, then |incumbent| - 1.
     limit = cfg.budget_k
     nodes = max_depth = max_arity = 0

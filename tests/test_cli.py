@@ -424,6 +424,13 @@ def test_oracle_for_another_kind_of_the_same_goal_exit_2(run, argv, stdin_text, 
     assert (code, out, err.splitlines()) == (2, "", [line])
 
 
+def test_branch_has_no_switch_for_the_prune(run):
+    # The prune changes node counts and never an answer, so no flag turns it off.
+    with pytest.raises(SystemExit) as exc:
+        run(["branch", "-", "--k", "1", "--no-prune"], PATH3_DIMACS)
+    assert exc.value.code == 2
+
+
 # 2^62 elements: building the instance's list of them raises MemoryError at
 # once, before anything is allocated.
 HUGE = 1 << 62
@@ -704,7 +711,7 @@ PINNED = [
     (["branch", "-", "--k", "8", "--node-cap", "3"], G12, 3, "5749ecf99e80f747"),
     (["--problem", "set-cover", "branch", "-", "--k", "2"], UNCOVERABLE_SYS, 1, "df14e200f1f0b6c8"),
     (["--format", "text", "--problem", "independent-set", "branch", "-", "--k", "2"], PATH3_DIMACS, 0, "caedceeccf7094d0"),
-    (["--format", "text", "--problem", "dominating-set", "branch", "-", "--k", "3", "--no-prune"], G8, 0, "6a112f3942244acd"),
+    (["--format", "text", "--problem", "dominating-set", "branch", "-", "--k", "3"], G8, 0, "6a112f3942244acd"),
     (["--problem", "set-cover", "branch", "-", "--k", "2"], S6, 0, "11dad82699049cfd"),
     (["--problem", "clique", "branch", "-", "--k", "3"], G8, 0, "d0394427242812d1"),
     (["dual", "-", "--epsilon", "1/2"], G6, 0, "159d99a989445003"),
@@ -808,7 +815,6 @@ def cli_call(draw):
         argv += draw(ORACLE_FLAG)
     if sub == "branch":
         argv += ["--k", draw(BUDGETS), "--node-cap", draw(NODE_CAPS)]
-        argv += draw(st.sampled_from([[], ["--no-prune"]]))
     if sub == "dual":
         argv += [f"--epsilon={draw(EPSILONS)}", "--brute-cap", draw(BUDGETS)]
         argv += draw(st.sampled_from([[], ["--force-brute"]]))

@@ -17,6 +17,7 @@ from subsetfpt.io import generate_gnp, generate_setsystem
 
 TRIANGLE = sf.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = sf.Graph.from_edges(3, [(0, 1), (1, 2)])
+PATH6 = sf.Graph.from_edges(6, [(i, i + 1) for i in range(5)])
 
 MATCHING = sf.ORACLES["matching-vc"]
 MIS = sf.ORACLES["greedy-mis"]
@@ -180,6 +181,24 @@ class TestBranchSolveMax:
         p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, TRIANGLE)
         rep = sf.branch_solve_max(p, MIS, sf.BranchConfig(budget_k=0))
         assert rep.outcome is sf.BranchOutcome.FOUND and rep.solution == frozenset()
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_room_passed_under_maximization(self, prune):
+        """The engine passes a maximization oracle's bounded call each
+        node's room, k minus its depth, as under minimization; with the
+        prune off it passes None."""
+        calls = []
+
+        def recording(root, alive, chosen, room):
+            calls.append((chosen.bit_count(), room))
+            return MIS.bounded(root, alive, chosen, room)
+
+        p = sf.make_problem(sf.ProblemKind.INDEPENDENT_SET, PATH6)
+        cfg = sf.BranchConfig(budget_k=3, prune_enabled=prune)
+        rep = sf.branch_solve_max(p, replace(MIS, bounded=recording), cfg)
+        assert rep.outcome is sf.BranchOutcome.FOUND and rep.solution == frozenset({0, 2, 4})
+        assert {depth for depth, _ in calls} == {0, 1, 2}
+        assert all(room == (3 - depth if prune else None) for depth, room in calls), calls
 
     def test_never_claims_above_optimum(self, atlas):
         for g in atlas_upto(atlas, 6):
