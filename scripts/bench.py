@@ -13,8 +13,12 @@ search at budget k, the size of the oracle's output at the root, passes at
 depth 2), the oracle's `run` on that depth-2 sub-instance
 (`run.<oracle>.sub`), and the prune test of an oracle built from `run` and
 `ratio` alone, on the integer terms of a ratio already read (`prune_test`;
-the built-in minimization oracles stop their greedy at the bound
-instead).  The set-cover
+such an oracle keeps this ratio cut alone).  The built-in minimization
+oracles stop their greedy at the ratio bound instead, and the three
+covering ones also cut by a lower bound inside the `node.<kind>` call:
+vertex cover by its matching plus short augmenting paths, dominating set
+and set cover by `problems.covering_lower_bound` before the greedy runs.
+The set-cover
 oracle is also timed on a wide system, 2,000 sets of at most 8 elements over
 35 (`*.greedy-set-cover.wide`), where its greedy takes the gain counters.
 The covering greedy's lazy scan is timed on two large narrow inputs:
@@ -172,7 +176,8 @@ def layers(sf) -> dict:
         out[f"complement.w{n}"] = _median_us(lambda: sf.core._co_batch(_no_mask, cols), number * 10)
     # The prune test of an oracle built from run and ratio alone, once both
     # have run: |sol| * den > num * room.  The built-in minimization oracles
-    # stop their greedy at the bound instead, so it times the derived path only.
+    # stop their greedy at the bound instead, and the covering ones cut by
+    # their lower bounds too, so it times the derived path only.
     r = sf.DEFAULT_ORACLE[K.VERTEX_COVER].ratio(vc)
     sol, num, den, room = cover.bit_count(), r.numerator, r.denominator, 29 - 3
     out["prune_test"] = _median_us(lambda: sol * den > num * room, 200_000)

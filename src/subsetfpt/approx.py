@@ -20,7 +20,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional
 
 from .core import Goal, InfeasibleInstance, SubsetProblem, _sub_instance, is_feasible, iter_bits
-from .problems import GOALS, ProblemKind, fewest_conflicts
+from .problems import GOALS, ProblemKind, covering_lower_bound, fewest_conflicts
 
 
 @cache
@@ -51,10 +51,15 @@ class ApproxOracle:
     output.  The built-in oracles declare it: a minimization greedy stops
     once it has more than ratio * room picks, as then the optimum exceeds
     room, and a maximization greedy runs to the end, as no output size rules
-    out a solution.  An oracle built from run and ratio alone gets it
-    derived from them (see bounded_call).  Since a declared bounded does not
-    call run or ratio, dataclasses.replace of run or ratio alone keeps the
-    declared bounded, and the engine does not see them.
+    out a solution.  The three covering oracles also answer None where a
+    certified lower bound on the sub-instance's optimum is above room:
+    greedy-set-cover and greedy-dominating by problems.covering_lower_bound
+    (pairwise-disjoint unmet hitters), matching-vc by its matching and the
+    short augmenting paths of one pass over it.  An oracle built from run
+    and ratio alone gets bounded derived from them (see bounded_call), with
+    the ratio cut alone.  Since a declared bounded does not call run or
+    ratio, dataclasses.replace of run or ratio alone keeps the declared
+    bounded, and the engine does not see them.
     """
 
     name: str
@@ -106,7 +111,8 @@ def run_checked(oracle: ApproxOracle, p: SubsetProblem) -> frozenset[int]:
 # what those leave uncovered; a chosen element covers nothing new, so it is
 # never picked again.  The others take `alive`, the selectable elements.
 # Given the bound of ApproxOracle.bounded, a minimization greedy returns None
-# instead of a pick beyond it; without one, and under maximization, it runs to the end.
+# instead of a pick beyond it, and a covering one also where its lower bound
+# is above the room; without one, and under maximization, it runs to the end.
 
 
 def _residual(covers: tuple[int, ...], n_ground: int, chosen: int) -> int:
@@ -217,14 +223,22 @@ def _cover_scan(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int) 
 
 
 def _greedy_cover(covers: tuple[int, ...], holders: tuple[int, ...], chosen: int,
-                  room: Optional[int] = None, d: Optional[int] = None) -> Optional[list[int]]:
+                  room: Optional[int] = None, d: Optional[int] = None,
+                  by_size: tuple[int, ...] = ()) -> Optional[list[int]]:
     """The covering core's greedy: take the id whose cover mask holds the most
     uncovered ground elements (lowest id on ties), repeat.  holders is the
     transpose of covers: for each ground element, the ids covering it.
-    Given a room, it returns None once it has more than H_d * room picks, d
+    Given a room, it returns None, before any scan, where
+    covering_lower_bound over by_size, the holders in problems.by_size's
+    order, is above room, and else once it has more than H_d * room picks, d
     being the first pick's gain, the largest, unless passed.  An instance
     with a ground element in no cover raises InfeasibleInstance even then,
-    as a run to the end does."""
+    as a run to the end does.  run passes no room, so an oracle built from
+    run and ratio alone keeps the ratio cut alone."""
+    if room is not None and covering_lower_bound(by_size, chosen, room) > room:
+        if not by_size[0]:  # an empty hitter sorts first
+            raise InfeasibleInstance("ground set not coverable")
+        return None
     picked, limit = [], None
     for i, gain in _cover_scan(covers, holders, chosen):
         if room is not None and not picked:
@@ -251,9 +265,17 @@ def _greedy_packing(conflicts: tuple[int, ...], alive: int, limit: Optional[int]
     return picked
 
 
-def _matching_cover(adj: tuple[int, ...], alive: int, limit: Optional[int] = None) -> Optional[list[int]]:
-    """Both endpoints of a lexicographically-greedy maximal matching."""
+def _matching_cover(adj: tuple[int, ...], alive: int, room: Optional[int] = None) -> Optional[list[int]]:
+    """Both endpoints of a lexicographically-greedy maximal matching M.
+    Every vertex cover holds an endpoint of each edge of a matching, so
+    given a room it returns None once |M| > room, and, with M complete,
+    where |M| plus the augmenting paths that _short_augmenting_paths finds
+    is above room: augmenting along all of them gives a matching that
+    large.  Those are at most |M|, so the pass runs only where 2|M| > room.
+    run passes no room, so an oracle built from run and ratio alone keeps
+    the ratio cut alone.  The output is M's endpoints either way."""
     rest = alive  # free vertices not yet passed
+    lone = 0  # passed vertices left unmatched
     cover = []
     while rest:
         low = rest & -rest
@@ -265,9 +287,34 @@ def _matching_cover(adj: tuple[int, ...], alive: int, limit: Optional[int] = Non
             nb = free & -free
             rest ^= nb
             cover += (u, nb.bit_length() - 1)
-            if limit is not None and len(cover) > limit:
+            if room is not None and len(cover) > 2 * room:
                 return None
+        else:
+            lone |= low
+    if room is not None and len(cover) > room:
+        if len(cover) // 2 + _short_augmenting_paths(adj, lone, cover) > room:
+            return None
     return cover
+
+
+def _short_augmenting_paths(adj: tuple[int, ...], free: int, cover: list[int]) -> int:
+    """The number of vertex-disjoint augmenting paths u-a=b-v of length 3
+    that one pass over the matched pairs (a, b) of cover finds, in pick
+    order: u and v are distinct vertices of free, the alive vertices left
+    unmatched, that no path found before holds; u is a's lowest such
+    neighbour that b lacks, else its lowest, and v b's lowest other one."""
+    paths = 0
+    for i in range(0, len(cover), 2):
+        at_a = adj[cover[i]] & free
+        if at_a:
+            at_b = adj[cover[i + 1]] & free
+            u = at_a & ~at_b or at_a
+            u &= -u
+            at_b &= ~u
+            if at_b:
+                free ^= u | at_b & -at_b  # u and b's lowest other neighbour
+                paths += 1
+    return paths
 
 
 def _max_degree(adj: tuple[int, ...], alive: int) -> int:
@@ -291,15 +338,15 @@ def _builtin(name: str, kind: ProblemKind, ratio: Callable, bounded: Callable) -
 # dominates at most that many.
 ORACLES = {o.name: o for o in (
     _builtin("matching-vc", ProblemKind.VERTEX_COVER, lambda p: _TWO,
-             lambda root, alive, chosen, room: _matching_cover(
-                 root.data.adj, alive, None if room is None else 2 * room)),
+             lambda root, alive, chosen, room: _matching_cover(root.data.adj, alive, room)),
     _builtin("greedy-set-cover", ProblemKind.SET_COVER,
              lambda p: harmonic(max(next(_cover_scan(p.data.sets, p.data.holders, p.chosen), (0, 0))[1], 1)),
              lambda root, alive, chosen, room: _greedy_cover(
-                 root.data.sets, root.data.holders, chosen, room)),
+                 root.data.sets, root.data.holders, chosen, room, by_size=root.data.holders_by_size)),
     _builtin("greedy-dominating", ProblemKind.DOMINATING_SET, lambda p: harmonic(p.data.max_degree + 1),
              lambda root, alive, chosen, room: _greedy_cover(
-                 root.data.closed_nbs, root.data.closed_nbs, chosen, room, root.data.max_degree + 1)),
+                 root.data.closed_nbs, root.data.closed_nbs, chosen, room, root.data.max_degree + 1,
+                 root.data.closed_nbs_by_size)),
     _builtin("greedy-mis", ProblemKind.INDEPENDENT_SET,
              lambda p: Fraction(1, _max_degree(p.data.adj, p.alive) + 1),
              lambda root, alive, chosen, room: _greedy_packing(root.data.adj, alive)),

@@ -150,6 +150,38 @@ def matching_cover_ref(neighbours, alive):
     return cover
 
 
+def disjoint_hitters_ref(hitters, chosen):
+    """Reference for the covering bound, over plain sets: walk the distinct
+    hitters, fewest members first and, among equal sizes, by their members
+    in decreasing order (the order of their masks), and count those that
+    meet neither chosen nor a hitter counted before."""
+    order = sorted(set(map(frozenset, hitters)), key=lambda h: (len(h), sorted(h, reverse=True)))
+    used, count = set(chosen), 0
+    for h in order:
+        if not h & used:
+            used |= h
+            count += 1
+    return count
+
+
+def augmenting_paths_ref(neighbours, alive, cover):
+    """Reference for the matching bound's pass, over plain sets: for each
+    matched pair (a, b) of cover, in order, a path u-a=b-v through alive
+    vertices that no pair and no path before holds, u != v; u is the lowest
+    such neighbour of a that b lacks, else a's lowest, v b's lowest other
+    one.  The number of paths found."""
+    free, paths = set(alive) - set(cover), 0
+    for a, b in zip(cover[::2], cover[1::2]):
+        at_a, at_b = neighbours[a] & free, neighbours[b] & free
+        if not at_a:
+            continue
+        u = min(at_a - at_b or at_a)
+        if at_b - {u}:
+            free -= {u, min(at_b - {u})}
+            paths += 1
+    return paths
+
+
 def uf_has_cycle(n, edges):
     """Union-find cycle detector, independent of the package's leaf peeling."""
     parent = list(range(n))

@@ -12,7 +12,9 @@ from conftest import (
     _sweep_optima,
     all_graphs_upto,
     atlas_upto,
+    augmenting_paths_ref,
     closed_neighbourhoods_ref,
+    disjoint_hitters_ref,
     greedy_cover_ref,
     greedy_packing_ref,
     matching_cover_ref,
@@ -372,16 +374,40 @@ def test_oracle_output_contract(name, atlas):
     assert infeasible == ({False, True} if oracle.kind in SET_KINDS else {False})
 
 
+def _reference_bound(name, p):
+    """The lower bound that built-in covering oracle `name` declares on p,
+    by the plain-set references: disjoint unmet hitters (the sets holding
+    each ground element, or N[v]) and, for vertex cover, the matching plus
+    its short augmenting paths.  0 for every other oracle."""
+    alive, chosen = set(sf.iter_bits(p.alive)), set(sf.iter_bits(p.chosen))
+    if name == "greedy-set-cover":
+        sets = [set(sf.iter_bits(s)) for s in p.data.sets]
+        holders = [{i for i, s in enumerate(sets) if x in s} for x in range(p.data.n_ground)]
+        return disjoint_hitters_ref(holders, chosen)
+    closed = closed_neighbourhoods_ref(p.data)
+    if name == "greedy-dominating":
+        return disjoint_hitters_ref(closed, chosen)
+    if name == "matching-vc":
+        neighbours = [nb - {v} for v, nb in enumerate(closed)]
+        cover = matching_cover_ref(neighbours, alive)
+        return len(cover) // 2 + augmenting_paths_ref(neighbours, alive, cover)
+    return 0
+
+
 @pytest.mark.parametrize("derived", [False, True], ids=["declared", "derived"])
 @pytest.mark.parametrize("name", list(sf.ORACLES))
 def test_bounded_is_run_cut_at_ratio_times_room(name, derived, atlas):
     """bounded(root, alive, chosen, room) keeps its contract per goal, for
     every room 0..n and None, on roots and sub-instances of depth 1 and 2.
     Under minimization it is None exactly where run's output has more than
-    ratio * room ids, and that output otherwise; under maximization it is
-    run's output at every room.  Where run raises InfeasibleInstance,
-    bounded raises it at every room.  The same holds for the oracle rebuilt
-    from run and ratio alone, which under maximization never calls ratio."""
+    ratio * room ids, or, for the declared covering oracles, where their
+    lower bound (_reference_bound) is above room, and that output
+    otherwise; every None is right, as brute force finds no solution of
+    size <= room there.  Under maximization it is run's output at every
+    room.  Where run raises InfeasibleInstance, bounded raises it at every
+    room.  The same holds for the oracle rebuilt from run and ratio alone,
+    which keeps the ratio cut alone and under maximization never calls
+    ratio."""
     oracle = sf.ORACLES[name]
     minimize = oracle.goal is sf.Goal.MINIMIZE
     ratio = oracle.ratio
@@ -395,7 +421,7 @@ def test_bounded_is_run_cut_at_ratio_times_room(name, derived, atlas):
     else:
         datas = atlas_upto(atlas, 6)
     bounded = oracle.bounded_call()
-    cut, whole, infeasible = set(), set(), False
+    cut, whole, by_bound, infeasible = set(), set(), set(), False
     for data in datas:
         root = sf.make_problem(oracle.kind, data)
         for p in _with_subs(root):
@@ -408,17 +434,25 @@ def test_bounded_is_run_cut_at_ratio_times_room(name, derived, atlas):
                     with pytest.raises(sf.InfeasibleInstance):
                         bounded(root, p.alive, p.chosen, room)
                 continue
-            r = ratio(p)
+            r, opt = ratio(p), sf.brute_force_optimum(p).value
+            bound = 0 if derived else _reference_bound(name, p)
             for room in rooms:
                 got = bounded(root, p.alive, p.chosen, room)
-                over = minimize and room is not None and len(out) * r.denominator > r.numerator * room
+                by_ratio = minimize and room is not None and len(out) * r.denominator > r.numerator * room
+                over = by_ratio or room is not None and bound > room
                 assert (got is None) == over, (p.label, p.chosen, room)
-                if not over:
+                if over:
+                    assert opt > room, (p.label, p.chosen, room)
+                else:
                     assert list(got) == list(out), (p.label, p.chosen, room)
                 (cut if over else whole).add(p.chosen.bit_count())
+                if over and not by_ratio:
+                    by_bound.add(p.chosen.bit_count())
     depths = {0, 1, 2} if oracle.kind in RESTRICTABLE else {0}
     assert whole == depths
     assert cut == (depths if minimize else set())
+    covering = minimize and oracle.kind in RESTRICTABLE
+    assert by_bound == (depths if covering and not derived else set())
     assert infeasible == (oracle.kind in SET_KINDS)
 
 

@@ -711,7 +711,7 @@ PINNED = [
     (["branch", "-", "--k", "8", "--node-cap", "3"], G12, 3, "5749ecf99e80f747"),
     (["--problem", "set-cover", "branch", "-", "--k", "2"], UNCOVERABLE_SYS, 1, "df14e200f1f0b6c8"),
     (["--format", "text", "--problem", "independent-set", "branch", "-", "--k", "2"], PATH3_DIMACS, 0, "caedceeccf7094d0"),
-    (["--format", "text", "--problem", "dominating-set", "branch", "-", "--k", "3"], G8, 0, "6a112f3942244acd"),
+    (["--format", "text", "--problem", "dominating-set", "branch", "-", "--k", "3"], G8, 0, "bbc3ac5c90b540e1"),
     (["--problem", "set-cover", "branch", "-", "--k", "2"], S6, 0, "11dad82699049cfd"),
     (["--problem", "clique", "branch", "-", "--k", "3"], G8, 0, "d0394427242812d1"),
     (["dual", "-", "--epsilon", "1/2"], G6, 0, "159d99a989445003"),

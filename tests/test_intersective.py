@@ -425,46 +425,49 @@ def _seeded_problem(kind, n, seed):
 # max_arity) of the engine with each kind's default oracle, at k = opt and
 # at the adjacent NO budget, on _seeded_problem: G(n, p) from generate_gnp
 # (p = 0.5 for clique, 0.3 otherwise) and generate_setsystem(n, n, 4) for set
-# cover.  The pruned rows hold the tree whose ratio prune is bounded by the
-# incumbent (the room of the module docstring), the unpruned rows the tree
-# without it.  A change that only makes the engine faster leaves every row
-# as it is, node for node.
+# cover.  The pruned rows hold the tree that the oracle's bounded call prunes
+# at the room of the module docstring, which the incumbent lowers; the
+# unpruned rows the tree without it.  A change that only makes the engine
+# faster leaves every row as it is, node for node.  A sound prune, one that
+# answers None only where the sub-instance has no solution within the room,
+# moves only the nodes, depth and arity columns of the pruned rows, never
+# an outcome or a solution.
 PINNED_TREES = [
     ("vertex-cover", 7, 1, 3, True, "found", [0, 4, 5], 13, 3, 6),
     ("vertex-cover", 7, 1, 3, False, "found", [0, 4, 5], 30, 3, 6),
     ("vertex-cover", 7, 1, 2, True, "no-instance", None, 1, 0, 0),
     ("vertex-cover", 7, 1, 2, False, "no-instance", None, 22, 2, 6),
-    ("vertex-cover", 10, 2, 4, True, "found", [2, 3, 4, 5], 57, 4, 6),
+    ("vertex-cover", 10, 2, 4, True, "found", [2, 3, 4, 5], 28, 4, 6),
     ("vertex-cover", 10, 2, 4, False, "found", [2, 3, 4, 5], 113, 4, 6),
-    ("vertex-cover", 10, 2, 3, True, "no-instance", None, 16, 3, 6),
+    ("vertex-cover", 10, 2, 3, True, "no-instance", None, 1, 0, 0),
     ("vertex-cover", 10, 2, 3, False, "no-instance", None, 64, 3, 6),
-    ("vertex-cover", 13, 3, 6, True, "found", [0, 5, 8, 9, 10, 11], 166, 6, 10),
+    ("vertex-cover", 13, 3, 6, True, "found", [0, 5, 8, 9, 10, 11], 79, 6, 10),
     ("vertex-cover", 13, 3, 6, False, "found", [0, 5, 8, 9, 10, 11], 1492, 6, 10),
-    ("vertex-cover", 13, 3, 5, True, "no-instance", None, 65, 4, 10),
+    ("vertex-cover", 13, 3, 5, True, "no-instance", None, 1, 0, 0),
     ("vertex-cover", 13, 3, 5, False, "no-instance", None, 1282, 5, 10),
     ("dominating-set", 7, 1, 2, True, "found", [0, 5], 4, 2, 2),
     ("dominating-set", 7, 1, 2, False, "found", [0, 5], 4, 2, 2),
-    ("dominating-set", 7, 1, 1, True, "no-instance", None, 3, 1, 2),
+    ("dominating-set", 7, 1, 1, True, "no-instance", None, 1, 0, 0),
     ("dominating-set", 7, 1, 1, False, "no-instance", None, 3, 1, 2),
-    ("dominating-set", 10, 2, 3, True, "found", [1, 2, 3], 8, 3, 3),
+    ("dominating-set", 10, 2, 3, True, "found", [1, 2, 3], 7, 3, 3),
     ("dominating-set", 10, 2, 3, False, "found", [1, 2, 3], 8, 3, 3),
-    ("dominating-set", 10, 2, 2, True, "no-instance", None, 7, 2, 3),
+    ("dominating-set", 10, 2, 2, True, "no-instance", None, 1, 0, 0),
     ("dominating-set", 10, 2, 2, False, "no-instance", None, 7, 2, 3),
-    ("dominating-set", 13, 3, 4, True, "found", [0, 4, 5, 8], 21, 4, 4),
+    ("dominating-set", 13, 3, 4, True, "found", [0, 4, 5, 8], 11, 4, 4),
     ("dominating-set", 13, 3, 4, False, "found", [0, 4, 5, 8], 21, 4, 4),
-    ("dominating-set", 13, 3, 3, True, "no-instance", None, 20, 3, 4),
+    ("dominating-set", 13, 3, 3, True, "no-instance", None, 1, 0, 0),
     ("dominating-set", 13, 3, 3, False, "no-instance", None, 20, 3, 4),
     ("set-cover", 7, 1, 3, True, "found", [0, 3, 4], 9, 3, 4),
     ("set-cover", 7, 1, 3, False, "found", [0, 3, 4], 14, 3, 4),
-    ("set-cover", 7, 1, 2, True, "no-instance", None, 5, 1, 4),
+    ("set-cover", 7, 1, 2, True, "no-instance", None, 1, 0, 0),
     ("set-cover", 7, 1, 2, False, "no-instance", None, 11, 2, 4),
-    ("set-cover", 10, 2, 4, True, "found", [3, 5, 7, 8], 14, 4, 4),
+    ("set-cover", 10, 2, 4, True, "found", [3, 5, 7, 8], 11, 4, 4),
     ("set-cover", 10, 2, 4, False, "found", [3, 5, 7, 8], 16, 4, 4),
-    ("set-cover", 10, 2, 3, True, "no-instance", None, 11, 2, 4),
+    ("set-cover", 10, 2, 3, True, "no-instance", None, 1, 0, 0),
     ("set-cover", 10, 2, 3, False, "no-instance", None, 15, 3, 4),
-    ("set-cover", 13, 3, 6, True, "found", [1, 2, 5, 6, 9, 10], 64, 6, 6),
+    ("set-cover", 13, 3, 6, True, "found", [1, 2, 5, 6, 9, 10], 22, 6, 6),
     ("set-cover", 13, 3, 6, False, "found", [1, 2, 5, 6, 9, 10], 64, 6, 6),
-    ("set-cover", 13, 3, 5, True, "no-instance", None, 63, 5, 6),
+    ("set-cover", 13, 3, 5, True, "no-instance", None, 1, 0, 0),
     ("set-cover", 13, 3, 5, False, "no-instance", None, 63, 5, 6),
     ("independent-set", 7, 1, 4, True, "found", [0, 2, 3, 6], 5, 4, 4),
     ("independent-set", 7, 1, 4, False, "found", [0, 2, 3, 6], 5, 4, 4),
@@ -518,10 +521,10 @@ def test_search_tree_pinned(kind):
 # pins how many nodes the trees expand.
 PINNED_TREE_SUMS = {
     "clique": (80, 776, "31019a708999f59b"),
-    "dominating-set": (80, 1322, "302d3a3a668fe0fc"),
+    "dominating-set": (80, 919, "ffe13cf46d9f1977"),
     "independent-set": (80, 2842, "7cbd8ec7d6903954"),
-    "set-cover": (80, 1689, "bcbbfd1723a354ac"),
-    "vertex-cover": (80, 11241, "89020e8a036d30d7"),
+    "set-cover": (80, 1276, "4c1c880e4c7db86d"),
+    "vertex-cover": (80, 10020, "2aee66aee3e04817"),
 }
 
 
@@ -568,6 +571,36 @@ def test_prune_keeps_answers_and_never_adds_nodes(kind):
                            for prune in (True, False))
                 assert (on.outcome, on.solution) == (off.outcome, off.solution), (n, seed, k)
                 assert on.nodes_expanded <= off.nodes_expanded, (n, seed, k)
+
+
+@pytest.mark.parametrize("kind", ["dominating-set", "set-cover", "vertex-cover"])
+def test_covering_bounds_keep_the_answers_of_the_ratio_cut(kind, atlas):
+    """The lower bounds that the built-in covering oracles prune by, beside
+    the ratio cut, cut only subtrees with no solution within the room: on
+    every budget 0..n the search returns the outcome and solution, tie-breaks
+    included, of the same oracle rebuilt from run and ratio alone, which
+    keeps the ratio cut alone, and expands no more nodes.  The graph kinds
+    run on the atlas graphs with n <= 7 and on seeded G(n, 0.3), set cover
+    on seeded set systems."""
+    pk = sf.ProblemKind(kind)
+    if pk is sf.ProblemKind.SET_COVER:
+        datas = [random_system(n, n, 4, 700 + 10 * n + seed) for n in range(4, 13) for seed in range(12)]
+    else:
+        datas = atlas_upto(atlas, 7) + [random_graph(n, 0.3, 500 + 10 * n + seed)
+                                        for n in range(8, 14) for seed in range(6)]
+    oracle = sf.DEFAULT_ORACLE[pk]
+    ratio_cut = sf.ApproxOracle(oracle.name, oracle.goal, kind=pk, run=oracle.run, ratio=oracle.ratio)
+    fewer = 0
+    for data in datas:
+        p = sf.make_problem(pk, data)
+        for k in range(p.universe_size + 1):
+            cfg = sf.BranchConfig(budget_k=k)
+            new, old = (sf.branch_solve_min(p, o, cfg) for o in (oracle, ratio_cut))
+            assert old.outcome is not sf.BranchOutcome.NODE_CAP_EXCEEDED, (p.label, k)
+            assert (new.outcome, new.solution) == (old.outcome, old.solution), (p.label, k)
+            assert new.nodes_expanded <= old.nodes_expanded, (p.label, k)
+            fewer += new.nodes_expanded < old.nodes_expanded
+    assert fewer
 
 
 @pytest.mark.parametrize("n,nodes", [(16, 73), (20, 111), (24, 157), (300, 22_651)])
